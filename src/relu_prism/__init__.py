@@ -9,13 +9,11 @@ a CLI reproduce the two reference experiments end to end.
 """
 
 from .affine import (
-    AffineCache,
     AffineMap,
     JacobianReport,
     VerifyReport,
     effective_affine,
     jacobian_check,
-    masked_layers,
     verify_affine,
 )
 from .data import Dataset, gen_boolean, load_titanic, split
@@ -55,7 +53,6 @@ __all__ = [
     "__version__",
     "ActivationPattern",
     "AdamParams",
-    "AffineCache",
     "AffineMap",
     "Cluster",
     "ClusterStats",
@@ -87,7 +84,6 @@ __all__ = [
     "jacobian_check",
     "load_network",
     "load_titanic",
-    "masked_layers",
     "network_from_json",
     "network_to_json",
     "partition",

@@ -4,7 +4,7 @@ Holding the firing pattern fixed, every ReLU acts as multiplication by a 0/1
 diagonal, so the whole network collapses to a single affine map. Zeroing the
 rows of inactive units is equivalent to deleting those units and their arcs
 from the computation graph. The map is built by a forward sweep over the
-masked layers, which is an O(depth) evaluation of the layer-product formula.
+masked weights, which is an O(depth) evaluation of the layer-product formula.
 """
 
 from __future__ import annotations
@@ -14,18 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .network import ActivationPattern, Layer, Network, forward_batch, forward_trace
+from .network import (
+    ActivationPattern,
+    Network,
+    forward_batch,
+    forward_trace,
+    group_by_pattern,
+)
 
 __all__ = [
     "AffineMap",
-    "masked_layers",
     "effective_affine",
-    "AffineCache",
     "VerifyReport",
     "verify_affine",
     "JacobianReport",
     "jacobian_check",
-    "affine_map_to_json",
 ]
 
 
@@ -67,61 +70,26 @@ def _check_pattern(net: Network, pattern: ActivationPattern) -> None:
         )
 
 
-def masked_layers(net: Network, pattern: ActivationPattern) -> list[Layer]:
-    """Layers with inactive-unit rows zeroed; the final layer passes unchanged."""
+def effective_affine(net: Network, pattern: ActivationPattern) -> AffineMap:
+    """Collapse the network on one pattern into a single affine map.
+
+    Zeroes the weight rows and bias entries of inactive units, then sweeps
+    the layers input-to-output, composing one affine function at a time. On
+    a depth-1 network this returns the layer itself for any (empty) pattern.
+    """
     _check_pattern(net, pattern)
-    out: list[Layer] = []
+    weights, biases = [], []
     for layer, row in zip(net.layers[:-1], pattern.bits):
         mask = np.array(row, dtype=np.float64)
-        out.append(Layer(layer.weight * mask[:, None], layer.bias * mask))
-    out.append(net.layers[-1])
-    return out
-
-
-def effective_affine(net: Network, pattern: ActivationPattern) -> AffineMap:
-    """Collapse the masked layers into a single affine map.
-
-    Sweeps the layers input-to-output, composing one affine function at a
-    time. On a depth-1 network this returns the layer itself for any (empty)
-    pattern.
-    """
-    layers = masked_layers(net, pattern)
-    omega = layers[0].weight
-    bias = layers[0].bias
-    for layer in layers[1:]:
-        omega = layer.weight @ omega
-        bias = layer.weight @ bias + layer.bias
+        weights.append(layer.weight * mask[:, None])
+        biases.append(layer.bias * mask)
+    weights.append(net.layers[-1].weight)
+    biases.append(net.layers[-1].bias)
+    omega, bias = weights[0], biases[0]
+    for w, b in zip(weights[1:], biases[1:]):
+        omega = w @ omega
+        bias = w @ bias + b
     return AffineMap(omega, bias)
-
-
-class AffineCache:
-    """Memo of effective affine maps for one network, keyed by pattern bitstring.
-
-    Lookups may race: a key can be computed twice, but each stored value is
-    complete, so concurrent readers never observe a torn map.
-    """
-
-    def __init__(self, net: Network):
-        self._net = net
-        self._maps: dict[str, AffineMap] = {}
-
-    def get(self, pattern: ActivationPattern) -> AffineMap:
-        key = pattern.bitstring
-        found = self._maps.get(key)
-        if found is None:
-            found = effective_affine(self._net, pattern)
-            self._maps[key] = found
-        return found
-
-    def __len__(self) -> int:
-        return len(self._maps)
-
-
-def _split_rows(bits: list[np.ndarray], n: int) -> np.ndarray:
-    """Stack per-layer activity matrices into one (n, total_bits) bool matrix."""
-    if not bits:
-        return np.zeros((n, 0), dtype=bool)
-    return np.hstack(bits)
 
 
 @dataclass(frozen=True)
@@ -152,25 +120,19 @@ def verify_affine(net: Network, inputs, tol: float = 1e-6) -> VerifyReport:
     Inputs are grouped by activation pattern so each affine map is built once
     per distinct pattern; the result does not depend on input order.
     """
-    if tol <= 0:
-        raise InputError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise InputError(f"tol must be positive and finite, got {tol}")
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim == 1:
         X = X[None, :]
     if X.shape[0] == 0:
         raise InputError("verify_affine needs at least one input")
-    logits, bits = forward_batch(net, X)
-    bitmat = _split_rows(bits, X.shape[0])
-    codes = np.packbits(bitmat, axis=1)
-    _, inverse = np.unique(codes, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-
+    logits, bitmat, groups = group_by_pattern(net, X)
     widths = net.hidden_widths
     max_err = 0.0
     worst = 0
     n_patterns = 0
-    for group in range(inverse.max() + 1):
-        idx = np.flatnonzero(inverse == group)
+    for idx in groups:
         pattern = ActivationPattern.from_flat(bitmat[idx[0]], widths)
         amap = effective_affine(net, pattern)
         err = np.abs(amap.apply(X[idx]) - logits[idx]).max(axis=1)
@@ -212,8 +174,8 @@ def jacobian_check(net: Network, u, h: float = 1e-4) -> JacobianReport:
     preactivation is within 10*h of zero the input is treated as boundary and
     the check is skipped rather than failed.
     """
-    if h <= 0:
-        raise InputError(f"step h must be positive, got {h}")
+    if not 0.0 < h < np.inf:
+        raise InputError(f"step h must be positive and finite, got {h}")
     trace = forward_trace(net, u)
     for z in trace.preactivations[:-1]:
         if np.any(np.abs(z) < 10.0 * h):
@@ -227,11 +189,3 @@ def jacobian_check(net: Network, u, h: float = 1e-4) -> JacobianReport:
     err = float(np.abs(fd.T - amap.omega).max())
     return JacobianReport(max_row_err=err, skipped=False)
 
-
-def affine_map_to_json(pattern: ActivationPattern, amap: AffineMap) -> dict:
-    """Export one map as {"pattern": "0110...", "omega": [[...]], "bias": [...]}."""
-    return {
-        "pattern": pattern.bitstring,
-        "omega": amap.omega.tolist(),
-        "bias": amap.bias.tolist(),
-    }

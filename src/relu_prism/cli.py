@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -68,13 +69,17 @@ def _default_seed() -> int:
 def parse_seeds(text: str) -> list[int]:
     """Accept '3', '1,2,5' or an inclusive range '1..5'."""
     text = text.strip()
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise InputError(f"empty seed range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",") if part.strip()]
+    try:
+        if ".." in text:
+            lo_text, hi_text = text.split("..", 1)
+            seeds = list(range(int(lo_text), int(hi_text) + 1))
+        else:
+            seeds = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        raise InputError(f"cannot parse seeds {text!r}")
+    if not seeds:
+        raise InputError(f"no seeds in {text!r}")
+    return seeds
 
 
 def parse_hidden(text: str) -> list[int]:
@@ -93,10 +98,6 @@ def _sha256(data: bytes) -> str:
 
 def _dataset_hash(dataset: Dataset) -> str:
     return _sha256(dataset.features.tobytes() + dataset.targets.tobytes())
-
-
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text)
 
 
 def _write_json(path: Path, doc, sort_keys: bool = False) -> None:
@@ -129,17 +130,18 @@ def _train_config(params: dict, seed: int) -> TrainConfig:
     )
 
 
-def _sweep(dataset: Dataset, params: dict):
-    """Train once per seed; best run is highest accuracy, ties to lowest seed."""
+def _sweep(dataset: Dataset, params: dict, note):
+    """Train once per seed; best run is highest accuracy, ties to lowest seed.
+
+    ``note(net, history)`` gives the tail of each seed's stdout line.
+    """
     runs = []
     for seed in params["seeds"]:
         net, history = train(dataset, _train_config(params, seed))
         runs.append((seed, net, history, accuracy(net, dataset)))
-        print(
-            f"seed {seed}: train_accuracy={runs[-1][3]:.4f} "
-            f"final_loss={history.losses[-1]:.4f}"
-        )
+        print(f"seed {seed}: train_accuracy={runs[-1][3]:.4f}{note(net, history)}")
     best = max(runs, key=lambda r: (r[3], -r[0]))
+    print(f"best seed {best[0]}: train_accuracy={best[3]:.4f}")
     return runs, best
 
 
@@ -151,11 +153,12 @@ def _emit_run_artifacts(out: Path, dataset: Dataset, net, history, params: dict)
         for i, c in enumerate(clusters)
     ]
     report = verify_affine(net, dataset.features, tol=params["tol"])
-    _write_text(out / "dataset.csv", dataset_to_csv(dataset))
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "dataset.csv").write_text(dataset_to_csv(dataset))
     save_network(net, out / "network.json")
-    _write_text(out / "history.csv", history_to_csv(history))
+    (out / "history.csv").write_text(history_to_csv(history))
     _write_json(out / "clusters.json", clusters_to_json(clusters))
-    _write_text(out / "importance.csv", render_report(clusters, reports, "csv"))
+    (out / "importance.csv").write_text(render_report(clusters, reports, "csv"))
     _write_json(out / "verify.json", {"affine": report.to_dict()}, sort_keys=True)
     for i, c in enumerate(clusters):
         constant = " constant" if not c.affine.omega.any() else ""
@@ -180,31 +183,33 @@ _RUN_OUTPUTS = [
 ]
 
 
+def _run_summary(command: str, runs, best, clusters, report) -> dict:
+    """The summary.json fields that simulate and titanic share."""
+    best_seed, _, _, best_acc = best
+    return {
+        "command": command,
+        "per_seed": [
+            {"seed": s, "train_accuracy": a, "final_loss": h.losses[-1]}
+            for s, _, h, a in runs
+        ],
+        "best_seed": best_seed,
+        "train_accuracy": best_acc,
+        "n_clusters": len(clusters),
+        "verify_pass": report.passed,
+    }
+
+
 def run_simulate(params: dict, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     dataset = gen_boolean(params["n"], params["data_seed"])
-    runs, (best_seed, net, history, best_acc) = _sweep(dataset, params)
-    print(f"best seed {best_seed}: train_accuracy={best_acc:.4f}")
-    clusters, report = _emit_run_artifacts(out, dataset, net, history, params)
-    _write_json(
-        out / "summary.json",
-        {
-            "command": "simulate",
-            "per_seed": [
-                {"seed": s, "train_accuracy": a, "final_loss": h.losses[-1]}
-                for s, _, h, a in runs
-            ],
-            "best_seed": best_seed,
-            "train_accuracy": best_acc,
-            "n_clusters": len(clusters),
-            "cluster_fractions": [c.stats.fraction for c in clusters],
-            "has_all_inactive": any(
-                "1" not in c.pattern.bitstring for c in clusters
-            ),
-            "verify_pass": report.passed,
-        },
-        sort_keys=True,
+    runs, best = _sweep(
+        dataset, params, lambda net, history: f" final_loss={history.losses[-1]:.4f}"
     )
+    _, net, history, _ = best
+    clusters, report = _emit_run_artifacts(out, dataset, net, history, params)
+    summary = _run_summary("simulate", runs, best, clusters, report)
+    summary["cluster_fractions"] = [c.stats.fraction for c in clusters]
+    summary["has_all_inactive"] = any("1" not in c.pattern.bitstring for c in clusters)
+    _write_json(out / "summary.json", summary, sort_keys=True)
     _write_manifest(
         out, "simulate", params, {"dataset": _dataset_hash(dataset)}, _RUN_OUTPUTS
     )
@@ -212,7 +217,6 @@ def run_simulate(params: dict, out: Path) -> int:
 
 
 def run_titanic(params: dict, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     csv_path = Path(params["csv"])
     csv_hash = _sha256(csv_path.read_bytes())
     full = load_titanic(csv_path)
@@ -226,44 +230,28 @@ def run_titanic(params: dict, out: Path) -> int:
     if target is None:
         raise InputError("--cluster-on test requires --test-fraction > 0")
 
-    runs = []
-    for seed in params["seeds"]:
-        net, history = train(train_set, _train_config(params, seed))
-        runs.append((seed, net, history, accuracy(net, train_set)))
-        line = f"seed {seed}: train_accuracy={runs[-1][3]:.4f}"
-        if test_set is not None:
-            line += f" test_accuracy={accuracy(net, test_set):.4f}"
-        print(line)
-    best_seed, net, history, best_acc = max(runs, key=lambda r: (r[3], -r[0]))
-    print(f"best seed {best_seed}: train_accuracy={best_acc:.4f}")
+    def note(net, history):
+        return "" if test_set is None else f" test_accuracy={accuracy(net, test_set):.4f}"
 
+    runs, best = _sweep(train_set, params, note)
+    _, net, history, _ = best
     clusters, report = _emit_run_artifacts(out, target, net, history, params)
-    summary = {
-        "command": "titanic",
-        "n_rows": full.n_rows,
-        "survival_rate": float(full.targets.mean()),
-        "per_seed": [
-            {"seed": s, "train_accuracy": a, "final_loss": h.losses[-1]}
-            for s, _, h, a in runs
-        ],
-        "best_seed": best_seed,
-        "train_accuracy": best_acc,
-        "test_accuracy": None if test_set is None else accuracy(net, test_set),
-        "n_clusters": len(clusters),
-        "clusters": [
-            {
-                "pattern": c.pattern.bitstring,
-                "fraction": c.stats.fraction,
-                "predicted_positive_rate": c.stats.predicted_positive_rate,
-                "target_positive_rate": c.stats.target_positive_rate,
-                "predicted_purity": max(
-                    c.stats.predicted_positive_rate, 1.0 - c.stats.predicted_positive_rate
-                ),
-            }
-            for c in clusters
-        ],
-        "verify_pass": report.passed,
-    }
+    summary = _run_summary("titanic", runs, best, clusters, report)
+    summary["n_rows"] = full.n_rows
+    summary["survival_rate"] = float(full.targets.mean())
+    summary["test_accuracy"] = None if test_set is None else accuracy(net, test_set)
+    summary["clusters"] = [
+        {
+            "pattern": c.pattern.bitstring,
+            "fraction": c.stats.fraction,
+            "predicted_positive_rate": c.stats.predicted_positive_rate,
+            "target_positive_rate": c.stats.target_positive_rate,
+            "predicted_purity": max(
+                c.stats.predicted_positive_rate, 1.0 - c.stats.predicted_positive_rate
+            ),
+        }
+        for c in clusters
+    ]
     _write_json(out / "summary.json", summary, sort_keys=True)
     _write_manifest(out, "titanic", params, {"csv": csv_hash}, _RUN_OUTPUTS)
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -304,7 +292,12 @@ def _check_stored_clusters(net, clusters_path: Path, tol: float) -> dict:
 
 
 def run_verify(params: dict, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
+    if params["jacobian_samples"] < 0:
+        raise InputError(
+            f"--jacobian-samples must be >= 0, got {params['jacobian_samples']}"
+        )
+    if not math.isfinite(params["jacobian_tol"]):
+        raise InputError(f"--jacobian-tol must be finite, got {params['jacobian_tol']}")
     net_path = Path(params["net"])
     data_path = Path(params["data"])
     net = load_network(net_path)
@@ -344,6 +337,7 @@ def run_verify(params: dict, out: Path) -> int:
         hashes["clusters"] = _sha256(clusters_path.read_bytes())
         ok = ok and cluster_doc["pass"]
 
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "verify.json", doc, sort_keys=True)
     _write_manifest(out, "verify", params, hashes, ["verify.json", "manifest.json"])
     print(
@@ -447,10 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _simulate_params(args) -> dict:
+def _train_params(args) -> dict:
+    """Arguments added by ``_add_train_flags``, normalized, minus ``--out``."""
     return {
-        "n": args.n,
-        "data_seed": args.data_seed,
         "seeds": _resolve_seeds(args),
         "epochs": args.epochs,
         "lr": args.lr,
@@ -462,20 +455,17 @@ def _simulate_params(args) -> dict:
     }
 
 
+def _simulate_params(args) -> dict:
+    return {"n": args.n, "data_seed": args.data_seed, **_train_params(args)}
+
+
 def _titanic_params(args) -> dict:
     return {
         "csv": args.csv,
         "test_fraction": args.test_fraction,
         "split_seed": args.split_seed,
         "cluster_on": args.cluster_on,
-        "seeds": _resolve_seeds(args),
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "batch_size": args.batch_size,
-        "reg": args.reg,
-        "hidden": parse_hidden(args.hidden),
-        "normalization": args.normalization,
-        "tol": args.tol,
+        **_train_params(args),
     }
 
 

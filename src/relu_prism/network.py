@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -196,23 +196,35 @@ def _check_input_vector(net: Network, u) -> np.ndarray:
     return u
 
 
-def forward_trace(net: Network, u) -> ForwardTrace:
-    """Run one input through the network, recording preactivations and pattern."""
-    x = _check_input_vector(net, u)
-    pres: list[np.ndarray] = []
+def _preactivations(net: Network, X: np.ndarray):
+    """The one layer loop: yield each layer's preactivation matrix for rows X.
+
+    Only the current layer's matrix is held, so a caller that keeps just the
+    activity bits never has every layer's full-batch preactivations alive.
+    """
+    a = X
     for layer in net.layers[:-1]:
-        z = layer.weight @ x + layer.bias
-        pres.append(_frozen_array(z))
-        x = np.maximum(z, 0.0)
+        z = a @ layer.weight.T + layer.bias
+        yield z
+        a = np.maximum(z, 0.0)
     last = net.layers[-1]
-    logit = _frozen_array(last.weight @ x + last.bias)
-    pres.append(logit)
-    pattern = ActivationPattern(tuple(tuple(z > 0.0) for z in pres[:-1]))
+    yield a @ last.weight.T + last.bias
+
+
+def forward_trace(net: Network, u) -> ForwardTrace:
+    """Run one input through the network, recording preactivations and pattern.
+
+    This is the one-row case of ``forward_batch``: the same layer loop on a
+    1-row matrix.
+    """
+    x = _check_input_vector(net, u)
+    pres = tuple(_frozen_array(z[0]) for z in _preactivations(net, x[None, :]))
+    logit = pres[-1]
     return ForwardTrace(
-        preactivations=tuple(pres),
+        preactivations=pres,
         logit=logit,
         probability=_frozen_array(sigmoid(logit)),
-        pattern=pattern,
+        pattern=ActivationPattern(tuple(tuple(z > 0.0) for z in pres[:-1])),
     )
 
 
@@ -221,8 +233,11 @@ def forward_batch(net: Network, inputs) -> tuple[np.ndarray, list[np.ndarray]]:
 
     Returns the logits with shape (n, output_dim) and, per hidden layer, the
     boolean activity matrix of shape (n, width) under the strict-positivity
-    rule. Row i reproduces ``forward_trace`` on row i exactly: the per-row
-    and batched paths use the same dot products in the same order.
+    rule. Row i agrees with ``forward_trace`` on row i up to rounding only:
+    BLAS may sum an n-row product in another order than a one-row product,
+    so logits can differ in the last bits, and a preactivation within
+    rounding of zero may land on the other side of the kink. Every path
+    applies the same strict ``> 0`` rule to the value it computed.
     """
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -231,15 +246,33 @@ def forward_batch(net: Network, inputs) -> tuple[np.ndarray, list[np.ndarray]]:
         )
     if not np.all(np.isfinite(X)):
         raise InputError("input matrix must be finite")
-    bits: list[np.ndarray] = []
-    a = X
-    for layer in net.layers[:-1]:
-        z = a @ layer.weight.T + layer.bias
-        bits.append(z > 0.0)
-        a = np.maximum(z, 0.0)
-    last = net.layers[-1]
-    logits = a @ last.weight.T + last.bias
-    return logits, bits
+    pres = _preactivations(net, X)
+    bits = [next(pres) > 0.0 for _ in net.layers[:-1]]
+    return next(pres), bits
+
+
+def group_by_pattern(
+    net: Network, inputs
+) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+    """Forward pass plus grouping of the rows by activation pattern.
+
+    Returns the logits (n, output_dim), the (n, total_bits) activity matrix
+    with hidden layers side by side, and an iterator over one strictly
+    increasing row-index vector per distinct pattern, patterns in
+    ``np.unique`` order of their packed bits.
+    """
+    logits, bits = forward_batch(net, inputs)
+    n = logits.shape[0]
+    bitmat = np.hstack(bits) if bits else np.zeros((n, 0), dtype=bool)
+    _, inverse, counts = np.unique(
+        np.packbits(bitmat, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    # A stable sort keeps each group's rows in increasing order. Groups are
+    # sliced lazily: with tens of thousands of patterns, holding every view
+    # at once costs several MB of peak memory.
+    order = np.argsort(inverse.reshape(-1), kind="stable")
+    ends = np.cumsum(counts)
+    return logits, bitmat, (order[end - count : end] for count, end in zip(counts, ends))
 
 
 def predict(net: Network, u) -> int:

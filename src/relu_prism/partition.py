@@ -15,7 +15,7 @@ import numpy as np
 from .affine import AffineMap, effective_affine
 from .data import Dataset
 from .errors import ShapeError
-from .network import ActivationPattern, Network, forward_batch, forward_trace
+from .network import ActivationPattern, Network, forward_trace, group_by_pattern
 
 __all__ = ["ClusterStats", "Cluster", "partition", "cluster_of", "clusters_to_json"]
 
@@ -68,18 +68,12 @@ def partition(net: Network, dataset: Dataset) -> list[Cluster]:
         raise ShapeError(
             f"partition statistics require a scalar output, got output_dim={net.output_dim}"
         )
-    X = dataset.features
     n = dataset.n_rows
-    logits, bits = forward_batch(net, X)
-    bitmat = np.hstack(bits) if bits else np.zeros((n, 0), dtype=bool)
-    codes = np.packbits(bitmat, axis=1)
-    _, inverse = np.unique(codes, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
+    logits, bitmat, groups = group_by_pattern(net, dataset.features)
     predicted = logits[:, 0] > 0.0
 
     clusters: list[Cluster] = []
-    for group in range(int(inverse.max()) + 1):
-        idx = np.flatnonzero(inverse == group)
+    for idx in groups:
         pattern = ActivationPattern.from_flat(bitmat[idx[0]], net.hidden_widths)
         stats = ClusterStats(
             size=int(idx.shape[0]),

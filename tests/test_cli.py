@@ -27,6 +27,14 @@ def simulate_args(out, n=400, epochs=3, extra=()):
     ]
 
 
+def assert_rejected(argv, out, capsys):
+    """Bad input: exit 2, a one-line message, and no output directory."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 class TestArgParsing:
     def test_parse_seeds_forms(self):
         assert parse_seeds("3") == [3]
@@ -83,6 +91,18 @@ class TestSimulate:
         main(["simulate", "--n", "200", "--epochs", "1", "--out", str(out)])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["args"]["seeds"] == [7]
+
+    def test_unparseable_seeds_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert_rejected(simulate_args(out, extra=("--seeds", "x")), out, capsys)
+
+    def test_empty_seed_list_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert_rejected(simulate_args(out, extra=("--seeds", ",")), out, capsys)
+
+    def test_negative_n_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert_rejected(simulate_args(out, n=-5), out, capsys)
 
     def test_divergent_learning_rate_exits_three(self, tmp_path, capsys):
         # Several steps per epoch so a post-step batch loss observes the blowup.
@@ -163,12 +183,25 @@ class TestVerify:
         assert "error:" in capsys.readouterr().err
 
     def test_zero_tolerance_exits_nonzero(self, run_dir, tmp_path):
-        code = main(
+        for flag, value in (("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
+                            ("--jacobian-tol", "nan"), ("--jacobian-tol", "inf")):
+            code = main(
+                ["verify", "--net", str(run_dir / "network.json"),
+                 "--data", str(run_dir / "dataset.csv"),
+                 flag, value, "--out", str(tmp_path / "v")]
+            )
+            assert code == 2, (flag, value)
+            assert not (tmp_path / "v").exists()
+
+    def test_negative_jacobian_samples_exits_two(self, run_dir, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "v"
+        assert_rejected(
             ["verify", "--net", str(run_dir / "network.json"),
              "--data", str(run_dir / "dataset.csv"),
-             "--tol", "0", "--out", str(tmp_path / "v")]
+             "--jacobian-samples", "-1", "--out", str(out)],
+            out, capsys,
         )
-        assert code == 2
 
     def test_no_clusters_flag_skips_cross_check(self, run_dir, tmp_path):
         code = main(

@@ -7,6 +7,7 @@ import pytest
 
 from relu_prism import (
     ActivationPattern,
+    Dataset,
     InputError,
     Layer,
     Network,
@@ -17,10 +18,12 @@ from relu_prism import (
     load_network,
     network_from_json,
     network_to_json,
+    partition,
     predict,
     predict_batch,
     save_network,
     sigmoid,
+    verify_affine,
 )
 from conftest import make_random_network
 
@@ -123,6 +126,53 @@ class TestForwardTrace:
         net = two_layer_net()
         with pytest.raises(ShapeError):
             forward_batch(net, np.zeros((3, 5)))
+
+
+class TestKinkRule:
+    """A unit fires only on a strictly positive preactivation, on every path.
+
+    Integer weights make every preactivation below exact, so each row sits
+    exactly on a kink or 1 ulp to either side of one, in both hidden layers.
+    """
+
+    NET = Network(
+        (
+            Layer([[1.0, -1.0], [1.0, 0.0]], [0.0, -1.0]),  # x0 - x1, x0 - 1
+            Layer([[1.0, 1.0]], [0.0]),  # relu(x0 - x1) + relu(x0 - 1)
+            Layer([[2.0]], [-1.0]),
+        )
+    )
+
+    def rows_and_keys(self):
+        ones = (1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0))
+        X = np.array(
+            [(x0, x1) for x0 in ones for x1 in (x0, np.nextafter(x0, 2.0), np.nextafter(x0, 0.0))]
+        )
+        keys = []
+        for x0, x1 in X:
+            first = (x0 > x1, x0 > 1.0)
+            bits = (*first, any(first))
+            keys.append("".join("1" if b else "0" for b in bits))
+        assert len(set(keys)) == 4  # both kinks hit from both sides
+        return X, keys
+
+    def test_forward_paths_agree(self):
+        X, keys = self.rows_and_keys()
+        _, bits = forward_batch(self.NET, X)
+        batch_keys = ["".join("1" if b else "0" for b in row) for row in np.hstack(bits)]
+        assert batch_keys == keys
+        assert [forward_trace(self.NET, x).pattern.bitstring for x in X] == keys
+
+    def test_partition_and_verify_agree(self):
+        X, keys = self.rows_and_keys()
+        ds = Dataset(X, np.zeros(len(X), dtype=int), ("x0", "x1"))
+        clusters = partition(self.NET, ds)
+        assert sorted(i for c in clusters for i in c.member_indices) == list(range(len(X)))
+        for c in clusters:
+            assert all(keys[i] == c.pattern.bitstring for i in c.member_indices)
+        report = verify_affine(self.NET, X, tol=1e-12)
+        assert report.n_patterns == len(set(keys))
+        assert report.passed
 
 
 class TestPredict:

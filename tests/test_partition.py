@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from relu_prism import (
+    ActivationPattern,
     Cluster,
     Dataset,
     ShapeError,
     cluster_of,
     clusters_to_json,
     effective_affine,
+    forward_batch,
     forward_trace,
     partition,
+    verify_affine,
 )
 from conftest import make_random_network
 
@@ -61,6 +64,31 @@ class TestPartitionLaws:
             np.testing.assert_array_equal(
                 c.member_indices, expected[c.pattern.bitstring]
             )
+
+    def test_many_patterns_match_brute_force(self):
+        """Thousands of patterns, most of them singletons, so every group
+        boundary of the sort-and-split grouping is exercised."""
+        rng = np.random.default_rng(11)
+        net = make_random_network(rng, d=10, widths=(16, 8))
+        X = rng.standard_normal((5000, 10))
+        ds = Dataset(X, (X.sum(axis=1) > 0).astype(int), tuple(f"f{i}" for i in range(10)))
+        groups = brute_force_groups(net, X)
+        singletons = sum(len(rows) == 1 for rows in groups.values())
+        assert len(groups) > 2000 and singletons > len(groups) / 2
+
+        clusters = partition(net, ds)
+        expected = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+        assert [(c.pattern.bitstring, c.member_indices.tolist()) for c in clusters] == expected
+
+        logits, _ = forward_batch(net, X)
+        worst = 0.0
+        for key, rows in groups.items():
+            pattern = ActivationPattern.from_flat((b == "1" for b in key), net.hidden_widths)
+            err = np.abs(effective_affine(net, pattern).apply(X[rows]) - logits[rows])
+            worst = max(worst, float(err.max()))
+        report = verify_affine(net, X)
+        assert report.n_patterns == len(groups)
+        assert report.max_abs_err == worst
 
     def test_canonical_order(self, rng):
         net = make_random_network(rng, d=3, widths=(3,))
