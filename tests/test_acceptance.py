@@ -34,7 +34,7 @@ from relu_prism import (
     verify_affine,
 )
 from relu_prism.cli import DEFAULT_DATA_SEED, main as cli_main
-from conftest import make_random_network
+from conftest import make_random_network, network_sha256
 
 SWEEP_SEEDS = (1, 2, 3, 4, 5)
 TITANIC_ENV = "RELU_PRISM_TITANIC_CSV"
@@ -313,6 +313,33 @@ def test_regularizer_reduces_cluster_count(sim_dataset, reg_runs, noreg_runs, ca
         f" with penalty {med_reg} (counts {k_reg})",
     )
     assert ok
+
+
+# SHA-256 of each seed's saved network.json text for the sweeps above, as
+# recorded on x86-64 Linux, numpy 2.x with OpenBLAS 0.3.31 (Haswell kernels).
+# Training must reproduce them bit for bit; another BLAS or CPU may not.
+PINNED_SWEEP_SHA256 = {
+    0.02: (
+        "008ade5d5b86c1413d1eed5cbb9e3bc6ee0050784fc4da36a9c8c4f12fa74f47",
+        "493fc780c1c0abc49927d9dcbf0b797b13865d926542ceadf3e5a931fcfc7303",
+        "833fcace6885de1eae24dbcbb319af3cb56b20bf6f59bf2658c4079c5af949ed",
+        "dbfc08119a166491d2b9da787c0011972090237851dc9581a1c429286ac4eb00",
+        "dca6776060b570123d706be515445083926322626fd418f389394e328f58cfa5",
+    ),
+    0.0: (
+        "cc1d97d6fe52c5f1304b0b9bdd4c2e2e9cb135f3ac8d56ca26383cebe0903729",
+        "08e6c9d161e193ee5c9e149904c8bfa2391e7cbdfa60dd3caac911acd090796e",
+        "5ef3ba6c9195c799bff5f19038af498cf3a0bab2d72a85e9f383b65b540d29f8",
+        "70b98a3e06a220d9547934acdeea43f152727acb1d6c342d46b313433d9b791c",
+        "3002a5c41583eff142d44d340e996329c81cf9a8d0f75f0c9f1cf4f58684fbfb",
+    ),
+}
+
+
+def test_sweep_weights_are_pinned(reg_runs, noreg_runs):
+    for reg, runs in ((0.02, reg_runs), (0.0, noreg_runs)):
+        got = tuple(network_sha256(net) for _, net, _ in runs)
+        assert got == PINNED_SWEEP_SHA256[reg], reg
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from relu_prism import (
     init_network,
     train,
 )
-from conftest import make_random_network
+from conftest import make_random_network, network_text
 
 
 def perturbed(net: Network, layer_i: int, which: str, idx, eps: float) -> Network:
@@ -301,6 +303,48 @@ class TestTrain:
         _, history = train(ds, TrainConfig(hidden_widths=(2,), epochs=4, seed=0))
         assert history.epochs == 4
         assert len(history.accuracies) == 4
+
+
+def _gaussian_dataset(n=2500, d=3, seed=11) -> Dataset:
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    t = (X[:, 0] * X[:, 1] + 0.5 * X[:, 2] > 0).astype(int)
+    return Dataset(X, t, tuple(f"x{i}" for i in range(d)))
+
+
+class TestPinnedWeights:
+    """One run per trainer branch, pinned to the SHA-256 of its saved network
+    text followed by its history csv. Recorded on x86-64 Linux, numpy 2.x
+    with OpenBLAS 0.3.31 (Haswell kernels); another BLAS or CPU may differ."""
+
+    # 530 rows against batch 100 (or 37) leaves a short final batch.
+    CASES = {
+        "l1-mean": ("boolean", TrainConfig(epochs=3, seed=1)),
+        "l2-norm": ("boolean", TrainConfig(
+            epochs=3, seed=2, activity_reg_coeff=0.05, reg_norm="l2")),
+        "sum-reduction": ("boolean", TrainConfig(epochs=3, seed=3, reg_reduction="sum")),
+        "layer-subset": ("boolean", TrainConfig(
+            epochs=3, seed=4, hidden_widths=(6, 3, 2), reg_layers=(1,))),
+        "no-reg": ("boolean", TrainConfig(
+            epochs=3, seed=5, activity_reg_coeff=0.0, batch_size=37)),
+        "gaussian-big-batch": ("gaussian", TrainConfig(epochs=4, seed=6, batch_size=1000)),
+    }
+    SHA256 = {
+        "l1-mean": "2f11c02330aabb4d2a75591c70bcbf69348c181d2af2266996925ada27127ba5",
+        "l2-norm": "b5759a497cebae69bfffcc7b125d2cd96d33bd126861e11286b6389aac18c586",
+        "sum-reduction": "26419fd72f2ddee452a6147cb841dc6b91a0598e2d26c170ff7985648c77ad8d",
+        "layer-subset": "1634936af9c4d3832ef42fa916ab1db000cd0d29cdb9f6ad3c28bbffadf1e38c",
+        "no-reg": "642c5c788df69e9e6a76b7e939dccbd2dd11d77f278e23318d62626486bb8739",
+        "gaussian-big-batch": "23d42fc9c15b34b5a86f4a533dbc71524d75f18c70660a6851c4f15c11fed47c",
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_weights_and_history_are_pinned(self, name):
+        kind, config = self.CASES[name]
+        ds = gen_boolean(530, seed=3) if kind == "boolean" else _gaussian_dataset()
+        net, history = train(ds, config)
+        text = network_text(net) + history_to_csv(history)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256[name]
 
 
 class TestAccuracy:
