@@ -135,8 +135,11 @@ def _sweep(dataset: Dataset, params: dict, note):
 
     ``note(net, history)`` gives the tail of each seed's stdout line.
     """
+    seeds = params["seeds"]
+    if not isinstance(seeds, list) or not seeds or any(type(s) is not int for s in seeds):
+        raise InputError(f"seeds must be a non-empty list of integers, got {seeds!r}")
     runs = []
-    for seed in params["seeds"]:
+    for seed in seeds:
         net, history = train(dataset, _train_config(params, seed))
         runs.append((seed, net, history, accuracy(net, dataset)))
         print(f"seed {seed}: train_accuracy={runs[-1][3]:.4f}{note(net, history)}")
@@ -298,6 +301,10 @@ def run_verify(params: dict, out: Path) -> int:
         )
     if not math.isfinite(params["jacobian_tol"]):
         raise InputError(f"--jacobian-tol must be finite, got {params['jacobian_tol']}")
+    if not (math.isfinite(params["jacobian_step"]) and params["jacobian_step"] > 0.0):
+        raise InputError(
+            f"--jacobian-step must be positive and finite, got {params['jacobian_step']}"
+        )
     net_path = Path(params["net"])
     data_path = Path(params["data"])
     net = load_network(net_path)
@@ -358,6 +365,17 @@ def run_verify(params: dict, out: Path) -> int:
 
 _RUNNERS = {"simulate": run_simulate, "titanic": run_titanic, "verify": run_verify}
 
+# The keys each command's normalized arguments carry; see the *_params builders.
+_TRAIN_KEYS = ("seeds", "epochs", "lr", "batch_size", "reg", "hidden", "normalization", "tol")
+_PARAM_KEYS = {
+    "simulate": ("n", "data_seed", *_TRAIN_KEYS),
+    "titanic": ("csv", "test_fraction", "split_seed", "cluster_on", *_TRAIN_KEYS),
+    "verify": (
+        "net", "data", "tol", "clusters",
+        "jacobian_samples", "jacobian_step", "jacobian_tol", "seed",
+    ),
+}
+
 
 def run_rerun(manifest_path: Path, out: Path) -> int:
     try:
@@ -372,6 +390,9 @@ def run_rerun(manifest_path: Path, out: Path) -> int:
     params = doc["args"]
     if not isinstance(params, dict):
         raise SchemaError("manifest args must be an object")
+    missing = [key for key in _PARAM_KEYS[command] if key not in params]
+    if missing:
+        raise SchemaError(f"manifest args lack {', '.join(map(repr, missing))}")
     return _RUNNERS[command](params, out)
 
 

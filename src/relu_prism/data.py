@@ -279,6 +279,9 @@ def split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Datase
     return first, second
 
 
+_CSV_BLOCK_ROWS = 1024
+
+
 def dataset_to_csv(dataset: Dataset) -> str:
     """Comma-separated export: feature columns then a final ``target`` column."""
     import io
@@ -286,8 +289,16 @@ def dataset_to_csv(dataset: Dataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(dataset.feature_names) + ["target"])
-    for x, t in zip(dataset.features, dataset.targets):
-        writer.writerow([float(v) for v in x] + [int(t)])
+    # tolist() gives the Python floats and ints the csv module writes; a block
+    # at a time, so the Python copy of the rows stays small.
+    for start in range(0, dataset.n_rows, _CSV_BLOCK_ROWS):
+        stop = start + _CSV_BLOCK_ROWS
+        writer.writerows(
+            x + [t]
+            for x, t in zip(
+                dataset.features[start:stop].tolist(), dataset.targets[start:stop].tolist()
+            )
+        )
     return buf.getvalue()
 
 

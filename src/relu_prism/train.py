@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset
 from .errors import InputError, ShapeError, TrainingDivergedError
-from .network import Layer, Network, predict_batch, sigmoid
+from .network import Layer, Network, predict_batch
 
 __all__ = [
     "AdamParams",
@@ -160,64 +161,70 @@ def _forward_logits(Ws, bs, X):
     return (a @ Ws[-1].T + bs[-1])[:, 0]
 
 
-def _loss_and_grads(Ws, bs, X, t, config: TrainConfig, want_grads: bool):
+def _reg_terms(config: TrainConfig, Ws) -> tuple[tuple[int, int], ...]:
+    """(hidden layer, unit divisor) for each layer the activity penalty covers.
+
+    The penalty's scale on a batch of B rows is coeff / (B * divisor): the
+    divisor is the layer's width for the "mean" reduction and 1 for "sum".
+    """
+    if config.activity_reg_coeff == 0.0:
+        return ()
+    n_hidden = len(Ws) - 1
+    return tuple(
+        (i, Ws[i].shape[0] if config.reg_reduction == "mean" else 1)
+        for i in config.regularized_layers(n_hidden)
+    )
+
+
+def _loss_and_grads(Ws, bs, X, t, config: TrainConfig, reg, grads=None) -> float:
     """Mean BCE + activity penalty over one batch; optional backprop.
+
+    ``reg`` comes from `_reg_terms`. When ``grads`` is a pair of per-layer
+    lists (dWs, dbs), the gradients are written into those arrays.
 
     The regularizer's subgradient at an exactly-zero activation is 0, which
     matches the strict-activity rule: a unit sitting on its kink contributes
     neither to the pattern nor to the penalty gradient.
 
-    Arithmetic runs with numpy overflow/invalid warnings silenced: when the
+    Callers run this with numpy overflow/invalid warnings silenced: when the
     parameters blow up the loss goes non-finite, and the caller turns that
     into a typed divergence error instead of warning noise.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _loss_and_grads_raw(Ws, bs, X, t, config, want_grads)
-
-
-def _loss_and_grads_raw(Ws, bs, X, t, config: TrainConfig, want_grads: bool):
     B = X.shape[0]
-    n_hidden = len(Ws) - 1
-    zs, acts = [], [X]
-    for i in range(n_hidden):
-        z = acts[-1] @ Ws[i].T + bs[i]
-        zs.append(z)
-        acts.append(np.maximum(z, 0.0))
+    acts = [X]
+    for W, b in zip(Ws[:-1], bs[:-1]):
+        z = acts[-1] @ W.T
+        z += b
+        acts.append(np.maximum(z, 0.0, out=z))
     logit = (acts[-1] @ Ws[-1].T + bs[-1])[:, 0]
-    loss = float(
-        np.mean(np.maximum(logit, 0.0) - logit * t + np.log1p(np.exp(-np.abs(logit))))
-    )
+    e = np.exp(-np.abs(logit))
+    loss = float((np.maximum(logit, 0.0) - logit * t + np.log1p(e)).sum() / B)
 
-    included = (
-        config.regularized_layers(n_hidden) if config.activity_reg_coeff > 0.0 else ()
-    )
     scales = {}
-    for i in included:
-        units = acts[i + 1].shape[1]
-        scales[i] = config.activity_reg_coeff / (
-            B * (units if config.reg_reduction == "mean" else 1)
-        )
+    for i, divisor in reg:
+        scales[i] = config.activity_reg_coeff / (B * divisor)
         pen = acts[i + 1] if config.reg_norm == "l1" else acts[i + 1] ** 2
         loss += scales[i] * float(pen.sum())
-    if not want_grads:
-        return loss, None
+    if grads is None:
+        return loss
 
-    dWs = [None] * len(Ws)
-    dbs = [None] * len(bs)
-    g = ((sigmoid(logit) - t) / B)[:, None]
-    dWs[-1] = g.T @ acts[-1]
-    dbs[-1] = g.sum(axis=0)
+    dWs, dbs = grads
+    # sigmoid(logit), from the loss's exp(-|logit|)
+    g = ((np.where(logit >= 0.0, 1.0, e) / (1.0 + e) - t) / B)[:, None]
+    np.matmul(g.T, acts[-1], out=dWs[-1])
+    g.sum(axis=0, out=dbs[-1])
     ga = g @ Ws[-1]
-    for i in reversed(range(n_hidden)):
+    for i in reversed(range(len(Ws) - 1)):
+        a = acts[i + 1]
         if i in scales:
-            a = acts[i + 1]
             # post-activations are >= 0, so sign(a) is the l1 subgradient with 0 at 0
-            ga = ga + scales[i] * (np.sign(a) if config.reg_norm == "l1" else 2.0 * a)
-        gz = ga * (zs[i] > 0.0)
-        dWs[i] = gz.T @ acts[i]
-        dbs[i] = gz.sum(axis=0)
-        ga = gz @ Ws[i]
-    return loss, (dWs, dbs)
+            ga += scales[i] * (np.sign(a) if config.reg_norm == "l1" else 2.0 * a)
+        gz = ga * (a > 0.0)
+        np.matmul(gz.T, acts[i], out=dWs[i])
+        gz.sum(axis=0, out=dbs[i])
+        if i:
+            ga = gz @ Ws[i]
+    return loss
 
 
 def _check_batch(net_or_d, features, targets):
@@ -233,13 +240,17 @@ def _check_batch(net_or_d, features, targets):
     return X, t.astype(np.float64)
 
 
-def batch_loss(net: Network, features, targets, config: TrainConfig) -> float:
-    """The full training objective on one batch, as a pure function of `net`."""
+def _batch_loss_and_grads(net: Network, features, targets, config: TrainConfig, grads=None):
     X, t = _check_batch(net, features, targets)
     Ws = [l.weight for l in net.layers]
     bs = [l.bias for l in net.layers]
-    loss, _ = _loss_and_grads(Ws, bs, X, t, config, want_grads=False)
-    return loss
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _loss_and_grads(Ws, bs, X, t, config, _reg_terms(config, Ws), grads)
+
+
+def batch_loss(net: Network, features, targets, config: TrainConfig) -> float:
+    """The full training objective on one batch, as a pure function of `net`."""
+    return _batch_loss_and_grads(net, features, targets, config)
 
 
 def batch_gradients(net: Network, features, targets, config: TrainConfig):
@@ -248,11 +259,20 @@ def batch_gradients(net: Network, features, targets, config: TrainConfig):
     Returns (loss, [(dW, db) per layer]) so finite differences can audit the
     analytic gradient parameter by parameter.
     """
-    X, t = _check_batch(net, features, targets)
-    Ws = [l.weight for l in net.layers]
-    bs = [l.bias for l in net.layers]
-    loss, (dWs, dbs) = _loss_and_grads(Ws, bs, X, t, config, want_grads=True)
+    dWs = [np.empty_like(l.weight) for l in net.layers]
+    dbs = [np.empty_like(l.bias) for l in net.layers]
+    loss = _batch_loss_and_grads(net, features, targets, config, (dWs, dbs))
     return loss, list(zip(dWs, dbs))
+
+
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of ``flat``, one per shape."""
+    views, start = [], 0
+    for shape in shapes:
+        size = int(np.prod(shape))
+        views.append(flat[start : start + size].reshape(shape))
+        start += size
+    return views
 
 
 def train(dataset: Dataset, config: TrainConfig) -> tuple[Network, TrainHistory]:
@@ -263,39 +283,64 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Network, TrainHistory]
     """
     rng = np.random.default_rng(config.seed)
     Ws, bs = _glorot(dataset.n_features, config.hidden_widths, rng)
+    n_layers = len(Ws)
     X_all, t_all = dataset.features, dataset.targets.astype(np.float64)
     n = dataset.n_rows
 
-    params = Ws + bs
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
+    # Every W and b is a view into one flat buffer, and every gradient a view
+    # into a matching one, so Adam updates all parameters in whole-buffer calls.
+    shapes = [p.shape for p in Ws + bs]
+    params = np.concatenate([p.ravel() for p in Ws + bs])
+    grad = np.zeros_like(params)
+    views, grad_views = _views(params, shapes), _views(grad, shapes)
+    Ws, bs = views[:n_layers], views[n_layers:]
+    grads = (grad_views[:n_layers], grad_views[n_layers:])
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    upd = np.empty_like(params)
+    denom = np.empty_like(params)
+    X_perm = np.empty_like(X_all)
+    t_perm = np.empty_like(t_all)
+    reg = _reg_terms(config, Ws)
+    lr, batch = config.learning_rate, config.batch_size
     beta1, beta2, eps = config.adam.beta1, config.adam.beta2, config.adam.epsilon
     step = 0
     losses, accuracies = [], []
-    for epoch in range(1, config.epochs + 1):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            loss, (dWs, dbs) = _loss_and_grads(
-                Ws, bs, X_all[idx], t_all[idx], config, want_grads=True
-            )
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            epoch_loss += loss * idx.shape[0]
-            step += 1
-            corr1 = 1.0 - beta1**step
-            corr2 = 1.0 - beta2**step
-            for p, mom, sec, grad in zip(params, m, v, dWs + dbs):
-                mom *= beta1
-                mom += (1.0 - beta1) * grad
-                sec *= beta2
-                sec += (1.0 - beta2) * grad**2
-                p -= config.learning_rate * (mom / corr1) / (np.sqrt(sec / corr2) + eps)
-        losses.append(epoch_loss / n)
-        # errstate: exploded-but-not-yet-detected weights may overflow here;
-        # the next epoch's loss check raises the typed error.
-        with np.errstate(over="ignore", invalid="ignore"):
+    # errstate: exploded-but-not-yet-detected weights may overflow; the next
+    # batch loss check raises the typed error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            perm = rng.permutation(n)
+            np.take(X_all, perm, axis=0, out=X_perm)
+            np.take(t_all, perm, out=t_perm)
+            epoch_loss = 0.0
+            for start in range(0, n, batch):
+                X = X_perm[start : start + batch]
+                loss = _loss_and_grads(
+                    Ws, bs, X, t_perm[start : start + batch], config, reg, grads
+                )
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(epoch)
+                epoch_loss += loss * X.shape[0]
+                step += 1
+                corr1 = 1.0 - beta1**step
+                corr2 = 1.0 - beta2**step
+                # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps), in place
+                m *= beta1
+                np.multiply(grad, 1.0 - beta1, out=upd)
+                m += upd
+                v *= beta2
+                np.square(grad, out=upd)
+                upd *= 1.0 - beta2
+                v += upd
+                np.divide(m, corr1, out=upd)
+                upd *= lr
+                np.divide(v, corr2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += eps
+                upd /= denom
+                params -= upd
+            losses.append(epoch_loss / n)
             accuracies.append(
                 float(((_forward_logits(Ws, bs, X_all) > 0.0) == t_all).mean())
             )

@@ -33,6 +33,7 @@ def assert_rejected(argv, out, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+    return err
 
 
 class TestArgParsing:
@@ -141,6 +142,36 @@ class TestRerun:
         path.write_text("{broken")
         assert main(["rerun", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    def test_bad_seed_list_in_manifest_exits_two(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(simulate_args(run)) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        path = tmp_path / "manifest.json"
+        out = tmp_path / "again"
+        for seeds in ([], ["1"], "1..2"):
+            manifest["args"]["seeds"] = seeds
+            path.write_text(json.dumps(manifest))
+            capsys.readouterr()
+            assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+
+    def test_manifest_missing_arg_exits_two(self, synthetic_titanic_csv, tmp_path, capsys):
+        run, verified, titanic = tmp_path / "run", tmp_path / "verified", tmp_path / "titanic"
+        assert main(simulate_args(run)) == 0
+        assert main(["verify", "--net", str(run / "network.json"),
+                     "--data", str(run / "dataset.csv"), "--out", str(verified)]) == 0
+        assert main(["titanic", "--csv", str(synthetic_titanic_csv), "--epochs", "1",
+                     "--out", str(titanic)]) == 0
+        out = tmp_path / "again"
+        for source in (run, verified, titanic):
+            manifest = json.loads((source / "manifest.json").read_text())
+            for key in manifest["args"]:
+                args = {k: v for k, v in manifest["args"].items() if k != key}
+                path = tmp_path / "manifest.json"
+                path.write_text(json.dumps({**manifest, "args": args}))
+                capsys.readouterr()
+                err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+                assert repr(key) in err, (manifest["command"], key, err)
+
     def test_missing_manifest_exits_two(self, tmp_path):
         assert main(["rerun", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
@@ -192,6 +223,18 @@ class TestVerify:
             )
             assert code == 2, (flag, value)
             assert not (tmp_path / "v").exists()
+
+    def test_bad_jacobian_step_exits_two(self, run_dir, tmp_path, capsys):
+        # checked up front, even when no sample would use the step
+        out = tmp_path / "v"
+        for value in ("nan", "inf", "0", "-1e-4"):
+            capsys.readouterr()
+            assert_rejected(
+                ["verify", "--net", str(run_dir / "network.json"),
+                 "--data", str(run_dir / "dataset.csv"), "--jacobian-samples", "0",
+                 f"--jacobian-step={value}", "--out", str(out)],
+                out, capsys,
+            )
 
     def test_negative_jacobian_samples_exits_two(self, run_dir, tmp_path, capsys):
         capsys.readouterr()

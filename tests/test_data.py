@@ -264,6 +264,29 @@ class TestCsvRoundTrip:
         ds = Dataset(rng.normal(size=(25, 3)), rng.integers(0, 2, 25), ("a", "b", "c"))
         assert dataset_to_csv(ds).splitlines()[0] == "a,b,c,target"
 
+    def test_exact_bytes(self):
+        ds = Dataset(
+            [[0.1, -2.5, 1e-7], [3.0, 1.0 / 3.0, -0.0], [1e20, 2.0**-30, 123456.789]],
+            [1, 0, 1],
+            ("a", "b", "c"),
+        )
+        assert dataset_to_csv(ds) == (
+            "a,b,c,target\n"
+            "0.1,-2.5,1e-07,1\n"
+            "3.0,0.3333333333333333,-0.0,0\n"
+            "1e+20,9.313225746154785e-10,123456.789,1\n"
+        )
+
+    def test_rows_across_blocks(self):
+        # several write blocks; each line is the row's float reprs, row by row
+        rng = np.random.default_rng(5)
+        ds = Dataset(rng.normal(size=(3000, 2)), rng.integers(0, 2, 3000), ("a", "b"))
+        expected = "a,b,target\n" + "".join(
+            f"{float(x[0])!r},{float(x[1])!r},{int(t)}\n"
+            for x, t in zip(ds.features, ds.targets)
+        )
+        assert dataset_to_csv(ds) == expected
+
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         ds = Dataset(rng.normal(size=(25, 3)), rng.integers(0, 2, 25), ("a", "b", "c"))
