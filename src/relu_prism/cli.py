@@ -23,11 +23,12 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .affine import effective_affine, jacobian_check, verify_affine
+from .affine import collapse_batch, jacobian_check, verify_affine
 from .data import (
     Dataset,
     dataset_to_csv,
@@ -38,7 +39,7 @@ from .data import (
 )
 from .errors import InputError, SchemaError, TrainingDivergedError
 from .explain import feature_importance, render_report
-from .network import ActivationPattern, load_network, save_network
+from .network import load_network, save_network
 from .partition import clusters_to_json, partition
 from .train import TrainConfig, accuracy, history_to_csv, train
 
@@ -135,11 +136,8 @@ def _sweep(dataset: Dataset, params: dict, note):
 
     ``note(net, history)`` gives the tail of each seed's stdout line.
     """
-    seeds = params["seeds"]
-    if not isinstance(seeds, list) or not seeds or any(type(s) is not int for s in seeds):
-        raise InputError(f"seeds must be a non-empty list of integers, got {seeds!r}")
     runs = []
-    for seed in seeds:
+    for seed in params["seeds"]:
         net, history = train(dataset, _train_config(params, seed))
         runs.append((seed, net, history, accuracy(net, dataset)))
         print(f"seed {seed}: train_accuracy={runs[-1][3]:.4f}{note(net, history)}")
@@ -260,37 +258,71 @@ def run_titanic(params: dict, out: Path) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _check_stored_clusters(net, clusters_path: Path, tol: float) -> dict:
-    """Recompute each stored cluster's map from the network and compare."""
+class _StoredMap(NamedTuple):
+    """One parsed clusters.json entry: its pattern and map, or why the map is unusable."""
+
+    pattern: object
+    omega: np.ndarray | None
+    bias: np.ndarray | None
+    problem: str | None = None
+
+
+def _stored_map(obj: dict):
+    """``json`` object hook: turn each cluster entry into arrays as it is parsed.
+
+    Only one entry's float lists are alive at a time, instead of the whole
+    document's.
+    """
+    if not {"pattern", "omega", "bias"} <= obj.keys():
+        return obj
     try:
-        doc = json.loads(clusters_path.read_text())
+        omega = np.array(obj["omega"], dtype=np.float64)
+        bias = np.array(obj["bias"], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        return _StoredMap(obj["pattern"], None, None, f"map is not numeric: {exc}")
+    return _StoredMap(obj["pattern"], omega, bias)
+
+
+def _check_stored_clusters(net, clusters_path: Path, tol: float) -> dict:
+    """Recompute every stored cluster's map from the network and compare.
+
+    The stored bitstrings become one mask matrix, collapsed in one batch.
+    """
+    try:
+        doc = json.loads(clusters_path.read_text(), object_hook=_stored_map)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid cluster JSON in {clusters_path}: {exc}")
     if not isinstance(doc, list):
         raise SchemaError(f"{clusters_path} must hold a JSON array of clusters")
-    widths = net.hidden_widths
-    worst = 0.0
+    total = sum(net.hidden_widths)
+    shape = (net.output_dim, net.input_dim)
+    stored_omega = np.empty((len(doc), *shape))
+    stored_bias = np.empty((len(doc), shape[0]))
     for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or not {"pattern", "omega", "bias"} <= set(entry):
+        if not isinstance(entry, _StoredMap):
             raise SchemaError(f"cluster {i} must carry pattern, omega and bias")
-        bits = entry["pattern"]
+        if entry.problem is not None:
+            raise SchemaError(f"cluster {i} {entry.problem}")
+        bits = entry.pattern
         if not isinstance(bits, str) or set(bits) - {"0", "1"}:
             raise SchemaError(f"cluster {i} pattern must be a 0/1 string")
-        if len(bits) != sum(widths):
+        if len(bits) != total:
             raise SchemaError(
-                f"cluster {i} pattern has {len(bits)} bits, network has {sum(widths)} hidden units"
+                f"cluster {i} pattern has {len(bits)} bits, network has {total} hidden units"
             )
-        pattern = ActivationPattern.from_flat((b == "1" for b in bits), widths)
-        amap = effective_affine(net, pattern)
-        stored_omega = np.array(entry["omega"], dtype=np.float64)
-        stored_bias = np.array(entry["bias"], dtype=np.float64)
-        if stored_omega.shape != amap.omega.shape or stored_bias.shape != amap.bias.shape:
+        if entry.omega.shape != shape or entry.bias.shape != shape[:1]:
             raise SchemaError(f"cluster {i} map shapes do not match the network")
-        gap = max(
-            float(np.abs(stored_omega - amap.omega).max(initial=0.0)),
-            float(np.abs(stored_bias - amap.bias).max(initial=0.0)),
-        )
-        worst = max(worst, gap)
+        if not (np.isfinite(entry.omega).all() and np.isfinite(entry.bias).all()):
+            raise SchemaError(f"cluster {i} map is not finite")
+        stored_omega[i] = entry.omega
+        stored_bias[i] = entry.bias
+    bits = "".join(entry.pattern for entry in doc).encode("ascii")
+    masks = (np.frombuffer(bits, dtype=np.uint8) == ord("1")).reshape(len(doc), total)
+    omegas, biases = collapse_batch(net, masks)
+    worst = max(
+        float(np.abs(stored_omega - omegas).max(initial=0.0)),
+        float(np.abs(stored_bias - biases).max(initial=0.0)),
+    )
     return {"checked": len(doc), "max_abs_err": worst, "pass": worst <= tol}
 
 
@@ -365,15 +397,61 @@ def run_verify(params: dict, out: Path) -> int:
 
 _RUNNERS = {"simulate": run_simulate, "titanic": run_titanic, "verify": run_verify}
 
-# The keys each command's normalized arguments carry; see the *_params builders.
-_TRAIN_KEYS = ("seeds", "epochs", "lr", "batch_size", "reg", "hidden", "normalization", "tol")
+_NORMALIZATIONS = ("raw", "max_abs")
+_CLUSTER_ON = ("train", "test", "all")
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+# A manifest value kind: (description, predicate). ``type(v) is int``, not
+# isinstance, so that a JSON ``true`` is not taken for 1.
+_INT = ("an integer", _is_int)
+_NUMBER = ("a number", lambda v: type(v) in (int, float))
+_STR = ("a string", lambda v: type(v) is str)
+_STR_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)
+_INTS = (
+    "a non-empty list of integers",
+    lambda v: type(v) is list and bool(v) and all(map(_is_int, v)),
+)
+
+
+def _one_of(choices: tuple) -> tuple:
+    return f"one of {', '.join(choices)}", lambda v: v in choices
+
+
+# The keys each command's normalized arguments carry, and what each value
+# must be; see the *_params builders.
+_TRAIN_KEYS = {
+    "seeds": _INTS,
+    "epochs": _INT,
+    "lr": _NUMBER,
+    "batch_size": _INT,
+    "reg": _NUMBER,
+    "hidden": _INTS,
+    "normalization": _one_of(_NORMALIZATIONS),
+    "tol": _NUMBER,
+}
 _PARAM_KEYS = {
-    "simulate": ("n", "data_seed", *_TRAIN_KEYS),
-    "titanic": ("csv", "test_fraction", "split_seed", "cluster_on", *_TRAIN_KEYS),
-    "verify": (
-        "net", "data", "tol", "clusters",
-        "jacobian_samples", "jacobian_step", "jacobian_tol", "seed",
-    ),
+    "simulate": {"n": _INT, "data_seed": _INT, **_TRAIN_KEYS},
+    "titanic": {
+        "csv": _STR,
+        "test_fraction": _NUMBER,
+        "split_seed": _INT,
+        "cluster_on": _one_of(_CLUSTER_ON),
+        **_TRAIN_KEYS,
+    },
+    "verify": {
+        "net": _STR,
+        "data": _STR,
+        "tol": _NUMBER,
+        "clusters": _STR_OR_NULL,
+        "jacobian_samples": _INT,
+        "jacobian_step": _NUMBER,
+        "jacobian_tol": _NUMBER,
+        "seed": _INT,
+    },
 }
 
 
@@ -390,9 +468,13 @@ def run_rerun(manifest_path: Path, out: Path) -> int:
     params = doc["args"]
     if not isinstance(params, dict):
         raise SchemaError("manifest args must be an object")
-    missing = [key for key in _PARAM_KEYS[command] if key not in params]
+    kinds = _PARAM_KEYS[command]
+    missing = [key for key in kinds if key not in params]
     if missing:
         raise SchemaError(f"manifest args lack {', '.join(map(repr, missing))}")
+    for key, (description, accepts) in kinds.items():
+        if not accepts(params[key]):
+            raise SchemaError(f"manifest arg {key!r} must be {description}, got {params[key]!r}")
     return _RUNNERS[command](params, out)
 
 
@@ -414,7 +496,7 @@ def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     seed_group.add_argument("--seed", type=int, help=f"single seed (default ${SEED_ENV_VAR} or 0)")
     seed_group.add_argument("--seeds", help="sweep, e.g. 1..5 or 0,3,7; best run kept")
     sub.add_argument(
-        "--normalization", choices=("raw", "max_abs"), default="raw",
+        "--normalization", choices=_NORMALIZATIONS, default="raw",
         help="importance weight scaling in reports",
     )
     sub.add_argument("--tol", type=float, default=1e-6, help="affine verification tolerance")
@@ -441,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     tit.add_argument("--test-fraction", type=float, default=0.0,
                      help="held-out fraction; 0 trains on all rows")
     tit.add_argument("--split-seed", type=int, default=0)
-    tit.add_argument("--cluster-on", choices=("train", "test", "all"), default="train")
+    tit.add_argument("--cluster-on", choices=_CLUSTER_ON, default="train")
     _add_train_flags(tit)
 
     ver = subs.add_parser("verify", help="audit saved network/dataset artifacts")

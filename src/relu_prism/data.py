@@ -315,6 +315,9 @@ def read_dataset_csv(path) -> Dataset:
             raise SchemaError(
                 f'{path}: expected feature columns followed by a "target" column'
             )
+        # Rows are parsed a block at a time into arrays, so the Python floats
+        # of only one block are alive at once.
+        feature_blocks, target_blocks = [], []
         features, targets = [], []
         for row in reader:
             line = reader.line_num
@@ -328,11 +331,19 @@ def read_dataset_csv(path) -> Dataset:
             if t not in ("0", "1"):
                 raise SchemaError(f"line {line}: target must be 0 or 1, got {t!r}")
             targets.append(int(t))
-    if not features:
+            if len(targets) == _CSV_BLOCK_ROWS:
+                feature_blocks.append(np.array(features))
+                target_blocks.append(np.array(targets))
+                features, targets = [], []
+    if features:
+        feature_blocks.append(np.array(features))
+        target_blocks.append(np.array(targets))
+    if not feature_blocks:
         raise SchemaError(f"{path} contains no data rows")
+    targets = np.concatenate(target_blocks)
     return Dataset(
-        features=np.array(features),
-        targets=np.array(targets),
+        features=np.concatenate(feature_blocks),
+        targets=targets,
         feature_names=tuple(header[:-1]),
-        provenance=f"csv({path.name}, rows={len(targets)})",
+        provenance=f"csv({path.name}, rows={targets.shape[0]})",
     )

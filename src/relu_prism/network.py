@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -127,45 +127,56 @@ class Network:
         return tuple(layer.d_out for layer in self.layers[:-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class ActivationPattern:
     """Per-hidden-layer firing bits; equality of patterns is the clustering relation.
 
     A unit counts as active only when its preactivation is strictly positive,
     so an input sitting exactly on a ReLU boundary is classified as inactive.
+    A pattern is stored as its flat ``bitstring`` ("1" for active, hidden
+    layers side by side) and the hidden ``widths``; ``bits`` is derived on
+    demand, so tens of thousands of patterns hold one string each.
     """
 
-    bits: tuple[tuple[bool, ...], ...]
+    bitstring: str
+    widths: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, bits: Iterable[Iterable[bool]]):
+        rows = [[bool(b) for b in row] for row in bits]
         object.__setattr__(
-            self, "bits", tuple(tuple(bool(b) for b in row) for row in self.bits)
+            self, "bitstring", "".join("1" if b else "0" for row in rows for b in row)
         )
+        object.__setattr__(self, "widths", tuple(len(row) for row in rows))
+
+    @classmethod
+    def _from_bitstring(cls, bitstring: str, widths: tuple[int, ...]) -> "ActivationPattern":
+        """Wrap a 0/1 string whose length is ``sum(widths)``, unchecked."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "bitstring", bitstring)
+        object.__setattr__(pattern, "widths", widths)
+        return pattern
 
     @classmethod
     def from_flat(cls, flat: Iterable[bool], widths: Sequence[int]) -> "ActivationPattern":
-        flat = [bool(b) for b in flat]
-        if len(flat) != sum(widths):
+        bitstring = "".join("1" if b else "0" for b in flat)
+        widths = tuple(widths)
+        if len(bitstring) != sum(widths):
             raise ShapeError(
-                f"{len(flat)} bits cannot fill hidden widths {tuple(widths)}"
+                f"{len(bitstring)} bits cannot fill hidden widths {widths}"
             )
-        rows, at = [], 0
-        for w in widths:
-            rows.append(tuple(flat[at : at + w]))
-            at += w
-        return cls(tuple(rows))
+        return cls._from_bitstring(bitstring, widths)
 
     @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(len(row) for row in self.bits)
+    def bits(self) -> tuple[tuple[bool, ...], ...]:
+        rows, at = [], 0
+        for w in self.widths:
+            rows.append(tuple(c == "1" for c in self.bitstring[at : at + w]))
+            at += w
+        return tuple(rows)
 
     @property
     def total_bits(self) -> int:
-        return sum(len(row) for row in self.bits)
-
-    @property
-    def bitstring(self) -> str:
-        return "".join("1" if b else "0" for row in self.bits for b in row)
+        return len(self.bitstring)
 
     def matches(self, net: Network) -> bool:
         return self.widths == net.hidden_widths
@@ -253,13 +264,14 @@ def forward_batch(net: Network, inputs) -> tuple[np.ndarray, list[np.ndarray]]:
 
 def group_by_pattern(
     net: Network, inputs
-) -> tuple[np.ndarray, np.ndarray, Iterator[np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward pass plus grouping of the rows by activation pattern.
 
     Returns the logits (n, output_dim), the (n, total_bits) activity matrix
-    with hidden layers side by side, and an iterator over one strictly
-    increasing row-index vector per distinct pattern, patterns in
-    ``np.unique`` order of their packed bits.
+    with hidden layers side by side, the row order ``order`` and the row
+    count of each distinct pattern, patterns in ``np.unique`` order of their
+    packed bits. Pattern g owns ``order[s : s + counts[g]]`` with
+    ``s = counts[:g].sum()``, a strictly increasing run of row indices.
     """
     logits, bits = forward_batch(net, inputs)
     n = logits.shape[0]
@@ -267,12 +279,11 @@ def group_by_pattern(
     _, inverse, counts = np.unique(
         np.packbits(bitmat, axis=1), axis=0, return_inverse=True, return_counts=True
     )
-    # A stable sort keeps each group's rows in increasing order. Groups are
-    # sliced lazily: with tens of thousands of patterns, holding every view
-    # at once costs several MB of peak memory.
+    # A stable sort keeps each group's rows in increasing order. No per-group
+    # views are made: with tens of thousands of patterns, holding them all at
+    # once costs several MB of peak memory.
     order = np.argsort(inverse.reshape(-1), kind="stable")
-    ends = np.cumsum(counts)
-    return logits, bitmat, (order[end - count : end] for count, end in zip(counts, ends))
+    return logits, bitmat, order, counts
 
 
 def predict(net: Network, u) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import AffineMap, effective_affine
+from .affine import AffineMap, collapse_batch
 from .data import Dataset
 from .errors import ShapeError
 from .network import ActivationPattern, Network, forward_trace, group_by_pattern
@@ -43,7 +43,7 @@ class Cluster:
         idx = np.array(self.member_indices, dtype=np.int64)
         if idx.ndim != 1 or idx.shape[0] == 0:
             raise ShapeError("a cluster needs a non-empty index vector")
-        if np.any(np.diff(idx) <= 0):
+        if (idx[1:] <= idx[:-1]).any():
             raise ShapeError("member indices must be strictly increasing")
         idx.setflags(write=False)
         object.__setattr__(self, "member_indices", idx)
@@ -69,26 +69,45 @@ def partition(net: Network, dataset: Dataset) -> list[Cluster]:
             f"partition statistics require a scalar output, got output_dim={net.output_dim}"
         )
     n = dataset.n_rows
-    logits, bitmat, groups = group_by_pattern(net, dataset.features)
-    predicted = logits[:, 0] > 0.0
+    logits, bitmat, order, counts = group_by_pattern(net, dataset.features)
+    starts = np.cumsum(counts) - counts
+    masks = bitmat[order[starts]]
+    omegas, biases = collapse_batch(net, masks)
+    # Predictions and targets are 0/1, so each weighted bincount is an exact
+    # count and each rate the same division that a per-group mean makes.
+    label = np.repeat(np.arange(counts.shape[0]), counts)
+    predicted_rates = np.bincount(label, weights=logits[order, 0] > 0.0) / counts
+    target_rates = np.bincount(label, weights=dataset.targets[order]) / counts
+    # One bits-to-text pass: pattern g's bitstring is the g-th run of width chars.
+    widths, width = net.hidden_widths, masks.shape[1]
+    text = np.where(masks, ord("1"), ord("0")).astype(np.uint8).tobytes().decode("ascii")
 
-    clusters: list[Cluster] = []
-    for idx in groups:
-        pattern = ActivationPattern.from_flat(bitmat[idx[0]], net.hidden_widths)
-        stats = ClusterStats(
-            size=int(idx.shape[0]),
-            fraction=idx.shape[0] / n,
-            predicted_positive_rate=float(predicted[idx].mean()),
-            target_positive_rate=float(dataset.targets[idx].mean()),
+    clusters = [
+        Cluster(
+            pattern=ActivationPattern._from_bitstring(
+                text[g * width : (g + 1) * width], widths
+            ),
+            member_indices=order[start : start + size],
+            affine=AffineMap(omega, bias),
+            stats=ClusterStats(
+                size=size,
+                fraction=fraction,
+                predicted_positive_rate=predicted_rate,
+                target_positive_rate=target_rate,
+            ),
         )
-        clusters.append(
-            Cluster(
-                pattern=pattern,
-                member_indices=idx,
-                affine=effective_affine(net, pattern),
-                stats=stats,
+        for g, (start, size, fraction, predicted_rate, target_rate, omega, bias) in enumerate(
+            zip(
+                starts.tolist(),
+                counts.tolist(),
+                (counts / n).tolist(),
+                predicted_rates.tolist(),
+                target_rates.tolist(),
+                omegas,
+                biases,
             )
         )
+    ]
     clusters.sort(key=lambda c: (-c.size, c.pattern.bitstring))
     return clusters
 

@@ -11,10 +11,12 @@ from relu_prism import (
     Network,
     ShapeError,
     effective_affine,
+    forward_batch,
     forward_trace,
     jacobian_check,
     verify_affine,
 )
+from relu_prism.affine import _COLLAPSE_CHUNK, collapse_batch
 from conftest import make_random_network
 
 
@@ -86,7 +88,92 @@ class TestEffectiveAffine:
                 )
 
 
+def assert_collapse_matches_oracle(net, masks):
+    """Every batched map equals ``effective_affine`` on its pattern, byte for byte."""
+    omegas, biases = collapse_batch(net, masks)
+    assert omegas.shape == (len(masks), net.output_dim, net.input_dim)
+    assert biases.shape == (len(masks), net.output_dim)
+    for mask, omega, bias in zip(masks, omegas, biases):
+        amap = effective_affine(net, ActivationPattern.from_flat(mask, net.hidden_widths))
+        assert omega.tobytes() == amap.omega.tobytes()
+        assert bias.tobytes() == amap.bias.tobytes()
+
+
+class TestCollapseBatch:
+    @pytest.mark.parametrize(
+        "widths, q",
+        [((), 1), ((3,), 1), ((16, 8), 1), ((9, 7, 5), 1), ((4, 3), 2)],
+    )
+    def test_equals_effective_affine(self, rng, widths, q):
+        net = make_random_network(rng, d=5, widths=widths, q=q)
+        masks = rng.integers(0, 2, (40, sum(widths))).astype(bool)
+        masks[0], masks[-1] = False, True
+        assert_collapse_matches_oracle(net, masks)
+
+    def test_empty_batch(self, rng):
+        net = make_random_network(rng, d=5, widths=(4, 3), q=2)
+        omegas, biases = collapse_batch(net, np.zeros((0, 7), dtype=bool))
+        assert omegas.shape == (0, 2, 5) and biases.shape == (0, 2)
+
+    def test_batch_spanning_chunks(self, rng):
+        net = make_random_network(rng, d=10, widths=(16, 8))
+        masks = rng.integers(0, 2, (2 * _COLLAPSE_CHUNK + 1, 24)).astype(bool)
+        assert_collapse_matches_oracle(net, masks)
+
+    def test_mask_shape_validation(self, rng):
+        net = make_random_network(rng, d=3, widths=(4, 2))
+        for masks in (np.zeros((2, 5), dtype=bool), np.zeros(6, dtype=bool)):
+            with pytest.raises(ShapeError):
+                collapse_batch(net, masks)
+
+
+def reference_verify(net, X) -> tuple[float, int]:
+    """The per-pattern loop that ``verify_affine`` batches: (max error, worst row).
+
+    The worst row is the first pattern, in np.unique order, that attains the
+    maximum, and its lowest row that does.
+    """
+    logits, bits = forward_batch(net, X)
+    bitmat = np.hstack(bits)
+    _, inverse = np.unique(np.packbits(bitmat, axis=1), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    max_err, worst = None, None
+    for g in range(inverse.max() + 1):
+        idx = np.flatnonzero(inverse == g)
+        pattern = ActivationPattern.from_flat(bitmat[idx[0]], net.hidden_widths)
+        err = np.abs(effective_affine(net, pattern).apply(X[idx]) - logits[idx]).max(axis=1)
+        k = int(np.argmax(err))
+        if max_err is None or err[k] > max_err:
+            max_err, worst = float(err[k]), int(idx[k])
+    return max_err, worst
+
+
 class TestVerifyAffine:
+    def test_matches_per_pattern_loop_on_duplicated_rows(self, rng):
+        net = make_random_network(rng, d=4, widths=(6, 3), q=2)
+        X = np.repeat(rng.uniform(-3, 3, (300, 4)), 3, axis=0)[rng.permutation(900)]
+        report = verify_affine(net, X)
+        assert (report.max_abs_err, report.worst_index) == reference_verify(net, X)
+
+    def test_worst_index_tie_rule(self, rng):
+        # Integer weights and inputs make every error exactly 0, so every row
+        # ties: the report names the lowest row of the first pattern in
+        # np.unique order. Those rows go last, so that row is not row 0.
+        layers = [
+            Layer(rng.integers(-2, 3, (d_out, d_in)), rng.integers(-2, 3, d_out))
+            for d_in, d_out in ((3, 4), (4, 2), (2, 1))
+        ]
+        net = Network(tuple(layers))
+        X = np.repeat(rng.integers(-3, 4, (100, 3)).astype(np.float64), 2, axis=0)
+        bits = np.hstack(forward_batch(net, X)[1])
+        _, inverse = np.unique(np.packbits(bits, axis=1), axis=0, return_inverse=True)
+        in_first = inverse.reshape(-1) == 0
+        X = X[np.argsort(in_first, kind="stable")]
+        report = verify_affine(net, X)
+        assert report.max_abs_err == 0.0
+        assert report.worst_index == X.shape[0] - in_first.sum() > 0
+        assert (report.max_abs_err, report.worst_index) == reference_verify(net, X)
+
     def test_random_net_passes_tight_tolerance(self, rng):
         net = make_random_network(rng, d=6, widths=(5, 4, 3))
         X = rng.uniform(-10, 10, (500, 6))

@@ -154,20 +154,45 @@ class TestRerun:
             capsys.readouterr()
             assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
 
-    def test_manifest_missing_arg_exits_two(self, synthetic_titanic_csv, tmp_path, capsys):
-        run, verified, titanic = tmp_path / "run", tmp_path / "verified", tmp_path / "titanic"
+    @pytest.fixture(scope="class")
+    def manifests(self, synthetic_titanic_csv, tmp_path_factory):
+        """One manifest per command: simulate, verify and titanic."""
+        root = tmp_path_factory.mktemp("manifests")
+        run, verified, titanic = root / "run", root / "verified", root / "titanic"
         assert main(simulate_args(run)) == 0
         assert main(["verify", "--net", str(run / "network.json"),
                      "--data", str(run / "dataset.csv"), "--out", str(verified)]) == 0
         assert main(["titanic", "--csv", str(synthetic_titanic_csv), "--epochs", "1",
                      "--out", str(titanic)]) == 0
+        return [json.loads((source / "manifest.json").read_text())
+                for source in (run, verified, titanic)]
+
+    def test_manifest_missing_arg_exits_two(self, manifests, tmp_path, capsys):
         out = tmp_path / "again"
-        for source in (run, verified, titanic):
-            manifest = json.loads((source / "manifest.json").read_text())
+        for manifest in manifests:
             for key in manifest["args"]:
                 args = {k: v for k, v in manifest["args"].items() if k != key}
                 path = tmp_path / "manifest.json"
                 path.write_text(json.dumps({**manifest, "args": args}))
+                capsys.readouterr()
+                err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+                assert repr(key) in err, (manifest["command"], key, err)
+
+    def test_manifest_arg_of_wrong_type_exits_two(self, manifests, tmp_path, capsys):
+        wrong = {
+            "simulate": {"n": "abc", "epochs": 1.5, "lr": "0.01", "data_seed": None,
+                         "batch_size": True, "hidden": [4, "2"], "normalization": "none",
+                         "tol": [1e-6]},
+            "verify": {"net": None, "clusters": 3, "jacobian_samples": 1.0,
+                       "jacobian_step": "1e-4", "seed": "0"},
+            "titanic": {"csv": 1, "test_fraction": "0", "cluster_on": "everyone",
+                        "split_seed": 0.5, "hidden": []},
+        }
+        out = tmp_path / "again"
+        path = tmp_path / "manifest.json"
+        for manifest in manifests:
+            for key, value in wrong[manifest["command"]].items():
+                path.write_text(json.dumps({**manifest, "args": {**manifest["args"], key: value}}))
                 capsys.readouterr()
                 err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
                 assert repr(key) in err, (manifest["command"], key, err)
@@ -245,6 +270,42 @@ class TestVerify:
              "--jacobian-samples", "-1", "--out", str(out)],
             out, capsys,
         )
+
+    def assert_stored_map_rejected(self, run_dir, tmp_path, capsys, key, value):
+        doc = json.loads((run_dir / "clusters.json").read_text())
+        doc[-1][key] = value
+        (run_dir / "clusters.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        out = tmp_path / "v"
+        err = assert_rejected(
+            ["verify", "--net", str(run_dir / "network.json"),
+             "--data", str(run_dir / "dataset.csv"), "--out", str(out)],
+            out, capsys,
+        )
+        assert f"cluster {len(doc) - 1} " in err, err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("bias", [None]),
+            ("omega", [[float("nan")] * 10]),
+            ("omega", [[float("inf")] + [0.0] * 9]),
+        ],
+    )
+    def test_non_finite_stored_map_exits_two(self, run_dir, tmp_path, capsys, key, value):
+        self.assert_stored_map_rejected(run_dir, tmp_path, capsys, key, value)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("omega", "abc"),
+            ("omega", [[1.0, 2.0], [3.0]]),
+            ("bias", {"b": 1.0}),
+            ("omega", [[0.0] * 9]),
+        ],
+    )
+    def test_malformed_stored_map_exits_two(self, run_dir, tmp_path, capsys, key, value):
+        self.assert_stored_map_rejected(run_dir, tmp_path, capsys, key, value)
 
     def test_no_clusters_flag_skips_cross_check(self, run_dir, tmp_path):
         code = main(

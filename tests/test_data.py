@@ -297,6 +297,26 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.targets, ds.targets)
         assert back.feature_names == ds.feature_names
 
+    def test_file_round_trip_across_blocks(self, tmp_path):
+        # several read blocks, the last one partial
+        rng = np.random.default_rng(6)
+        ds = Dataset(rng.normal(size=(2500, 3)), rng.integers(0, 2, 2500), ("a", "b", "c"))
+        path = tmp_path / "d.csv"
+        path.write_text(dataset_to_csv(ds))
+        back = read_dataset_csv(path)
+        assert back.features.tobytes() == ds.features.tobytes()
+        np.testing.assert_array_equal(back.targets, ds.targets)
+        assert back.provenance == "csv(d.csv, rows=2500)"
+
+    @pytest.mark.parametrize("bad", ["x,1", "1.0,2", "1.0"])
+    def test_bad_line_in_second_block_names_its_line(self, tmp_path, bad):
+        lines = ["a,target"] + ["1.5,0"] * 1500
+        lines[1200] = bad
+        path = tmp_path / "d.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="^line 1201: "):
+            read_dataset_csv(path)
+
     @pytest.mark.parametrize(
         "text",
         [

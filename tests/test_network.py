@@ -202,6 +202,27 @@ class TestPredict:
 
 
 class TestActivationPattern:
+    def test_constructor_and_bits_round_trip(self):
+        bits = ((True, False, False), (False, True))
+        pattern = ActivationPattern(bits)
+        assert pattern.bits == bits
+        assert pattern.bitstring == "10001"
+        assert pattern.widths == (3, 2)
+        assert pattern.total_bits == 5
+        assert ActivationPattern(pattern.bits) == pattern
+        # any 0/1 or bool-like rows, such as a forward pass's numpy bools
+        assert ActivationPattern([np.array([1, 0, 0]), [0, 1]]) == pattern
+        assert ActivationPattern(()).bits == () and ActivationPattern(()).bitstring == ""
+
+    def test_equality_and_hash(self):
+        a = ActivationPattern(((True, False), (True,)))
+        b = ActivationPattern.from_flat(np.array([True, False, True]), [2, 1])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        # the same bits over other widths is another pattern
+        assert a != ActivationPattern(((True,), (False, True)))
+        assert a != ActivationPattern(((True, True), (True,)))
+
     def test_from_flat_round_trip(self):
         pattern = ActivationPattern(((True, False), (True,)))
         rebuilt = ActivationPattern.from_flat([True, False, True], (2, 1))
