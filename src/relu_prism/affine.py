@@ -64,13 +64,6 @@ class AffineMap:
         return u @ self.omega.T + self.bias
 
 
-def _check_pattern(net: Network, pattern: ActivationPattern) -> None:
-    if pattern.widths != net.hidden_widths:
-        raise ShapeError(
-            f"pattern widths {pattern.widths} do not match hidden widths {net.hidden_widths}"
-        )
-
-
 def effective_affine(net: Network, pattern: ActivationPattern) -> AffineMap:
     """Collapse the network on one pattern into a single affine map.
 
@@ -78,7 +71,10 @@ def effective_affine(net: Network, pattern: ActivationPattern) -> AffineMap:
     the layers input-to-output, composing one affine function at a time. On
     a depth-1 network this returns the layer itself for any (empty) pattern.
     """
-    _check_pattern(net, pattern)
+    if not pattern.matches(net):
+        raise ShapeError(
+            f"pattern widths {pattern.widths} do not match hidden widths {net.hidden_widths}"
+        )
     weights, biases = [], []
     for layer, row in zip(net.layers[:-1], pattern.bits):
         mask = np.array(row, dtype=np.float64)
@@ -177,9 +173,9 @@ def verify_affine(net: Network, inputs, tol: float = 1e-6) -> VerifyReport:
         X = X[None, :]
     if X.shape[0] == 0:
         raise InputError("verify_affine needs at least one input")
-    logits, bitmat, order, counts = group_by_pattern(net, X)
+    logits, masks, order, counts = group_by_pattern(net, X)
     starts = np.cumsum(counts) - counts
-    omegas, biases = collapse_batch(net, bitmat[order[starts]])
+    omegas, biases = collapse_batch(net, masks)
     # Each row's error, at its place in ``order``. The groups of one size are
     # one stacked product, per group the same as ``AffineMap.apply``.
     err = np.empty(X.shape[0])
@@ -210,13 +206,6 @@ class JacobianReport:
     max_row_err: float | None
     skipped: bool
     reason: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "max_row_err": self.max_row_err,
-            "skipped": self.skipped,
-            "reason": self.reason,
-        }
 
 
 def jacobian_check(net: Network, u, h: float = 1e-4) -> JacobianReport:

@@ -38,8 +38,8 @@ from .data import (
     split,
 )
 from .errors import InputError, SchemaError, TrainingDivergedError
-from .explain import feature_importance, render_report
-from .network import load_network, save_network
+from .explain import NORMALIZATIONS, feature_importance, render_report
+from .network import bitstrings_to_masks, load_network, save_network
 from .partition import clusters_to_json, partition
 from .train import TrainConfig, accuracy, history_to_csv, train
 
@@ -103,6 +103,19 @@ def _dataset_hash(dataset: Dataset) -> str:
 
 def _write_json(path: Path, doc, sort_keys: bool = False) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
+
+
+def _check_inputs(recorded: dict | None, hashes: dict) -> None:
+    """On a rerun, refuse any input whose SHA-256 is not the one the manifest records.
+
+    ``recorded`` is None on a fresh run. An input that only one of the two
+    names is refused too.
+    """
+    if recorded is None:
+        return
+    for name in sorted(recorded.keys() | hashes.keys()):
+        if recorded.get(name) != hashes.get(name):
+            raise InputError(f"input {name!r} does not match the SHA-256 the manifest records")
 
 
 def _write_manifest(out: Path, command: str, params: dict, input_hashes: dict, outputs: list[str]) -> None:
@@ -200,8 +213,10 @@ def _run_summary(command: str, runs, best, clusters, report) -> dict:
     }
 
 
-def run_simulate(params: dict, out: Path) -> int:
+def run_simulate(params: dict, out: Path, recorded: dict | None = None) -> int:
     dataset = gen_boolean(params["n"], params["data_seed"])
+    hashes = {"dataset": _dataset_hash(dataset)}
+    _check_inputs(recorded, hashes)
     runs, best = _sweep(
         dataset, params, lambda net, history: f" final_loss={history.losses[-1]:.4f}"
     )
@@ -211,15 +226,14 @@ def run_simulate(params: dict, out: Path) -> int:
     summary["cluster_fractions"] = [c.stats.fraction for c in clusters]
     summary["has_all_inactive"] = any("1" not in c.pattern.bitstring for c in clusters)
     _write_json(out / "summary.json", summary, sort_keys=True)
-    _write_manifest(
-        out, "simulate", params, {"dataset": _dataset_hash(dataset)}, _RUN_OUTPUTS
-    )
+    _write_manifest(out, "simulate", params, hashes, _RUN_OUTPUTS)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def run_titanic(params: dict, out: Path) -> int:
+def run_titanic(params: dict, out: Path, recorded: dict | None = None) -> int:
     csv_path = Path(params["csv"])
-    csv_hash = _sha256(csv_path.read_bytes())
+    hashes = {"csv": _sha256(csv_path.read_bytes())}
+    _check_inputs(recorded, hashes)
     full = load_titanic(csv_path)
     if not 0.0 <= params["test_fraction"] < 1.0:
         raise InputError(f"--test-fraction must be in [0, 1), got {params['test_fraction']}")
@@ -254,7 +268,7 @@ def run_titanic(params: dict, out: Path) -> int:
         for c in clusters
     ]
     _write_json(out / "summary.json", summary, sort_keys=True)
-    _write_manifest(out, "titanic", params, {"csv": csv_hash}, _RUN_OUTPUTS)
+    _write_manifest(out, "titanic", params, hashes, _RUN_OUTPUTS)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -283,15 +297,24 @@ def _stored_map(obj: dict):
     return _StoredMap(obj["pattern"], omega, bias)
 
 
-def _check_stored_clusters(net, clusters_path: Path, tol: float) -> dict:
+def _check_stored_clusters(net, clusters_path: Path, tol: float) -> tuple[dict, str]:
     """Recompute every stored cluster's map from the network and compare.
 
-    The stored bitstrings become one mask matrix, collapsed in one batch.
+    Returns the check's ``verify.json`` entry and the SHA-256 of the bytes
+    parsed, from one read of the file. The stored bitstrings become one mask
+    matrix, collapsed in one batch.
     """
+    raw = clusters_path.read_bytes()
+    digest = _sha256(raw)
     try:
-        doc = json.loads(clusters_path.read_text(), object_hook=_stored_map)
-    except json.JSONDecodeError as exc:
+        text = raw.decode()
+        # One copy of the file at a time, as with read_text: the bytes are
+        # dropped before parsing and the text right after it.
+        del raw
+        doc = json.loads(text, object_hook=_stored_map)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"invalid cluster JSON in {clusters_path}: {exc}")
+    del text
     if not isinstance(doc, list):
         raise SchemaError(f"{clusters_path} must hold a JSON array of clusters")
     total = sum(net.hidden_widths)
@@ -316,17 +339,16 @@ def _check_stored_clusters(net, clusters_path: Path, tol: float) -> dict:
             raise SchemaError(f"cluster {i} map is not finite")
         stored_omega[i] = entry.omega
         stored_bias[i] = entry.bias
-    bits = "".join(entry.pattern for entry in doc).encode("ascii")
-    masks = (np.frombuffer(bits, dtype=np.uint8) == ord("1")).reshape(len(doc), total)
+    masks = bitstrings_to_masks([entry.pattern for entry in doc], total)
     omegas, biases = collapse_batch(net, masks)
     worst = max(
         float(np.abs(stored_omega - omegas).max(initial=0.0)),
         float(np.abs(stored_bias - biases).max(initial=0.0)),
     )
-    return {"checked": len(doc), "max_abs_err": worst, "pass": worst <= tol}
+    return {"checked": len(doc), "max_abs_err": worst, "pass": worst <= tol}, digest
 
 
-def run_verify(params: dict, out: Path) -> int:
+def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
     if params["jacobian_samples"] < 0:
         raise InputError(
             f"--jacobian-samples must be >= 0, got {params['jacobian_samples']}"
@@ -366,16 +388,20 @@ def run_verify(params: dict, out: Path) -> int:
         "pass": jacobian_pass,
     }
 
+    # The rows are done with. Parsing clusters.json is this command's peak of
+    # memory, so they are freed before it.
+    del dataset
     hashes = {"net": _sha256(net_path.read_bytes()), "data": _sha256(data_path.read_bytes())}
     doc = {"affine": affine_report.to_dict(), "jacobian": jacobian_doc}
     ok = affine_report.passed and jacobian_pass
     if params["clusters"] is not None:
-        clusters_path = Path(params["clusters"])
-        cluster_doc = _check_stored_clusters(net, clusters_path, params["tol"])
+        cluster_doc, hashes["clusters"] = _check_stored_clusters(
+            net, Path(params["clusters"]), params["tol"]
+        )
         doc["clusters"] = cluster_doc
-        hashes["clusters"] = _sha256(clusters_path.read_bytes())
         ok = ok and cluster_doc["pass"]
 
+    _check_inputs(recorded, hashes)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "verify.json", doc, sort_keys=True)
     _write_manifest(out, "verify", params, hashes, ["verify.json", "manifest.json"])
@@ -395,9 +421,11 @@ def run_verify(params: dict, out: Path) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
-_RUNNERS = {"simulate": run_simulate, "titanic": run_titanic, "verify": run_verify}
+def _runners() -> dict:
+    """Each command's run function, looked up when called: perfbench's tracer rebinds them."""
+    return {"simulate": run_simulate, "titanic": run_titanic, "verify": run_verify}
 
-_NORMALIZATIONS = ("raw", "max_abs")
+
 _CLUSTER_ON = ("train", "test", "all")
 
 
@@ -422,7 +450,7 @@ def _one_of(choices: tuple) -> tuple:
 
 
 # The keys each command's normalized arguments carry, and what each value
-# must be; see the *_params builders.
+# must be; ``_params`` reads the flags of these names.
 _TRAIN_KEYS = {
     "seeds": _INTS,
     "epochs": _INT,
@@ -430,7 +458,7 @@ _TRAIN_KEYS = {
     "batch_size": _INT,
     "reg": _NUMBER,
     "hidden": _INTS,
-    "normalization": _one_of(_NORMALIZATIONS),
+    "normalization": _one_of(NORMALIZATIONS),
     "tol": _NUMBER,
 }
 _PARAM_KEYS = {
@@ -463,11 +491,14 @@ def run_rerun(manifest_path: Path, out: Path) -> int:
     if not isinstance(doc, dict) or "command" not in doc or "args" not in doc:
         raise SchemaError("manifest must carry command and args")
     command = doc["command"]
-    if command not in _RUNNERS:
+    if command not in _PARAM_KEYS:
         raise SchemaError(f"manifest names unknown command {command!r}")
     params = doc["args"]
     if not isinstance(params, dict):
         raise SchemaError("manifest args must be an object")
+    recorded = doc.get("input_hashes")
+    if not isinstance(recorded, dict):
+        raise SchemaError("manifest must carry an input_hashes object")
     kinds = _PARAM_KEYS[command]
     missing = [key for key in kinds if key not in params]
     if missing:
@@ -475,15 +506,7 @@ def run_rerun(manifest_path: Path, out: Path) -> int:
     for key, (description, accepts) in kinds.items():
         if not accepts(params[key]):
             raise SchemaError(f"manifest arg {key!r} must be {description}, got {params[key]!r}")
-    return _RUNNERS[command](params, out)
-
-
-def _resolve_seeds(args) -> list[int]:
-    if getattr(args, "seeds", None):
-        return parse_seeds(args.seeds)
-    if getattr(args, "seed", None) is not None:
-        return [args.seed]
-    return [_default_seed()]
+    return _runners()[command](params, out, recorded)
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
@@ -496,7 +519,7 @@ def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     seed_group.add_argument("--seed", type=int, help=f"single seed (default ${SEED_ENV_VAR} or 0)")
     seed_group.add_argument("--seeds", help="sweep, e.g. 1..5 or 0,3,7; best run kept")
     sub.add_argument(
-        "--normalization", choices=_NORMALIZATIONS, default="raw",
+        "--normalization", choices=NORMALIZATIONS, default="raw",
         help="importance weight scaling in reports",
     )
     sub.add_argument("--tol", type=float, default=1e-6, help="affine verification tolerance")
@@ -544,67 +567,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _train_params(args) -> dict:
-    """Arguments added by ``_add_train_flags``, normalized, minus ``--out``."""
-    return {
-        "seeds": _resolve_seeds(args),
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "batch_size": args.batch_size,
-        "reg": args.reg,
-        "hidden": parse_hidden(args.hidden),
-        "normalization": args.normalization,
-        "tol": args.tol,
-    }
+def _params(args) -> dict:
+    """The command's normalized arguments, as its manifest records them.
 
-
-def _simulate_params(args) -> dict:
-    return {"n": args.n, "data_seed": args.data_seed, **_train_params(args)}
-
-
-def _titanic_params(args) -> dict:
-    return {
-        "csv": args.csv,
-        "test_fraction": args.test_fraction,
-        "split_seed": args.split_seed,
-        "cluster_on": args.cluster_on,
-        **_train_params(args),
-    }
-
-
-def _verify_params(args) -> dict:
+    Each key of ``_PARAM_KEYS[args.command]`` is read from ``args``; only
+    ``seeds`` and ``hidden``, or ``clusters`` and ``seed`` for verify, are
+    normalized.
+    """
+    params = {key: getattr(args, key) for key in _PARAM_KEYS[args.command]}
+    if args.command != "verify":
+        if args.seeds:
+            params["seeds"] = parse_seeds(args.seeds)
+        else:
+            params["seeds"] = [args.seed if args.seed is not None else _default_seed()]
+        params["hidden"] = parse_hidden(args.hidden)
+        return params
     if args.no_clusters:
-        clusters = None
-    elif args.clusters is not None:
-        if not Path(args.clusters).exists():
-            raise InputError(f"cluster file not found: {args.clusters}")
-        clusters = args.clusters
-    else:
+        params["clusters"] = None
+    elif args.clusters is None:
         sibling = Path(args.net).parent / "clusters.json"
-        clusters = str(sibling) if sibling.exists() else None
-    return {
-        "net": args.net,
-        "data": args.data,
-        "tol": args.tol,
-        "clusters": clusters,
-        "jacobian_samples": args.jacobian_samples,
-        "jacobian_step": args.jacobian_step,
-        "jacobian_tol": args.jacobian_tol,
-        "seed": args.seed if args.seed is not None else _default_seed(),
-    }
+        params["clusters"] = str(sibling) if sibling.exists() else None
+    elif not Path(args.clusters).exists():
+        raise InputError(f"cluster file not found: {args.clusters}")
+    if args.seed is None:
+        params["seed"] = _default_seed()
+    return params
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            return run_simulate(_simulate_params(args), Path(args.out))
-        if args.command == "titanic":
-            return run_titanic(_titanic_params(args), Path(args.out))
-        if args.command == "verify":
-            return run_verify(_verify_params(args), Path(args.out))
-        return run_rerun(Path(args.manifest), Path(args.out))
+        if args.command == "rerun":
+            return run_rerun(Path(args.manifest), Path(args.out))
+        return _runners()[args.command](_params(args), Path(args.out))
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

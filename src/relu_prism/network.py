@@ -182,6 +182,22 @@ class ActivationPattern:
         return self.widths == net.hidden_widths
 
 
+def masks_to_bitstrings(masks: np.ndarray) -> list[str]:
+    """The ``bitstring`` of each row of a (k, total_bits) 0/1 matrix."""
+    k, width = masks.shape
+    text = np.where(masks, ord("1"), ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    return [text[g * width : (g + 1) * width] for g in range(k)]
+
+
+def bitstrings_to_masks(bitstrings: Sequence[str], width: int) -> np.ndarray:
+    """The (len(bitstrings), width) bool matrix of 0/1 strings of ``width`` chars.
+
+    The row count is not inferred, so empty patterns (no hidden layer) still make rows.
+    """
+    text = "".join(bitstrings).encode("ascii")
+    return (np.frombuffer(text, dtype=np.uint8) == ord("1")).reshape(len(bitstrings), width)
+
+
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:
     """Everything recorded by one forward pass.
@@ -267,23 +283,24 @@ def group_by_pattern(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward pass plus grouping of the rows by activation pattern.
 
-    Returns the logits (n, output_dim), the (n, total_bits) activity matrix
-    with hidden layers side by side, the row order ``order`` and the row
-    count of each distinct pattern, patterns in ``np.unique`` order of their
-    packed bits. Pattern g owns ``order[s : s + counts[g]]`` with
-    ``s = counts[:g].sum()``, a strictly increasing run of row indices.
+    Returns the logits (n, output_dim), the (k, total_bits) masks of the k
+    distinct patterns with hidden layers side by side, the row order
+    ``order`` and the row count of each pattern, patterns in ``np.unique``
+    order of their packed bits. Pattern g owns ``order[s : s + counts[g]]``
+    with ``s = counts[:g].sum()``, a strictly increasing run of row indices.
     """
     logits, bits = forward_batch(net, inputs)
     n = logits.shape[0]
     bitmat = np.hstack(bits) if bits else np.zeros((n, 0), dtype=bool)
-    _, inverse, counts = np.unique(
+    packed, inverse, counts = np.unique(
         np.packbits(bitmat, axis=1), axis=0, return_inverse=True, return_counts=True
     )
+    masks = np.unpackbits(packed, axis=1, count=bitmat.shape[1]).view(bool)
     # A stable sort keeps each group's rows in increasing order. No per-group
     # views are made: with tens of thousands of patterns, holding them all at
     # once costs several MB of peak memory.
     order = np.argsort(inverse.reshape(-1), kind="stable")
-    return logits, bitmat, order, counts
+    return logits, masks, order, counts
 
 
 def predict(net: Network, u) -> int:

@@ -15,7 +15,13 @@ import numpy as np
 from .affine import AffineMap, collapse_batch
 from .data import Dataset
 from .errors import ShapeError
-from .network import ActivationPattern, Network, forward_trace, group_by_pattern
+from .network import (
+    ActivationPattern,
+    Network,
+    forward_trace,
+    group_by_pattern,
+    masks_to_bitstrings,
+)
 
 __all__ = ["ClusterStats", "Cluster", "partition", "cluster_of", "clusters_to_json"]
 
@@ -69,24 +75,19 @@ def partition(net: Network, dataset: Dataset) -> list[Cluster]:
             f"partition statistics require a scalar output, got output_dim={net.output_dim}"
         )
     n = dataset.n_rows
-    logits, bitmat, order, counts = group_by_pattern(net, dataset.features)
+    logits, masks, order, counts = group_by_pattern(net, dataset.features)
     starts = np.cumsum(counts) - counts
-    masks = bitmat[order[starts]]
     omegas, biases = collapse_batch(net, masks)
     # Predictions and targets are 0/1, so each weighted bincount is an exact
     # count and each rate the same division that a per-group mean makes.
     label = np.repeat(np.arange(counts.shape[0]), counts)
     predicted_rates = np.bincount(label, weights=logits[order, 0] > 0.0) / counts
     target_rates = np.bincount(label, weights=dataset.targets[order]) / counts
-    # One bits-to-text pass: pattern g's bitstring is the g-th run of width chars.
-    widths, width = net.hidden_widths, masks.shape[1]
-    text = np.where(masks, ord("1"), ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    widths = net.hidden_widths
 
     clusters = [
         Cluster(
-            pattern=ActivationPattern._from_bitstring(
-                text[g * width : (g + 1) * width], widths
-            ),
+            pattern=ActivationPattern._from_bitstring(bitstring, widths),
             member_indices=order[start : start + size],
             affine=AffineMap(omega, bias),
             stats=ClusterStats(
@@ -96,16 +97,15 @@ def partition(net: Network, dataset: Dataset) -> list[Cluster]:
                 target_positive_rate=target_rate,
             ),
         )
-        for g, (start, size, fraction, predicted_rate, target_rate, omega, bias) in enumerate(
-            zip(
-                starts.tolist(),
-                counts.tolist(),
-                (counts / n).tolist(),
-                predicted_rates.tolist(),
-                target_rates.tolist(),
-                omegas,
-                biases,
-            )
+        for bitstring, start, size, fraction, predicted_rate, target_rate, omega, bias in zip(
+            masks_to_bitstrings(masks),
+            starts.tolist(),
+            counts.tolist(),
+            (counts / n).tolist(),
+            predicted_rates.tolist(),
+            target_rates.tolist(),
+            omegas,
+            biases,
         )
     ]
     clusters.sort(key=lambda c: (-c.size, c.pattern.bitstring))

@@ -227,12 +227,11 @@ def _loss_and_grads(Ws, bs, X, t, config: TrainConfig, reg, grads=None) -> float
     return loss
 
 
-def _check_batch(net_or_d, features, targets):
+def _check_batch(net: Network, features, targets):
     X = np.asarray(features, dtype=np.float64)
     t = np.asarray(targets)
-    d = net_or_d if isinstance(net_or_d, int) else net_or_d.input_dim
-    if X.ndim != 2 or X.shape[1] != d:
-        raise ShapeError(f"features shape {X.shape} does not match input_dim={d}")
+    if X.ndim != 2 or X.shape[1] != net.input_dim:
+        raise ShapeError(f"features shape {X.shape} does not match input_dim={net.input_dim}")
     if t.shape != (X.shape[0],):
         raise ShapeError(f"targets shape {t.shape} does not match {X.shape[0]} rows")
     if not np.all((t == 0) | (t == 1)):

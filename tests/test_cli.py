@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from relu_prism import InputError
-from relu_prism.cli import main, parse_hidden, parse_seeds
+from relu_prism import Dataset, InputError, Layer, Network, partition, save_network, verify_affine
+from relu_prism import cli
+from relu_prism.cli import _PARAM_KEYS, build_parser, main, parse_hidden, parse_seeds
+from relu_prism.data import dataset_to_csv
+from relu_prism.partition import clusters_to_json
 
 RUN_FILES = [
     "dataset.csv",
@@ -57,6 +61,24 @@ class TestArgParsing:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+    def test_parser_flags_match_manifest_keys(self):
+        """Every flag but --out, and those folded into another key, is a manifest arg."""
+        (subs,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        folded = {"simulate": {"seed"}, "titanic": {"seed"}, "verify": {"no_clusters"}}
+        for command, keys in _PARAM_KEYS.items():
+            dests = {a.dest for a in subs.choices[command]._actions
+                     if not isinstance(a, argparse._HelpAction)}
+            assert dests - {"out"} - folded[command] == set(keys), command
+        assert set(subs.choices) == {*_PARAM_KEYS, "rerun"}
+
+    def test_dispatch_calls_the_bound_run_function(self, monkeypatch, tmp_path):
+        """perfbench's tracer rebinds run_simulate; main must call the new binding."""
+        calls = []
+        monkeypatch.setattr(cli, "run_simulate", lambda params, out: calls.append(out) or 0)
+        assert main(simulate_args(tmp_path / "run")) == 0
+        assert calls == [tmp_path / "run"]
 
 
 class TestSimulate:
@@ -200,6 +222,76 @@ class TestRerun:
     def test_missing_manifest_exits_two(self, tmp_path):
         assert main(["rerun", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
+    def test_manifest_without_input_hashes_exits_two(self, manifests, tmp_path, capsys):
+        out = tmp_path / "again"
+        path = tmp_path / "manifest.json"
+        for manifest in manifests:
+            for hashes in (None, [], "abc"):
+                doc = {k: v for k, v in manifest.items() if k != "input_hashes"}
+                if hashes is not None:
+                    doc["input_hashes"] = hashes
+                path.write_text(json.dumps(doc))
+                capsys.readouterr()
+                err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+                assert "input_hashes" in err, err
+
+    def test_recorded_hash_mismatch_exits_two(self, manifests, tmp_path, capsys):
+        """Every recorded hash is recomputed; a wrong, missing or extra one is refused."""
+        out = tmp_path / "again"
+        path = tmp_path / "manifest.json"
+        for manifest in manifests:
+            recorded = manifest["input_hashes"]
+            for name in recorded:
+                for hashes in ({**recorded, name: "0" * 64},
+                               {k: v for k, v in recorded.items() if k != name}):
+                    path.write_text(json.dumps({**manifest, "input_hashes": hashes}))
+                    capsys.readouterr()
+                    err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+                    assert repr(name) in err, (manifest["command"], name, err)
+            path.write_text(json.dumps({**manifest, "input_hashes": {**recorded, "extra": "0"}}))
+            capsys.readouterr()
+            err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+            assert "'extra'" in err, err
+
+    @pytest.mark.parametrize("name", ["data", "net", "clusters"])
+    def test_edited_verify_input_exits_two(self, tmp_path, capsys, name):
+        run = tmp_path / "run"
+        assert main(simulate_args(run)) == 0
+        verified = tmp_path / "verified"
+        assert main(["verify", "--net", str(run / "network.json"),
+                     "--data", str(run / "dataset.csv"), "--out", str(verified)]) == 0
+        file = {"data": "dataset.csv", "net": "network.json", "clusters": "clusters.json"}[name]
+        lines = (run / file).read_text().splitlines(keepends=True)
+        if name == "data":
+            # one row edited: its target flipped
+            row = lines[1].rstrip("\n").split(",")
+            row[-1] = "1" if row[-1] == "0" else "0"
+            lines[1] = ",".join(row) + "\n"
+        else:
+            lines.append("\n")  # same document, other bytes
+        (run / file).write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "again"
+        err = assert_rejected(["rerun", str(verified / "manifest.json"), "--out", str(out)],
+                              out, capsys)
+        assert repr(name) in err, err
+
+    def test_edited_titanic_csv_exits_two(self, synthetic_titanic_csv, tmp_path, capsys):
+        csv_path = tmp_path / "train.csv"
+        csv_path.write_bytes(synthetic_titanic_csv.read_bytes())
+        run = tmp_path / "run"
+        assert main(["titanic", "--csv", str(csv_path), "--epochs", "1",
+                     "--out", str(run)]) == 0
+        lines = csv_path.read_text().splitlines(keepends=True)
+        assert lines[1].startswith("1,0,")
+        lines[1] = "1,1," + lines[1][4:]  # the first passenger now survives
+        csv_path.write_text("".join(lines))
+        capsys.readouterr()
+        out = tmp_path / "again"
+        err = assert_rejected(["rerun", str(run / "manifest.json"), "--out", str(out)],
+                              out, capsys)
+        assert "'csv'" in err, err
+
 
 class TestVerify:
     @pytest.fixture()
@@ -306,6 +398,36 @@ class TestVerify:
     )
     def test_malformed_stored_map_exits_two(self, run_dir, tmp_path, capsys, key, value):
         self.assert_stored_map_rejected(run_dir, tmp_path, capsys, key, value)
+
+    def test_undecodable_cluster_file_exits_two(self, run_dir, tmp_path, capsys):
+        (run_dir / "clusters.json").write_bytes(b'[{"pattern": "\xff"}]')
+        capsys.readouterr()
+        out = tmp_path / "v"
+        err = assert_rejected(
+            ["verify", "--net", str(run_dir / "network.json"),
+             "--data", str(run_dir / "dataset.csv"), "--out", str(out)],
+            out, capsys,
+        )
+        assert "invalid cluster JSON" in err, err
+
+    def test_network_without_hidden_layer(self, tmp_path, capsys):
+        """One affine layer: every row shares the empty pattern ""."""
+        rng = np.random.default_rng(3)
+        net = Network((Layer(rng.normal(size=(1, 3)), rng.normal(size=1)),))
+        X = rng.normal(size=(20, 3))
+        dataset = Dataset(X, (X[:, 0] > 0).astype(int), ("a", "b", "c"))
+        (cluster,) = partition(net, dataset)
+        assert cluster.pattern.bitstring == "" and cluster.size == 20
+        np.testing.assert_array_equal(cluster.affine.omega, net.layers[0].weight)
+        assert verify_affine(net, X).n_patterns == 1
+        save_network(net, tmp_path / "network.json")
+        (tmp_path / "dataset.csv").write_text(dataset_to_csv(dataset))
+        (tmp_path / "clusters.json").write_text(json.dumps(clusters_to_json([cluster])))
+        out = tmp_path / "v"
+        assert main(["verify", "--net", str(tmp_path / "network.json"),
+                     "--data", str(tmp_path / "dataset.csv"), "--out", str(out)]) == 0
+        doc = json.loads((out / "verify.json").read_text())
+        assert doc["clusters"] == {"checked": 1, "max_abs_err": 0.0, "pass": True}
 
     def test_no_clusters_flag_skips_cross_check(self, run_dir, tmp_path):
         code = main(
