@@ -164,7 +164,8 @@ def verify_affine(net: Network, inputs, tol: float = 1e-6) -> VerifyReport:
 
     Inputs are grouped by activation pattern and the map of every distinct
     pattern is built in one ``collapse_batch``, from the weights alone; the
-    result does not depend on input order.
+    result does not depend on input order. A row whose logit is not finite
+    is refused with an ``InputError`` naming the first such row.
     """
     if not 0.0 < tol < np.inf:
         raise InputError(f"tol must be positive and finite, got {tol}")
@@ -173,7 +174,12 @@ def verify_affine(net: Network, inputs, tol: float = 1e-6) -> VerifyReport:
         X = X[None, :]
     if X.shape[0] == 0:
         raise InputError("verify_affine needs at least one input")
-    logits, masks, order, counts = group_by_pattern(net, X)
+    # Finite weights can still overflow; such a row is refused by name below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, masks, order, counts = group_by_pattern(net, X)
+    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+    if bad.size:
+        raise InputError(f"the network's logit on input row {bad[0]} is not finite")
     starts = np.cumsum(counts) - counts
     omegas, biases = collapse_batch(net, masks)
     # Each row's error, at its place in ``order``. The groups of one size are

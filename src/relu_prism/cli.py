@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -102,7 +103,12 @@ def _dataset_hash(dataset: Dataset) -> str:
 
 
 def _write_json(path: Path, doc, sort_keys: bool = False) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
+    """Write ``doc`` as strict JSON; a NaN or infinity is refused, not written."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=False)
+    except ValueError as exc:
+        raise InputError(f"{path.name} would hold a non-finite number: {exc}") from exc
+    path.write_text(text + "\n")
 
 
 def _check_inputs(recorded: dict | None, hashes: dict) -> None:
@@ -133,26 +139,22 @@ def _write_manifest(out: Path, command: str, params: dict, input_hashes: dict, o
     )
 
 
-def _train_config(params: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        hidden_widths=tuple(params["hidden"]),
-        learning_rate=params["lr"],
-        epochs=params["epochs"],
-        batch_size=params["batch_size"],
-        activity_reg_coeff=params["reg"],
-        seed=seed,
-    )
-
-
 def _sweep(dataset: Dataset, params: dict, note):
     """Train once per seed; best run is highest accuracy, ties to lowest seed.
 
-    ``note(net, history)`` gives the tail of each seed's stdout line.
+    ``note(net, history)`` gives the tail of each seed's stdout line. Bad
+    hyperparameters or a bad tolerance are refused before any seed trains.
     """
+    config = TrainConfig(
+        hidden_widths=tuple(params["hidden"]), learning_rate=params["lr"],
+        epochs=params["epochs"], batch_size=params["batch_size"], activity_reg_coeff=params["reg"],
+    )
+    if not 0.0 < params["tol"] < math.inf:
+        raise InputError(f"--tol must be positive and finite, got {params['tol']}")
     runs = []
     for seed in params["seeds"]:
-        net, history = train(dataset, _train_config(params, seed))
-        runs.append((seed, net, history, accuracy(net, dataset)))
+        net, history = train(dataset, replace(config, seed=seed))
+        runs.append((seed, net, history, history.accuracies[-1]))
         print(f"seed {seed}: train_accuracy={runs[-1][3]:.4f}{note(net, history)}")
     best = max(runs, key=lambda r: (r[3], -r[0]))
     print(f"best seed {best[0]}: train_accuracy={best[3]:.4f}")
@@ -349,6 +351,8 @@ def _check_stored_clusters(net, clusters_path: Path, tol: float) -> tuple[dict, 
 
 
 def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
+    if not 0.0 < params["tol"] < math.inf:
+        raise InputError(f"--tol must be positive and finite, got {params['tol']}")
     if params["jacobian_samples"] < 0:
         raise InputError(
             f"--jacobian-samples must be >= 0, got {params['jacobian_samples']}"
@@ -362,6 +366,15 @@ def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
     net_path = Path(params["net"])
     data_path = Path(params["data"])
     net = load_network(net_path)
+    hashes = {"net": _sha256(net_path.read_bytes()), "data": _sha256(data_path.read_bytes())}
+    # Parsing clusters.json is this command's peak of memory, so it runs
+    # before the rows are read.
+    doc = {}
+    if params["clusters"] is not None:
+        doc["clusters"], hashes["clusters"] = _check_stored_clusters(
+            net, Path(params["clusters"]), params["tol"]
+        )
+    _check_inputs(recorded, hashes)
     dataset = read_dataset_csv(data_path)
     affine_report = verify_affine(net, dataset.features, tol=params["tol"])
 
@@ -388,20 +401,8 @@ def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
         "pass": jacobian_pass,
     }
 
-    # The rows are done with. Parsing clusters.json is this command's peak of
-    # memory, so they are freed before it.
-    del dataset
-    hashes = {"net": _sha256(net_path.read_bytes()), "data": _sha256(data_path.read_bytes())}
-    doc = {"affine": affine_report.to_dict(), "jacobian": jacobian_doc}
-    ok = affine_report.passed and jacobian_pass
-    if params["clusters"] is not None:
-        cluster_doc, hashes["clusters"] = _check_stored_clusters(
-            net, Path(params["clusters"]), params["tol"]
-        )
-        doc["clusters"] = cluster_doc
-        ok = ok and cluster_doc["pass"]
-
-    _check_inputs(recorded, hashes)
+    doc.update(affine=affine_report.to_dict(), jacobian=jacobian_doc)
+    ok = all(part["pass"] for part in doc.values())
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "verify.json", doc, sort_keys=True)
     _write_manifest(out, "verify", params, hashes, ["verify.json", "manifest.json"])
@@ -436,7 +437,7 @@ def _is_int(value) -> bool:
 # A manifest value kind: (description, predicate). ``type(v) is int``, not
 # isinstance, so that a JSON ``true`` is not taken for 1.
 _INT = ("an integer", _is_int)
-_NUMBER = ("a number", lambda v: type(v) in (int, float))
+_NUMBER = ("a finite number", lambda v: _is_int(v) or (type(v) is float and math.isfinite(v)))
 _STR = ("a string", lambda v: type(v) is str)
 _STR_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)
 _INTS = (
@@ -490,6 +491,10 @@ def run_rerun(manifest_path: Path, out: Path) -> int:
         raise SchemaError(f"invalid manifest JSON in {manifest_path}: {exc}")
     if not isinstance(doc, dict) or "command" not in doc or "args" not in doc:
         raise SchemaError("manifest must carry command and args")
+    if doc.get("version") != __version__:
+        raise SchemaError(
+            f"manifest version {doc.get('version')!r} is not this tool's {__version__!r}"
+        )
     command = doc["command"]
     if command not in _PARAM_KEYS:
         raise SchemaError(f"manifest names unknown command {command!r}")
@@ -503,6 +508,9 @@ def run_rerun(manifest_path: Path, out: Path) -> int:
     missing = [key for key in kinds if key not in params]
     if missing:
         raise SchemaError(f"manifest args lack {', '.join(map(repr, missing))}")
+    unknown = [key for key in params if key not in kinds]
+    if unknown:
+        raise SchemaError(f"manifest args hold unknown {', '.join(map(repr, unknown))}")
     for key, (description, accepts) in kinds.items():
         if not accepts(params[key]):
             raise SchemaError(f"manifest arg {key!r} must be {description}, got {params[key]!r}")

@@ -214,28 +214,21 @@ class ForwardTrace:
     pattern: ActivationPattern
 
 
-def _check_input_vector(net: Network, u) -> np.ndarray:
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape != (net.input_dim,):
-        raise ShapeError(f"input shape {u.shape} does not match input_dim={net.input_dim}")
-    if not np.all(np.isfinite(u)):
-        raise InputError("input vector must be finite")
-    return u
-
-
-def _preactivations(net: Network, X: np.ndarray):
+def _preactivations(layers, X: np.ndarray):
     """The one layer loop: yield each layer's preactivation matrix for rows X.
 
-    Only the current layer's matrix is held, so a caller that keeps just the
-    activity bits never has every layer's full-batch preactivations alive.
+    ``layers`` gives (weight, bias) pairs. A hidden matrix is rectified in
+    place when the loop resumes, so the caller reads preactivations and a
+    matrix it keeps ends as activations; the output is never rectified.
     """
     a = X
-    for layer in net.layers[:-1]:
-        z = a @ layer.weight.T + layer.bias
+    for W, b in layers:
+        if a is not X:
+            np.maximum(a, 0.0, out=a)
+        z = a @ W.T
+        z += b
         yield z
-        a = np.maximum(z, 0.0)
-    last = net.layers[-1]
-    yield a @ last.weight.T + last.bias
+        a = z
 
 
 def forward_trace(net: Network, u) -> ForwardTrace:
@@ -244,8 +237,13 @@ def forward_trace(net: Network, u) -> ForwardTrace:
     This is the one-row case of ``forward_batch``: the same layer loop on a
     1-row matrix.
     """
-    x = _check_input_vector(net, u)
-    pres = tuple(_frozen_array(z[0]) for z in _preactivations(net, x[None, :]))
+    x = np.asarray(u, dtype=np.float64)
+    if x.shape != (net.input_dim,):
+        raise ShapeError(f"input shape {x.shape} does not match input_dim={net.input_dim}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("input vector must be finite")
+    layers = ((layer.weight, layer.bias) for layer in net.layers)
+    pres = tuple(_frozen_array(z[0]) for z in _preactivations(layers, x[None, :]))
     logit = pres[-1]
     return ForwardTrace(
         preactivations=pres,
@@ -273,7 +271,7 @@ def forward_batch(net: Network, inputs) -> tuple[np.ndarray, list[np.ndarray]]:
         )
     if not np.all(np.isfinite(X)):
         raise InputError("input matrix must be finite")
-    pres = _preactivations(net, X)
+    pres = _preactivations(((layer.weight, layer.bias) for layer in net.layers), X)
     bits = [next(pres) > 0.0 for _ in net.layers[:-1]]
     return next(pres), bits
 

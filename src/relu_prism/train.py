@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InputError, ShapeError, TrainingDivergedError
-from .network import Layer, Network, predict_batch
+from .network import Layer, Network, _preactivations, predict_batch
 
 __all__ = [
     "AdamParams",
@@ -45,8 +45,8 @@ class AdamParams:
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise InputError("Adam betas must lie in [0, 1)")
-        if self.epsilon <= 0.0:
-            raise InputError("Adam epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise InputError("Adam epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -76,15 +76,15 @@ class TrainConfig:
         if not widths or any(w < 1 for w in widths):
             raise InputError(f"hidden_widths must be positive, got {self.hidden_widths}")
         object.__setattr__(self, "hidden_widths", widths)
-        if self.learning_rate <= 0.0:
-            raise InputError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise InputError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.activity_reg_coeff < 0.0:
+        if not 0.0 <= self.activity_reg_coeff < math.inf:
             raise InputError(
-                f"activity_reg_coeff must be >= 0, got {self.activity_reg_coeff}"
+                f"activity_reg_coeff must be >= 0 and finite, got {self.activity_reg_coeff}"
             )
         if self.reg_norm not in REG_NORMS:
             raise InputError(f"reg_norm must be one of {REG_NORMS}, got {self.reg_norm!r}")
@@ -154,13 +154,6 @@ def init_network(d: int, config: TrainConfig) -> Network:
     return Network(tuple(Layer(w, b) for w, b in zip(Ws, bs)))
 
 
-def _forward_logits(Ws, bs, X):
-    a = X
-    for W, b in zip(Ws[:-1], bs[:-1]):
-        a = np.maximum(a @ W.T + b, 0.0)
-    return (a @ Ws[-1].T + bs[-1])[:, 0]
-
-
 def _reg_terms(config: TrainConfig, Ws) -> tuple[tuple[int, int], ...]:
     """(hidden layer, unit divisor) for each layer the activity penalty covers.
 
@@ -191,12 +184,9 @@ def _loss_and_grads(Ws, bs, X, t, config: TrainConfig, reg, grads=None) -> float
     into a typed divergence error instead of warning noise.
     """
     B = X.shape[0]
-    acts = [X]
-    for W, b in zip(Ws[:-1], bs[:-1]):
-        z = acts[-1] @ W.T
-        z += b
-        acts.append(np.maximum(z, 0.0, out=z))
-    logit = (acts[-1] @ Ws[-1].T + bs[-1])[:, 0]
+    # acts[i + 1] is hidden layer i's activations: the loop rectified it in place.
+    acts = [X, *_preactivations(zip(Ws, bs), X)]
+    logit = acts.pop()[:, 0]
     e = np.exp(-np.abs(logit))
     loss = float((np.maximum(logit, 0.0) - logit * t + np.log1p(e)).sum() / B)
 
@@ -227,7 +217,7 @@ def _loss_and_grads(Ws, bs, X, t, config: TrainConfig, reg, grads=None) -> float
     return loss
 
 
-def _check_batch(net: Network, features, targets):
+def _batch_loss_and_grads(net: Network, features, targets, config: TrainConfig, grads=None):
     X = np.asarray(features, dtype=np.float64)
     t = np.asarray(targets)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -236,15 +226,12 @@ def _check_batch(net: Network, features, targets):
         raise ShapeError(f"targets shape {t.shape} does not match {X.shape[0]} rows")
     if not np.all((t == 0) | (t == 1)):
         raise InputError("targets must be 0 or 1")
-    return X, t.astype(np.float64)
-
-
-def _batch_loss_and_grads(net: Network, features, targets, config: TrainConfig, grads=None):
-    X, t = _check_batch(net, features, targets)
     Ws = [l.weight for l in net.layers]
     bs = [l.bias for l in net.layers]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _loss_and_grads(Ws, bs, X, t, config, _reg_terms(config, Ws), grads)
+        return _loss_and_grads(
+            Ws, bs, X, t.astype(np.float64), config, _reg_terms(config, Ws), grads
+        )
 
 
 def batch_loss(net: Network, features, targets, config: TrainConfig) -> float:
@@ -340,9 +327,9 @@ def train(dataset: Dataset, config: TrainConfig) -> tuple[Network, TrainHistory]
                 upd /= denom
                 params -= upd
             losses.append(epoch_loss / n)
-            accuracies.append(
-                float(((_forward_logits(Ws, bs, X_all) > 0.0) == t_all).mean())
-            )
+            for logits in _preactivations(zip(Ws, bs), X_all):
+                pass  # to the last matrix, holding two layers' matrices at a time
+            accuracies.append(float(((logits[:, 0] > 0.0) == t_all).mean()))
     net = Network(tuple(Layer(w, b) for w, b in zip(Ws, bs)))
     return net, TrainHistory(losses=tuple(losses), accuracies=tuple(accuracies))
 

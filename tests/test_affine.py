@@ -205,6 +205,12 @@ class TestVerifyAffine:
             with pytest.raises(InputError):
                 verify_affine(net, [[0.0, 0.0]], tol=tol)
 
+    def test_non_finite_logit_names_the_first_such_row(self):
+        net = Network((Layer([[1e308, 1e308]], [0.0]), Layer([[1.0]], [0.0])))
+        X = [[0.0, 1.0], [0.5, 0.5], [1.0, 1.0], [2.0, 0.0]]
+        with pytest.raises(InputError, match="row 2 "):
+            verify_affine(net, X)
+
     def test_report_dict_uses_pass_key(self, rng):
         net = hand_net()
         doc = verify_affine(net, [[0.5, 0.5]]).to_dict()

@@ -2,14 +2,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from relu_prism import Dataset, InputError, Layer, Network, partition, save_network, verify_affine
+from relu_prism import (
+    Dataset,
+    InputError,
+    Layer,
+    Network,
+    __version__,
+    accuracy,
+    forward_batch,
+    load_network,
+    partition,
+    save_network,
+    verify_affine,
+)
 from relu_prism import cli
 from relu_prism.cli import _PARAM_KEYS, build_parser, main, parse_hidden, parse_seeds
-from relu_prism.data import dataset_to_csv
+from relu_prism.data import dataset_to_csv, read_dataset_csv
 from relu_prism.partition import clusters_to_json
 
 RUN_FILES = [
@@ -32,9 +45,11 @@ def simulate_args(out, n=400, epochs=3, extra=()):
 
 
 def assert_rejected(argv, out, capsys):
-    """Bad input: exit 2, a one-line message, and no output directory."""
+    """Bad input: exit 2, a one-line message, nothing on stdout and no output directory."""
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "", captured.out
+    err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
     return err
@@ -127,6 +142,21 @@ class TestSimulate:
         out = tmp_path / "run"
         assert_rejected(simulate_args(out, n=-5), out, capsys)
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--lr", "nan"), ("--lr", "inf"), ("--reg", "nan"), ("--reg", "inf")]
+    )
+    def test_non_finite_hyperparameter_exits_two(self, tmp_path, capsys, flag, value):
+        """Bad input, not a divergence (exit 3) after training starts."""
+        out = tmp_path / "run"
+        err = assert_rejected(simulate_args(out, extra=(flag, value)), out, capsys)
+        assert "finite" in err, err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_tol_is_refused_before_training(self, tmp_path, capsys, value):
+        out = tmp_path / "run"
+        err = assert_rejected(simulate_args(out, extra=(f"--tol={value}",)), out, capsys)
+        assert "--tol" in err, err
+
     def test_divergent_learning_rate_exits_three(self, tmp_path, capsys):
         # Several steps per epoch so a post-step batch loss observes the blowup.
         code = main(
@@ -218,6 +248,58 @@ class TestRerun:
                 capsys.readouterr()
                 err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
                 assert repr(key) in err, (manifest["command"], key, err)
+
+    def test_non_finite_manifest_number_exits_two(self, manifests, tmp_path, capsys):
+        out = tmp_path / "again"
+        path = tmp_path / "manifest.json"
+        for manifest in manifests:
+            keys = [k for k, kind in _PARAM_KEYS[manifest["command"]].items()
+                    if kind is cli._NUMBER]
+            assert keys
+            for key in keys:
+                for value in (float("nan"), float("inf")):
+                    args = {**manifest["args"], key: value}
+                    path.write_text(json.dumps({**manifest, "args": args}))
+                    capsys.readouterr()
+                    err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+                    assert repr(key) in err, (manifest["command"], key, err)
+
+    def test_bad_tol_in_manifest_is_refused_before_training(self, manifests, tmp_path, capsys):
+        out = tmp_path / "again"
+        path = tmp_path / "manifest.json"
+        for manifest in manifests:
+            if manifest["command"] == "verify":
+                continue
+            for tol in (0.0, -1.0):
+                path.write_text(json.dumps({**manifest, "args": {**manifest["args"], "tol": tol}}))
+                capsys.readouterr()
+                err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+                assert "--tol" in err, (manifest["command"], err)
+
+    def test_manifest_of_another_version_exits_two(self, manifests, tmp_path, capsys):
+        out = tmp_path / "again"
+        path = tmp_path / "manifest.json"
+        for manifest in manifests:
+            assert manifest["version"] == __version__
+            for version in ("0.0.0", None):
+                path.write_text(json.dumps({**manifest, "version": version}))
+                capsys.readouterr()
+                err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+                assert repr(version) in err, err
+            path.write_text(json.dumps({k: v for k, v in manifest.items() if k != "version"}))
+            capsys.readouterr()
+            assert "version" in assert_rejected(["rerun", str(path), "--out", str(out)],
+                                                out, capsys)
+
+    def test_manifest_with_unknown_arg_exits_two(self, manifests, tmp_path, capsys):
+        out = tmp_path / "again"
+        path = tmp_path / "manifest.json"
+        for manifest in manifests:
+            args = {**manifest["args"], "learning_rate": 0.5}
+            path.write_text(json.dumps({**manifest, "args": args}))
+            capsys.readouterr()
+            err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+            assert "'learning_rate'" in err, (manifest["command"], err)
 
     def test_missing_manifest_exits_two(self, tmp_path):
         assert main(["rerun", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
@@ -330,6 +412,18 @@ class TestVerify:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_tol_is_refused_before_any_input_is_read(self, run_dir, tmp_path, capsys):
+        (run_dir / "clusters.json").write_text("[")  # would be a schema error if parsed
+        out = tmp_path / "v"
+        for value in ("nan", "0", "-1"):
+            capsys.readouterr()
+            err = assert_rejected(
+                ["verify", "--net", str(run_dir / "network.json"),
+                 "--data", str(run_dir / "dataset.csv"), f"--tol={value}", "--out", str(out)],
+                out, capsys,
+            )
+            assert "--tol" in err, err
+
     def test_zero_tolerance_exits_nonzero(self, run_dir, tmp_path):
         for flag, value in (("--tol", "0"), ("--tol", "nan"), ("--tol", "inf"),
                             ("--jacobian-tol", "nan"), ("--jacobian-tol", "inf")):
@@ -429,6 +523,34 @@ class TestVerify:
         doc = json.loads((out / "verify.json").read_text())
         assert doc["clusters"] == {"checked": 1, "max_abs_err": 0.0, "pass": True}
 
+    def test_overflowing_network_exits_two(self, run_dir, tmp_path, capsys):
+        """Finite weights whose forward pass overflows: one named refusal, no warning."""
+        net_doc = json.loads((run_dir / "network.json").read_text())
+        net_doc["layers"][0]["w"][0][:2] = [1e308, 1e308]
+        (run_dir / "network.json").write_text(json.dumps(net_doc))
+        net = load_network(run_dir / "network.json")
+        X = read_dataset_csv(run_dir / "dataset.csv").features
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = np.flatnonzero(~np.isfinite(forward_batch(net, X)[0][:, 0]))
+        assert bad.size
+        capsys.readouterr()
+        out = tmp_path / "v"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            err = assert_rejected(
+                ["verify", "--net", str(run_dir / "network.json"),
+                 "--data", str(run_dir / "dataset.csv"), "--out", str(out)],
+                out, capsys,
+            )
+        assert f"row {bad[0]} " in err, err
+
+    def test_json_writer_refuses_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "doc.json"
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(InputError, match="doc.json"):
+                cli._write_json(path, {"max_abs_err": value})
+            assert not path.exists()
+
     def test_no_clusters_flag_skips_cross_check(self, run_dir, tmp_path):
         code = main(
             ["verify", "--net", str(run_dir / "network.json"),
@@ -486,6 +608,12 @@ class TestTitanic:
                    for i in range(summary["n_clusters"]))
         assert rows == round(34 * 0.25)
 
+    def test_bad_tol_is_refused_before_training(self, synthetic_titanic_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        err = assert_rejected(self.titanic_args(synthetic_titanic_csv, out, ("--tol", "nan")),
+                              out, capsys)
+        assert "--tol" in err, err
+
     def test_cluster_on_test_without_split_exits_two(self, synthetic_titanic_csv, tmp_path):
         code = main(
             self.titanic_args(synthetic_titanic_csv, tmp_path / "x",
@@ -502,3 +630,22 @@ class TestTitanic:
 
     def test_missing_csv_exits_two(self, tmp_path):
         assert main(self.titanic_args(tmp_path / "none.csv", tmp_path / "run")) == 2
+
+
+class TestSweepAccuracy:
+    def test_per_seed_accuracy_matches_saved_files(self, tmp_path):
+        """Each seed's train_accuracy is the accuracy of that seed's saved network."""
+        sweep = tmp_path / "sweep"
+        size = ["--n", "2000", "--epochs", "1"]
+        assert main(["simulate", *size, "--seeds", "1..3", "--out", str(sweep)]) == 0
+        summary = json.loads((sweep / "summary.json").read_text())
+        per_seed = {run["seed"]: run["train_accuracy"] for run in summary["per_seed"]}
+        assert sorted(per_seed) == [1, 2, 3]
+        assert max(per_seed.values()) < 1.0
+        for seed, train_accuracy in per_seed.items():
+            single = tmp_path / f"seed{seed}"
+            assert main(["simulate", *size, "--seed", str(seed), "--out", str(single)]) == 0
+            saved = load_network(single / "network.json"), read_dataset_csv(single / "dataset.csv")
+            assert train_accuracy == accuracy(*saved), seed
+        saved = load_network(sweep / "network.json"), read_dataset_csv(sweep / "dataset.csv")
+        assert summary["train_accuracy"] == accuracy(*saved)

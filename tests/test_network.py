@@ -13,6 +13,8 @@ from relu_prism import (
     Network,
     SchemaError,
     ShapeError,
+    TrainConfig,
+    batch_gradients,
     forward_batch,
     forward_trace,
     load_network,
@@ -173,6 +175,22 @@ class TestKinkRule:
         report = verify_affine(self.NET, X, tol=1e-12)
         assert report.n_patterns == len(set(keys))
         assert report.passed
+
+    @pytest.mark.parametrize("reg", [0.0, 0.02])
+    def test_training_gradient_stops_at_the_kink(self, reg):
+        """Backprop passes nothing through a unit at exactly 0, and passes through 1 ulp above."""
+        up = np.nextafter(1.0, 2.0)
+        config = TrainConfig(hidden_widths=(2, 1), activity_reg_coeff=reg)
+        # x0 - x1 is exactly 0 while x0 - 1 is 1 ulp above 0, so the second
+        # hidden layer stays active and unit 0 is the only unit on its kink.
+        _, grads = batch_gradients(self.NET, [[up, up]], [0], config)
+        (dW, db), _, _ = grads
+        assert not dW[0].any() and db[0] == 0.0
+        assert dW[1].all() and db[1] != 0.0
+        # x0 - x1 is 1 ulp above 0: unit 0 is active and takes a gradient.
+        _, grads = batch_gradients(self.NET, [[up, 1.0]], [0], config)
+        (dW, db), _, _ = grads
+        assert dW[0].all() and db[0] != 0.0
 
 
 class TestPredict:

@@ -89,9 +89,13 @@ class TestConfigValidation:
             {"hidden_widths": ()},
             {"hidden_widths": (0,)},
             {"learning_rate": 0.0},
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
             {"epochs": 0},
             {"batch_size": 0},
             {"activity_reg_coeff": -0.1},
+            {"activity_reg_coeff": float("nan")},
+            {"activity_reg_coeff": float("inf")},
             {"reg_norm": "linf"},
             {"reg_reduction": "median"},
             {"reg_layers": (2,)},
@@ -106,6 +110,8 @@ class TestConfigValidation:
             AdamParams(beta1=1.0)
         with pytest.raises(InputError):
             AdamParams(epsilon=0.0)
+        with pytest.raises(InputError):
+            AdamParams(epsilon=float("nan"))
 
     def test_defaults_match_reference_setup(self):
         config = TrainConfig()
