@@ -142,15 +142,12 @@ def _write_manifest(out: Path, command: str, params: dict, input_hashes: dict, o
 def _sweep(dataset: Dataset, params: dict, note):
     """Train once per seed; best run is highest accuracy, ties to lowest seed.
 
-    ``note(net, history)`` gives the tail of each seed's stdout line. Bad
-    hyperparameters or a bad tolerance are refused before any seed trains.
+    ``note(net, history)`` gives the tail of each seed's stdout line.
     """
     config = TrainConfig(
         hidden_widths=tuple(params["hidden"]), learning_rate=params["lr"],
         epochs=params["epochs"], batch_size=params["batch_size"], activity_reg_coeff=params["reg"],
     )
-    if not 0.0 < params["tol"] < math.inf:
-        raise InputError(f"--tol must be positive and finite, got {params['tol']}")
     runs = []
     for seed in params["seeds"]:
         net, history = train(dataset, replace(config, seed=seed))
@@ -237,8 +234,6 @@ def run_titanic(params: dict, out: Path, recorded: dict | None = None) -> int:
     hashes = {"csv": _sha256(csv_path.read_bytes())}
     _check_inputs(recorded, hashes)
     full = load_titanic(csv_path)
-    if not 0.0 <= params["test_fraction"] < 1.0:
-        raise InputError(f"--test-fraction must be in [0, 1), got {params['test_fraction']}")
     if params["test_fraction"] > 0.0:
         test_set, train_set = split(full, params["test_fraction"], params["split_seed"])
     else:
@@ -351,18 +346,6 @@ def _check_stored_clusters(net, clusters_path: Path, tol: float) -> tuple[dict, 
 
 
 def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
-    if not 0.0 < params["tol"] < math.inf:
-        raise InputError(f"--tol must be positive and finite, got {params['tol']}")
-    if params["jacobian_samples"] < 0:
-        raise InputError(
-            f"--jacobian-samples must be >= 0, got {params['jacobian_samples']}"
-        )
-    if not math.isfinite(params["jacobian_tol"]):
-        raise InputError(f"--jacobian-tol must be finite, got {params['jacobian_tol']}")
-    if not (math.isfinite(params["jacobian_step"]) and params["jacobian_step"] > 0.0):
-        raise InputError(
-            f"--jacobian-step must be positive and finite, got {params['jacobian_step']}"
-        )
     net_path = Path(params["net"])
     data_path = Path(params["data"])
     net = load_network(net_path)
@@ -434,59 +417,81 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
-# A manifest value kind: (description, predicate). ``type(v) is int``, not
-# isinstance, so that a JSON ``true`` is not taken for 1.
-_INT = ("an integer", _is_int)
-_NUMBER = ("a finite number", lambda v: _is_int(v) or (type(v) is float and math.isfinite(v)))
-_STR = ("a string", lambda v: type(v) is str)
-_STR_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)
-_INTS = (
-    "a non-empty list of integers",
-    lambda v: type(v) is list and bool(v) and all(map(_is_int, v)),
-)
+def _is_seed(value) -> bool:
+    return _is_int(value) and value >= 0
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or (type(value) is float and math.isfinite(value))
+
+
+def _list_of(items: str, accepts) -> tuple:
+    return (f"a non-empty list of {items}",
+            lambda v: type(v) is list and bool(v) and all(map(accepts, v)))
 
 
 def _one_of(choices: tuple) -> tuple:
     return f"one of {', '.join(choices)}", lambda v: v in choices
 
 
-# The keys each command's normalized arguments carry, and what each value
-# must be; ``_params`` reads the flags of these names.
+# An argument kind: (description, predicate). ``type(v) is int``, not
+# isinstance, so that a JSON ``true`` is not taken for 1.
+_INT = ("an integer", _is_int)
+_SEED = ("a non-negative integer", _is_seed)
+_NUMBER = ("a finite number", _is_number)
+_POSITIVE = ("a positive finite number", lambda v: _is_number(v) and v > 0)
+_FRACTION = ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1)
+_STR = ("a string", lambda v: type(v) is str)
+_STR_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)
+_INTS = _list_of("integers", _is_int)
+_SEEDS = _list_of("non-negative integers", _is_seed)
+
+# The one contract for each command's arguments, on the command line and in
+# a manifest: the keys they carry and what each value must be.
 _TRAIN_KEYS = {
-    "seeds": _INTS,
+    "seeds": _SEEDS,
     "epochs": _INT,
     "lr": _NUMBER,
     "batch_size": _INT,
     "reg": _NUMBER,
     "hidden": _INTS,
     "normalization": _one_of(NORMALIZATIONS),
-    "tol": _NUMBER,
+    "tol": _POSITIVE,
 }
 _PARAM_KEYS = {
-    "simulate": {"n": _INT, "data_seed": _INT, **_TRAIN_KEYS},
+    "simulate": {"n": _INT, "data_seed": _SEED, **_TRAIN_KEYS},
     "titanic": {
         "csv": _STR,
-        "test_fraction": _NUMBER,
-        "split_seed": _INT,
+        "test_fraction": _FRACTION,
+        "split_seed": _SEED,
         "cluster_on": _one_of(_CLUSTER_ON),
         **_TRAIN_KEYS,
     },
     "verify": {
         "net": _STR,
         "data": _STR,
-        "tol": _NUMBER,
+        "tol": _POSITIVE,
         "clusters": _STR_OR_NULL,
-        "jacobian_samples": _INT,
-        "jacobian_step": _NUMBER,
+        "jacobian_samples": _SEED,
+        "jacobian_step": _POSITIVE,
         "jacobian_tol": _NUMBER,
-        "seed": _INT,
+        "seed": _SEED,
     },
 }
 
 
-def run_rerun(manifest_path: Path, out: Path) -> int:
+def _check_params(command: str, params: dict) -> None:
+    """Refuse the first value outside its kind, naming its flag and its manifest key."""
+    for key, (description, accepts) in _PARAM_KEYS[command].items():
+        if not accepts(params[key]):
+            flag = "--" + key.replace("_", "-")
+            raise InputError(f"{flag} ({key!r}) must be {description}, got {params[key]!r}")
+
+
+def _read_manifest(manifest_path: Path) -> tuple[str, dict, dict]:
+    """A manifest's command, arguments and input hashes; ``_check_params`` checks the values."""
     try:
-        doc = json.loads(Path(manifest_path).read_text())
+        doc = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid manifest JSON in {manifest_path}: {exc}")
     if not isinstance(doc, dict) or "command" not in doc or "args" not in doc:
@@ -504,17 +509,13 @@ def run_rerun(manifest_path: Path, out: Path) -> int:
     recorded = doc.get("input_hashes")
     if not isinstance(recorded, dict):
         raise SchemaError("manifest must carry an input_hashes object")
-    kinds = _PARAM_KEYS[command]
-    missing = [key for key in kinds if key not in params]
+    missing = [key for key in _PARAM_KEYS[command] if key not in params]
     if missing:
         raise SchemaError(f"manifest args lack {', '.join(map(repr, missing))}")
-    unknown = [key for key in params if key not in kinds]
+    unknown = [key for key in params if key not in _PARAM_KEYS[command]]
     if unknown:
         raise SchemaError(f"manifest args hold unknown {', '.join(map(repr, unknown))}")
-    for key, (description, accepts) in kinds.items():
-        if not accepts(params[key]):
-            raise SchemaError(f"manifest arg {key!r} must be {description}, got {params[key]!r}")
-    return _runners()[command](params, out, recorded)
+    return command, params, recorded
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
@@ -580,7 +581,7 @@ def _params(args) -> dict:
 
     Each key of ``_PARAM_KEYS[args.command]`` is read from ``args``; only
     ``seeds`` and ``hidden``, or ``clusters`` and ``seed`` for verify, are
-    normalized.
+    normalized. The values are checked by ``_check_params``, as a manifest's are.
     """
     params = {key: getattr(args, key) for key in _PARAM_KEYS[args.command]}
     if args.command != "verify":
@@ -595,8 +596,6 @@ def _params(args) -> dict:
     elif args.clusters is None:
         sibling = Path(args.net).parent / "clusters.json"
         params["clusters"] = str(sibling) if sibling.exists() else None
-    elif not Path(args.clusters).exists():
-        raise InputError(f"cluster file not found: {args.clusters}")
     if args.seed is None:
         params["seed"] = _default_seed()
     return params
@@ -606,15 +605,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "rerun":
-            return run_rerun(Path(args.manifest), Path(args.out))
-        return _runners()[args.command](_params(args), Path(args.out))
+            command, params, recorded = _read_manifest(Path(args.manifest))
+        else:
+            command, params, recorded = args.command, _params(args), None
+        _check_params(command, params)
+        return _runners()[command](params, Path(args.out), recorded)
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

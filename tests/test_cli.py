@@ -91,9 +91,10 @@ class TestArgParsing:
     def test_dispatch_calls_the_bound_run_function(self, monkeypatch, tmp_path):
         """perfbench's tracer rebinds run_simulate; main must call the new binding."""
         calls = []
-        monkeypatch.setattr(cli, "run_simulate", lambda params, out: calls.append(out) or 0)
+        monkeypatch.setattr(cli, "run_simulate",
+                            lambda params, out, recorded: calls.append((out, recorded)) or 0)
         assert main(simulate_args(tmp_path / "run")) == 0
-        assert calls == [tmp_path / "run"]
+        assert calls == [(tmp_path / "run", None)]
 
 
 class TestSimulate:
@@ -253,8 +254,9 @@ class TestRerun:
         out = tmp_path / "again"
         path = tmp_path / "manifest.json"
         for manifest in manifests:
-            keys = [k for k, kind in _PARAM_KEYS[manifest["command"]].items()
-                    if kind is cli._NUMBER]
+            # every float argument: each key whose kind takes 0.5
+            keys = [k for k, (_, accepts) in _PARAM_KEYS[manifest["command"]].items()
+                    if accepts(0.5)]
             assert keys
             for key in keys:
                 for value in (float("nan"), float("inf")):
@@ -263,6 +265,50 @@ class TestRerun:
                     capsys.readouterr()
                     err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
                     assert repr(key) in err, (manifest["command"], key, err)
+
+    @pytest.mark.parametrize(
+        "command, args, flags, env",
+        [
+            ("simulate", {"data_seed": -1}, ["--data-seed=-1"], None),
+            ("simulate", {"seeds": [-1]}, ["--seeds=-1"], None),
+            ("simulate", {"seeds": [0, -1]}, ["--seeds=0,-1"], None),
+            ("simulate", {"seeds": [-3]}, ["--seed=-3"], None),
+            ("simulate", {"seeds": [-2]}, [], "-2"),
+            ("simulate", {"tol": 0.0}, ["--tol=0"], None),
+            ("titanic", {"test_fraction": 1.0}, ["--test-fraction=1"], None),
+            ("titanic", {"test_fraction": 0.25, "split_seed": -1},
+             ["--test-fraction=0.25", "--split-seed=-1"], None),
+            ("titanic", {"seeds": [-1]}, ["--seeds=-1"], None),
+            ("verify", {"seed": -1}, ["--seed=-1"], None),
+            ("verify", {"seed": -2}, [], "-2"),
+            ("verify", {"jacobian_samples": -1}, ["--jacobian-samples=-1"], None),
+            ("verify", {"jacobian_step": 0.0}, ["--jacobian-step=0"], None),
+            ("verify", {"tol": -1.0}, ["--tol=-1"], None),
+        ],
+    )
+    def test_out_of_range_arg_is_refused_alike_on_both_paths(
+        self, manifests, synthetic_titanic_csv, tmp_path, capsys, monkeypatch,
+        command, args, flags, env,
+    ):
+        """One check, one message, whether the value comes from a flag or a manifest."""
+        (manifest,) = [m for m in manifests if m["command"] == command]
+        if command == "simulate":
+            base = ["simulate", "--n", "400", "--epochs", "3"]
+        elif command == "titanic":
+            base = ["titanic", "--csv", str(synthetic_titanic_csv), "--epochs", "1"]
+        else:
+            base = ["verify", "--net", manifest["args"]["net"], "--data", manifest["args"]["data"]]
+        if env is not None:
+            monkeypatch.setenv("RELU_PRISM_SEED", env)
+        out = tmp_path / "again"
+        capsys.readouterr()
+        from_flags = assert_rejected([*base, *flags, "--out", str(out)], out, capsys)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**manifest, "args": {**manifest["args"], **args}}))
+        from_manifest = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+        assert from_flags == from_manifest
+        key = [*args][-1]
+        assert f"--{key.replace('_', '-')} ({key!r}) must be " in from_flags, from_flags
 
     def test_bad_tol_in_manifest_is_refused_before_training(self, manifests, tmp_path, capsys):
         out = tmp_path / "again"
@@ -560,6 +606,17 @@ class TestVerify:
         assert code == 0
         doc = json.loads((tmp_path / "v" / "verify.json").read_text())
         assert "clusters" not in doc
+
+    def test_missing_cluster_file_exits_two(self, run_dir, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "v"
+        err = assert_rejected(
+            ["verify", "--net", str(run_dir / "network.json"),
+             "--data", str(run_dir / "dataset.csv"),
+             "--clusters", str(tmp_path / "none.json"), "--out", str(out)],
+            out, capsys,
+        )
+        assert "none.json" in err, err
 
     def test_missing_files_exit_two(self, tmp_path):
         assert main(
