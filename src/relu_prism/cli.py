@@ -11,7 +11,8 @@ Four subcommands:
 Every artifact-writing command stores a manifest capturing the normalized
 arguments (minus the output directory) and input hashes, so `rerun` can
 reproduce the run byte for byte on the same platform. Exit codes: 0 success,
-1 verification failure, 2 bad input or schema, 3 training divergence.
+1 verification failure, 2 bad input or schema, 3 training divergence, 141
+stdout closed by its reader (the shell's status for SIGPIPE).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_DIVERGED = 3
+EXIT_PIPE = 141
 
 SEED_ENV_VAR = "RELU_PRISM_SEED"
 
@@ -173,6 +175,11 @@ def _emit_run_artifacts(out: Path, dataset: Dataset, net, history, params: dict)
     _write_json(out / "clusters.json", clusters_to_json(clusters))
     (out / "importance.csv").write_text(render_report(clusters, reports, "csv"))
     _write_json(out / "verify.json", {"affine": report.to_dict()}, sort_keys=True)
+    return clusters, report
+
+
+def _print_clusters(clusters, report) -> None:
+    """The stdout tail of simulate/titanic, printed once every artifact is written."""
     for i, c in enumerate(clusters):
         constant = " constant" if not c.affine.omega.any() else ""
         print(
@@ -181,7 +188,6 @@ def _emit_run_artifacts(out: Path, dataset: Dataset, net, history, params: dict)
             f"target_rate={c.stats.target_positive_rate:.3f}{constant}"
         )
     print(f"verify: max_abs_err={report.max_abs_err:.3e} pass={report.passed}")
-    return clusters, report
 
 
 _RUN_OUTPUTS = [
@@ -226,6 +232,7 @@ def run_simulate(params: dict, out: Path, recorded: dict | None = None) -> int:
     summary["has_all_inactive"] = any("1" not in c.pattern.bitstring for c in clusters)
     _write_json(out / "summary.json", summary, sort_keys=True)
     _write_manifest(out, "simulate", params, hashes, _RUN_OUTPUTS)
+    _print_clusters(clusters, report)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -266,6 +273,7 @@ def run_titanic(params: dict, out: Path, recorded: dict | None = None) -> int:
     ]
     _write_json(out / "summary.json", summary, sort_keys=True)
     _write_manifest(out, "titanic", params, hashes, _RUN_OUTPUTS)
+    _print_clusters(clusters, report)
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -492,7 +500,7 @@ def _read_manifest(manifest_path: Path) -> tuple[str, dict, dict]:
     """A manifest's command, arguments and input hashes; ``_check_params`` checks the values."""
     try:
         doc = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"invalid manifest JSON in {manifest_path}: {exc}")
     if not isinstance(doc, dict) or "command" not in doc or "args" not in doc:
         raise SchemaError("manifest must carry command and args")
@@ -609,7 +617,14 @@ def main(argv=None) -> int:
         else:
             command, params, recorded = args.command, _params(args), None
         _check_params(command, params)
-        return _runners()[command](params, Path(args.out), recorded)
+        code = _runners()[command](params, Path(args.out), recorded)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone. Point stdout at devnull so that the
+        # flush at exit does not fail again (the recipe in Python's signal docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -158,6 +159,15 @@ def _quantile_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
     return np.searchsorted(qs, values, side="left").astype(np.int64)
 
 
+@contextmanager
+def _decoding(path: Path):
+    """Turn a byte that the text codec cannot decode into a SchemaError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"cannot decode {path}: {exc}") from exc
+
+
 def load_titanic(csv_path, age_bins: int = 5, fare_bins: int = 4) -> Dataset:
     """Build the seven-feature ordinal dataset from a Kaggle-format train csv.
 
@@ -176,7 +186,7 @@ def load_titanic(csv_path, age_bins: int = 5, fare_bins: int = 4) -> Dataset:
         raise InputError("bin counts must be >= 1")
     path = Path(csv_path)
     rows: list[dict] = []
-    with path.open(newline="") as fh:
+    with path.open(newline="") as fh, _decoding(path):
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for column in _TITANIC_REQUIRED:
@@ -305,7 +315,7 @@ def dataset_to_csv(dataset: Dataset) -> str:
 def read_dataset_csv(path) -> Dataset:
     """Load a dataset written by ``dataset_to_csv``."""
     path = Path(path)
-    with path.open(newline="") as fh:
+    with path.open(newline="") as fh, _decoding(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -361,6 +361,6 @@ def save_network(net: Network, path) -> None:
 def load_network(path) -> Network:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"invalid network JSON in {path}: {exc}") from exc
     return network_from_json(doc)

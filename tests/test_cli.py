@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -687,6 +691,60 @@ class TestTitanic:
 
     def test_missing_csv_exits_two(self, tmp_path):
         assert main(self.titanic_args(tmp_path / "none.csv", tmp_path / "run")) == 2
+
+
+@pytest.mark.parametrize("name", ["network.json", "dataset.csv", "titanic.csv", "manifest.json"])
+def test_undecodable_input_exits_two(name, synthetic_titanic_csv, tmp_path, capsys):
+    """A byte that is not UTF-8 is a schema error naming the file, not a traceback."""
+    run = tmp_path / "run"
+    assert main(simulate_args(run)) == 0
+    titanic_csv = tmp_path / "titanic.csv"
+    titanic_csv.write_bytes(synthetic_titanic_csv.read_bytes())
+    path = {"titanic.csv": titanic_csv}.get(name, run / name)
+    raw = path.read_bytes()
+    cut = raw.index(b"\n", len(raw) // 2)  # inside the file, not on its first line
+    path.write_bytes(raw[:cut] + b"\xff" + raw[cut:])
+    out = tmp_path / "again"
+    verify = ["verify", "--net", str(run / "network.json"), "--data", str(run / "dataset.csv")]
+    argv = {
+        "network.json": verify,
+        "dataset.csv": verify,
+        "titanic.csv": ["titanic", "--csv", str(titanic_csv), "--epochs", "1"],
+        "manifest.json": ["rerun", str(run / "manifest.json")],
+    }[name]
+    capsys.readouterr()
+    err = assert_rejected([*argv, "--out", str(out)], out, capsys)
+    assert str(path) in err, err
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_141_with_a_whole_run_or_none(tmp_path, unbuffered):
+    """A reader that has gone: no traceback, status 141, all eight files or no directory.
+
+    Unbuffered, the first seed line fails, before any file is written.
+    Buffered, every line waits for main's flush, after the last file.
+    """
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    out = tmp_path / "run"
+    argv = [sys.executable, "-m", "relu_prism.cli", "simulate", "--n", "300",
+            "--epochs", "1", "--seeds", "1..2", "--out", str(out)]
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_PIPE == 141, proc.stderr
+    assert proc.stderr == b""
+    if unbuffered:
+        assert not out.exists()
+    else:
+        assert sorted(os.listdir(out)) == sorted(RUN_FILES)
 
 
 class TestSweepAccuracy:
