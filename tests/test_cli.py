@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -745,6 +746,58 @@ def test_closed_stdout_exits_141_with_a_whole_run_or_none(tmp_path, unbuffered):
         assert not out.exists()
     else:
         assert sorted(os.listdir(out)) == sorted(RUN_FILES)
+
+
+# SHA-256 of stdout and of each artifact of two small runs, as recorded on
+# x86-64 Linux, numpy 2.x with OpenBLAS 0.3.31 (Haswell kernels). They hold
+# the bytes fixed across commits, not just a run against its own rerun, and
+# depend on the platform as PINNED_SWEEP_SHA256 in test_acceptance.py does.
+# The titanic manifest records the CSV's path, which depends on the checkout,
+# so it is left out.
+GOLDEN_SHA256 = {
+    "simulate": {
+        "stdout": "77c1b2dd81bb9cb50f10ce720ff99d6effcb73f555bf8807cb8222a79de47688",
+        "dataset.csv": "657ad0027859d98691f80d433556c978e1b200c4a54c6c761494cb6017b1ad22",
+        "network.json": "377adb1b23738e5500be2a20481994dde1869dd51679f7ff02fb91da18401041",
+        "history.csv": "73a1fcd780c5b9896d075fb0d272ad625446c6574a64da54b1e615eea250e9ad",
+        "clusters.json": "1ff908c022f232be6aa75768c6beff2333558fe2004d8247b8eb59db5cdb29d6",
+        "importance.csv": "5b8b1525e969739ebd582849ddb8521041a4916d1d634d9f2230915f284b468d",
+        "verify.json": "fe5e6b53a68acaa5b05bc337d25b82b2f1d97c93fc16ad609f695b58dde5cb87",
+        "summary.json": "0c5d218ba50ab66399bd8a14ddc5089e46d98dc44e797e794930e77df61e6eaf",
+        "manifest.json": "aa6cbff79b1e3d362d57f37eb8e10c81ddd8cc68deb697cf8660be8f86bf66f0",
+    },
+    "titanic": {
+        "stdout": "14eb13cd84f272132761fc66928825446c18662cad6f7dd3887d5f66261daf01",
+        "dataset.csv": "fa22fa0d5559766d73577df5978c331301f87159e63b3e27216c8485654119f5",
+        "network.json": "f12f0d57c43e7f2ee79f90d133fc7a1d6e33f526aa00d97c70de0cff24d816b9",
+        "history.csv": "c1342d50ef8a9f688c7f5bc5ad6614eafc1a1fff1b35eb10c0e1c9fef7a6fe17",
+        "clusters.json": "c1b9ad00383fad29d769e1e7c0076e4ae32e884474d373f1d331c9d2f01e5fec",
+        "importance.csv": "a866dba856621c416beedd27b35c7d2a300567ff771b9eecf91bb8b7c44f4601",
+        "verify.json": "e096fa55dfe440e4ffbba1dd2c2fbee42c8989535ded81bda149820ece13e169",
+        "summary.json": "5b512f7454b78b1a78cf3aa987aa049439278c835163e95abc99e1e5fd6be33f",
+    },
+}
+
+
+def golden_argv(command, csv_path, out):
+    if command == "simulate":
+        head = ["simulate", "--n", "2000", "--data-seed", "101"]
+    else:
+        head = ["titanic", "--csv", str(csv_path), "--test-fraction", "0.25",
+                "--split-seed", "3", "--cluster-on", "test"]
+    return [*head, "--seeds", "1..2", "--epochs", "2", "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "titanic"])
+def test_run_bytes_are_pinned(command, synthetic_titanic_csv, tmp_path, capsys):
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main(golden_argv(command, synthetic_titanic_csv, out)) == 0
+    got = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for name in RUN_FILES:
+        if not (command == "titanic" and name == "manifest.json"):
+            got[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert got == GOLDEN_SHA256[command]
 
 
 class TestSweepAccuracy:
