@@ -141,10 +141,22 @@ def _write_manifest(out: Path, command: str, params: dict, input_hashes: dict, o
     )
 
 
-def _sweep(dataset: Dataset, params: dict, note):
-    """Train once per seed; best run is highest accuracy, ties to lowest seed.
+_RUN_OUTPUTS = [
+    "dataset.csv", "network.json", "history.csv", "clusters.json",
+    "importance.csv", "verify.json", "summary.json", "manifest.json",
+]
 
-    ``note(net, history)`` gives the tail of each seed's stdout line.
+
+def _run_experiment(command: str, params: dict, out: Path, train_set: Dataset,
+                    target: Dataset, hashes: dict, note, fields) -> int:
+    """The pipeline of simulate and titanic: train, partition, explain, verify, write.
+
+    Trains ``train_set`` once per seed and keeps the best run: highest
+    accuracy, ties to the lowest seed. Clusters ``target`` by the best
+    network's activation patterns. ``note(net, history)`` gives the tail of
+    each seed's stdout line, ``fields(net, clusters)`` the command's own
+    ``summary.json`` fields. The cluster lines are printed once every
+    artifact is written, so a closed stdout leaves a whole run.
     """
     config = TrainConfig(
         hidden_widths=tuple(params["hidden"]), learning_rate=params["lr"],
@@ -152,34 +164,39 @@ def _sweep(dataset: Dataset, params: dict, note):
     )
     runs = []
     for seed in params["seeds"]:
-        net, history = train(dataset, replace(config, seed=seed))
-        runs.append((seed, net, history, history.accuracies[-1]))
-        print(f"seed {seed}: train_accuracy={runs[-1][3]:.4f}{note(net, history)}")
-    best = max(runs, key=lambda r: (r[3], -r[0]))
-    print(f"best seed {best[0]}: train_accuracy={best[3]:.4f}")
-    return runs, best
+        net, history = train(train_set, replace(config, seed=seed))
+        runs.append((seed, net, history))
+        print(f"seed {seed}: train_accuracy={history.accuracies[-1]:.4f}{note(net, history)}")
+    best_seed, net, history = max(runs, key=lambda run: (run[2].accuracies[-1], -run[0]))
+    print(f"best seed {best_seed}: train_accuracy={history.accuracies[-1]:.4f}")
 
-
-def _emit_run_artifacts(out: Path, dataset: Dataset, net, history, params: dict):
-    """The shared tail of simulate/titanic: partition, explain, verify, write."""
-    clusters = partition(net, dataset)
+    clusters = partition(net, target)
     reports = [
-        feature_importance(c, dataset.feature_names, params["normalization"], cluster_id=i)
+        feature_importance(c, target.feature_names, params["normalization"], cluster_id=i)
         for i, c in enumerate(clusters)
     ]
-    report = verify_affine(net, dataset.features, tol=params["tol"])
+    report = verify_affine(net, target.features, tol=params["tol"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / "dataset.csv").write_text(dataset_to_csv(dataset))
+    (out / "dataset.csv").write_text(dataset_to_csv(target))
     save_network(net, out / "network.json")
     (out / "history.csv").write_text(history_to_csv(history))
     _write_json(out / "clusters.json", clusters_to_json(clusters))
     (out / "importance.csv").write_text(render_report(clusters, reports, "csv"))
     _write_json(out / "verify.json", {"affine": report.to_dict()}, sort_keys=True)
-    return clusters, report
-
-
-def _print_clusters(clusters, report) -> None:
-    """The stdout tail of simulate/titanic, printed once every artifact is written."""
+    summary = {
+        "command": command,
+        "per_seed": [
+            {"seed": s, "train_accuracy": h.accuracies[-1], "final_loss": h.losses[-1]}
+            for s, _, h in runs
+        ],
+        "best_seed": best_seed,
+        "train_accuracy": history.accuracies[-1],
+        "n_clusters": len(clusters),
+        "verify_pass": report.passed,
+        **fields(net, clusters),
+    }
+    _write_json(out / "summary.json", summary, sort_keys=True)
+    _write_manifest(out, command, params, hashes, _RUN_OUTPUTS)
     for i, c in enumerate(clusters):
         constant = " constant" if not c.affine.omega.any() else ""
         print(
@@ -188,52 +205,21 @@ def _print_clusters(clusters, report) -> None:
             f"target_rate={c.stats.target_positive_rate:.3f}{constant}"
         )
     print(f"verify: max_abs_err={report.max_abs_err:.3e} pass={report.passed}")
-
-
-_RUN_OUTPUTS = [
-    "dataset.csv",
-    "network.json",
-    "history.csv",
-    "clusters.json",
-    "importance.csv",
-    "verify.json",
-    "summary.json",
-    "manifest.json",
-]
-
-
-def _run_summary(command: str, runs, best, clusters, report) -> dict:
-    """The summary.json fields that simulate and titanic share."""
-    best_seed, _, _, best_acc = best
-    return {
-        "command": command,
-        "per_seed": [
-            {"seed": s, "train_accuracy": a, "final_loss": h.losses[-1]}
-            for s, _, h, a in runs
-        ],
-        "best_seed": best_seed,
-        "train_accuracy": best_acc,
-        "n_clusters": len(clusters),
-        "verify_pass": report.passed,
-    }
+    return EXIT_OK if report.passed else EXIT_VERIFY
 
 
 def run_simulate(params: dict, out: Path, recorded: dict | None = None) -> int:
     dataset = gen_boolean(params["n"], params["data_seed"])
     hashes = {"dataset": _dataset_hash(dataset)}
     _check_inputs(recorded, hashes)
-    runs, best = _sweep(
-        dataset, params, lambda net, history: f" final_loss={history.losses[-1]:.4f}"
+    return _run_experiment(
+        "simulate", params, out, dataset, dataset, hashes,
+        note=lambda net, history: f" final_loss={history.losses[-1]:.4f}",
+        fields=lambda net, clusters: {
+            "cluster_fractions": [c.stats.fraction for c in clusters],
+            "has_all_inactive": any("1" not in c.pattern.bitstring for c in clusters),
+        },
     )
-    _, net, history, _ = best
-    clusters, report = _emit_run_artifacts(out, dataset, net, history, params)
-    summary = _run_summary("simulate", runs, best, clusters, report)
-    summary["cluster_fractions"] = [c.stats.fraction for c in clusters]
-    summary["has_all_inactive"] = any("1" not in c.pattern.bitstring for c in clusters)
-    _write_json(out / "summary.json", summary, sort_keys=True)
-    _write_manifest(out, "simulate", params, hashes, _RUN_OUTPUTS)
-    _print_clusters(clusters, report)
-    return EXIT_OK if report.passed else EXIT_VERIFY
 
 
 def run_titanic(params: dict, out: Path, recorded: dict | None = None) -> int:
@@ -252,29 +238,26 @@ def run_titanic(params: dict, out: Path, recorded: dict | None = None) -> int:
     def note(net, history):
         return "" if test_set is None else f" test_accuracy={accuracy(net, test_set):.4f}"
 
-    runs, best = _sweep(train_set, params, note)
-    _, net, history, _ = best
-    clusters, report = _emit_run_artifacts(out, target, net, history, params)
-    summary = _run_summary("titanic", runs, best, clusters, report)
-    summary["n_rows"] = full.n_rows
-    summary["survival_rate"] = float(full.targets.mean())
-    summary["test_accuracy"] = None if test_set is None else accuracy(net, test_set)
-    summary["clusters"] = [
-        {
-            "pattern": c.pattern.bitstring,
-            "fraction": c.stats.fraction,
-            "predicted_positive_rate": c.stats.predicted_positive_rate,
-            "target_positive_rate": c.stats.target_positive_rate,
-            "predicted_purity": max(
-                c.stats.predicted_positive_rate, 1.0 - c.stats.predicted_positive_rate
-            ),
+    def fields(net, clusters):
+        return {
+            "n_rows": full.n_rows,
+            "survival_rate": float(full.targets.mean()),
+            "test_accuracy": None if test_set is None else accuracy(net, test_set),
+            "clusters": [
+                {
+                    "pattern": c.pattern.bitstring,
+                    "fraction": c.stats.fraction,
+                    "predicted_positive_rate": c.stats.predicted_positive_rate,
+                    "target_positive_rate": c.stats.target_positive_rate,
+                    "predicted_purity": max(
+                        c.stats.predicted_positive_rate, 1.0 - c.stats.predicted_positive_rate
+                    ),
+                }
+                for c in clusters
+            ],
         }
-        for c in clusters
-    ]
-    _write_json(out / "summary.json", summary, sort_keys=True)
-    _write_manifest(out, "titanic", params, hashes, _RUN_OUTPUTS)
-    _print_clusters(clusters, report)
-    return EXIT_OK if report.passed else EXIT_VERIFY
+
+    return _run_experiment("titanic", params, out, train_set, target, hashes, note, fields)
 
 
 class _StoredMap(NamedTuple):
