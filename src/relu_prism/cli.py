@@ -432,8 +432,9 @@ _SEED = ("a non-negative integer", _is_seed)
 _NUMBER = ("a finite number", _is_number)
 _POSITIVE = ("a positive finite number", lambda v: _is_number(v) and v > 0)
 _FRACTION = ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1)
-_STR = ("a string", lambda v: type(v) is str)
-_STR_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)
+# An input file's path; ``_params`` records it absolute.
+_PATH = ("a string", lambda v: type(v) is str)
+_PATH_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)
 _INTS = _list_of("integers", _is_int)
 _SEEDS = _list_of("non-negative integers", _is_seed)
 
@@ -452,17 +453,17 @@ _TRAIN_KEYS = {
 _PARAM_KEYS = {
     "simulate": {"n": _INT, "data_seed": _SEED, **_TRAIN_KEYS},
     "titanic": {
-        "csv": _STR,
+        "csv": _PATH,
         "test_fraction": _FRACTION,
         "split_seed": _SEED,
         "cluster_on": _one_of(_CLUSTER_ON),
         **_TRAIN_KEYS,
     },
     "verify": {
-        "net": _STR,
-        "data": _STR,
+        "net": _PATH,
+        "data": _PATH,
         "tol": _POSITIVE,
-        "clusters": _STR_OR_NULL,
+        "clusters": _PATH_OR_NULL,
         "jacobian_samples": _SEED,
         "jacobian_step": _POSITIVE,
         "jacobian_tol": _NUMBER,
@@ -570,11 +571,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _params(args) -> dict:
     """The command's normalized arguments, as its manifest records them.
 
-    Each key of ``_PARAM_KEYS[args.command]`` is read from ``args``; only
-    ``seeds`` and ``hidden``, or ``clusters`` and ``seed`` for verify, are
-    normalized. The values are checked by ``_check_params``, as a manifest's are.
+    Each key of ``_PARAM_KEYS[args.command]`` is read from ``args``. Input
+    paths are made absolute, so that a rerun from another directory reads the
+    same files; only ``seeds`` and ``hidden``, or ``clusters`` and ``seed`` for
+    verify, are normalized otherwise. The values are checked by
+    ``_check_params``, as a manifest's are.
     """
-    params = {key: getattr(args, key) for key in _PARAM_KEYS[args.command]}
+    keys = _PARAM_KEYS[args.command]
+    params = {key: getattr(args, key) for key in keys}
+    for key, kind in keys.items():
+        if kind in (_PATH, _PATH_OR_NULL) and params[key] is not None:
+            params[key] = str(Path(params[key]).absolute())
     if args.command != "verify":
         if args.seeds:
             params["seeds"] = parse_seeds(args.seeds)
@@ -585,16 +592,24 @@ def _params(args) -> dict:
     if args.no_clusters:
         params["clusters"] = None
     elif args.clusters is None:
-        sibling = Path(args.net).parent / "clusters.json"
+        sibling = Path(params["net"]).parent / "clusters.json"
         params["clusters"] = str(sibling) if sibling.exists() else None
     if args.seed is None:
         params["seed"] = _default_seed()
     return params
 
 
+def _check_out(out: Path) -> None:
+    """Refuse an ``--out`` that cannot become a directory, before any work."""
+    existing = next(path for path in (out, *out.absolute().parents) if path.exists())
+    if not existing.is_dir():
+        raise InputError(f"--out {out}: {existing} is not a directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(Path(args.out))
         if args.command == "rerun":
             command, params, recorded = _read_manifest(Path(args.manifest))
         else:
@@ -611,7 +626,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

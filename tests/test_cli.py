@@ -409,6 +409,29 @@ class TestRerun:
                               out, capsys)
         assert repr(name) in err, err
 
+    def test_rerun_from_another_directory_reads_the_same_inputs(
+        self, synthetic_titanic_csv, tmp_path, monkeypatch
+    ):
+        """Input paths given relative are recorded absolute, so a rerun does not
+        depend on the directory it is started in."""
+        here, elsewhere = tmp_path / "here", tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        assert main(simulate_args(here / "sim")) == 0
+        (here / "titanic.csv").write_bytes(synthetic_titanic_csv.read_bytes())
+        monkeypatch.chdir(here)
+        assert main(["verify", "--net", "sim/network.json", "--data", "sim/dataset.csv",
+                     "--out", "verified"]) == 0
+        assert main(["titanic", "--csv", "titanic.csv", "--epochs", "1", "--out", "titanic"]) == 0
+        args = json.loads(Path("verified/manifest.json").read_text())["args"]
+        for key, name in (("net", "network.json"), ("data", "dataset.csv"),
+                          ("clusters", "clusters.json")):
+            assert args[key] == str(Path("sim", name).absolute()), key
+        monkeypatch.chdir(elsewhere)
+        for run, files in (("verified", ["verify.json", "manifest.json"]), ("titanic", RUN_FILES)):
+            assert main(["rerun", str(here / run / "manifest.json"), "--out", run]) == 0, run
+            for name in files:
+                assert (here / run / name).read_bytes() == (elsewhere / run / name).read_bytes()
+
     def test_edited_titanic_csv_exits_two(self, synthetic_titanic_csv, tmp_path, capsys):
         csv_path = tmp_path / "train.csv"
         csv_path.write_bytes(synthetic_titanic_csv.read_bytes())
@@ -716,6 +739,47 @@ def test_undecodable_input_exits_two(name, synthetic_titanic_csv, tmp_path, caps
     capsys.readouterr()
     err = assert_rejected([*argv, "--out", str(out)], out, capsys)
     assert str(path) in err, err
+
+
+@pytest.mark.parametrize("name", ["net", "data", "clusters", "csv", "manifest"])
+def test_input_that_is_a_directory_exits_two(name, tmp_path, capsys):
+    """An OS error reading an input is bad input: exit 2 naming it, no traceback."""
+    run = tmp_path / "run"
+    assert main(simulate_args(run)) == 0
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    paths = {"net": run / "network.json", "data": run / "dataset.csv",
+             "clusters": run / "clusters.json"}
+    paths[name] = folder
+    argv = {
+        "csv": ["titanic", "--csv", str(folder), "--epochs", "1"],
+        "manifest": ["rerun", str(folder)],
+    }.get(name, ["verify", "--net", str(paths["net"]), "--data", str(paths["data"]),
+                 "--clusters", str(paths["clusters"])])
+    out = tmp_path / "again"
+    capsys.readouterr()
+    err = assert_rejected([*argv, "--out", str(out)], out, capsys)
+    assert "Is a directory" in err and str(folder) in err, err
+
+
+def test_out_under_a_file_is_refused_before_any_work(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / "run"
+    err = assert_rejected(simulate_args(out), out, capsys)
+    assert f"{taken} is not a directory" in err, err
+    assert taken.read_text() == "keep\n"
+
+
+def test_out_that_is_a_file_is_refused_before_any_work(tmp_path, capsys):
+    """The checks of assert_rejected, but the file named by --out stays as it was."""
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    assert main(simulate_args(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "", captured.out  # no seed line: nothing was trained
+    assert captured.err == f"error: --out {out}: {out} is not a directory\n", captured.err
+    assert out.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])
