@@ -172,6 +172,24 @@ class TestSimulate:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    def test_divergence_reports_the_first_diverging_seed_in_sweep_order(
+        self, tmp_path, capsys
+    ):
+        # Seed 3 survives lr 1e150 with a huge but finite loss; seed 1 diverges
+        # in epoch 1. Seed 3 comes first in the sweep, so its line is printed
+        # and the sweep stops at seed 1, whatever seed 4 does.
+        out = tmp_path / "run"
+        code = main(
+            ["simulate", "--n", "500", "--data-seed", "1", "--lr", "1e150", "--epochs", "2",
+             "--seeds", "3,1,4", "--out", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        lines = captured.out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("seed 3: train_accuracy="), captured.out
+        assert captured.err == "error: training diverged with non-finite loss at epoch 1\n"
+        assert not out.exists()
+
 
 class TestRerun:
     def test_simulate_rerun_is_byte_identical(self, tmp_path):
