@@ -45,6 +45,7 @@ from .train import (
     history_to_csv,
     init_network,
     train,
+    train_seeds,
 )
 
 __version__ = "0.1.0"
@@ -94,5 +95,6 @@ __all__ = [
     "sigmoid",
     "split",
     "train",
+    "train_seeds",
     "verify_affine",
 ]

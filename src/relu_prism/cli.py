@@ -23,7 +23,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -43,7 +42,7 @@ from .errors import InputError, SchemaError, TrainingDivergedError
 from .explain import NORMALIZATIONS, feature_importance, render_report
 from .network import bitstrings_to_masks, load_network, save_network
 from .partition import clusters_to_json, partition
-from .train import TrainConfig, accuracy, history_to_csv, train
+from .train import TrainConfig, accuracy, history_to_csv, train_seeds
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -151,8 +150,8 @@ def _run_experiment(command: str, params: dict, out: Path, train_set: Dataset,
                     target: Dataset, hashes: dict, note, fields) -> int:
     """The pipeline of simulate and titanic: train, partition, explain, verify, write.
 
-    Trains ``train_set`` once per seed and keeps the best run: highest
-    accuracy, ties to the lowest seed. Clusters ``target`` by the best
+    Trains ``train_set`` for every seed at once and keeps the best run:
+    highest accuracy, ties to the lowest seed. Clusters ``target`` by the best
     network's activation patterns. ``note(net, history)`` gives the tail of
     each seed's stdout line, ``fields(net, clusters)`` the command's own
     ``summary.json`` fields. The cluster lines are printed once every
@@ -162,9 +161,8 @@ def _run_experiment(command: str, params: dict, out: Path, train_set: Dataset,
         hidden_widths=tuple(params["hidden"]), learning_rate=params["lr"],
         epochs=params["epochs"], batch_size=params["batch_size"], activity_reg_coeff=params["reg"],
     )
-    runs = []
-    for seed in params["seeds"]:
-        net, history = train(train_set, replace(config, seed=seed))
+    runs, seeds = [], params["seeds"]
+    for seed, (net, history) in zip(seeds, train_seeds(train_set, config, seeds)):
         runs.append((seed, net, history))
         print(f"seed {seed}: train_accuracy={history.accuracies[-1]:.4f}{note(net, history)}")
     best_seed, net, history = max(runs, key=lambda run: (run[2].accuracies[-1], -run[0]))

@@ -225,7 +225,7 @@ def _preactivations(layers, X: np.ndarray):
     for W, b in layers:
         if a is not X:
             np.maximum(a, 0.0, out=a)
-        z = a @ W.T
+        z = a @ W.mT
         z += b
         yield z
         a = z

@@ -26,6 +26,7 @@ __all__ = [
     "TrainHistory",
     "init_network",
     "train",
+    "train_seeds",
     "accuracy",
     "batch_loss",
     "batch_gradients",
@@ -164,16 +165,23 @@ def _reg_terms(config: TrainConfig, Ws) -> tuple[tuple[int, int], ...]:
         return ()
     n_hidden = len(Ws) - 1
     return tuple(
-        (i, Ws[i].shape[0] if config.reg_reduction == "mean" else 1)
+        (i, Ws[i].shape[-2] if config.reg_reduction == "mean" else 1)
         for i in config.regularized_layers(n_hidden)
     )
 
 
-def _loss_and_grads(Ws, bs, X, t, config: TrainConfig, reg, grads=None) -> float:
+def _loss_and_grads(Ws, bs, X, t, config: TrainConfig, reg, grads=None):
     """Mean BCE + activity penalty over one batch; optional backprop.
 
-    ``reg`` comes from `_reg_terms`. When ``grads`` is a pair of per-layer
-    lists (dWs, dbs), the gradients are written into those arrays.
+    One network's arrays are weights (out, in), biases (out,), rows X (B, d)
+    and targets t (B,), and its loss is a scalar. A stack of S networks puts
+    a leading seed axis on each, with biases (S, 1, out) to broadcast over
+    the rows, and gets S losses: every sum runs along its own seed's batch,
+    so each seed gets the bits of a lone run. ``reg`` comes from
+    `_reg_terms`. When ``grads`` is a pair of per-layer lists (dWs, dbs), the
+    gradients are written into those arrays: dW shaped like W, db (…, out).
+    Sums are ``np.add.reduce`` calls, which skip the Python wrapper of
+    ``ndarray.sum``.
 
     The regularizer's subgradient at an exactly-zero activation is 0, which
     matches the strict-activity rule: a unit sitting on its kink contributes
@@ -183,26 +191,27 @@ def _loss_and_grads(Ws, bs, X, t, config: TrainConfig, reg, grads=None) -> float
     parameters blow up the loss goes non-finite, and the caller turns that
     into a typed divergence error instead of warning noise.
     """
-    B = X.shape[0]
+    B = t.shape[-1]
+    flat = (*t.shape[:-1], -1)
     # acts[i + 1] is hidden layer i's activations: the loop rectified it in place.
     acts = [X, *_preactivations(zip(Ws, bs), X)]
-    logit = acts.pop()[:, 0]
+    logit = acts.pop()[..., 0]
     e = np.exp(-np.abs(logit))
-    loss = float((np.maximum(logit, 0.0) - logit * t + np.log1p(e)).sum() / B)
+    loss = np.add.reduce(np.maximum(logit, 0.0) - logit * t + np.log1p(e), axis=-1) / B
 
     scales = {}
     for i, divisor in reg:
         scales[i] = config.activity_reg_coeff / (B * divisor)
         pen = acts[i + 1] if config.reg_norm == "l1" else acts[i + 1] ** 2
-        loss += scales[i] * float(pen.sum())
+        loss += scales[i] * np.add.reduce(pen.reshape(flat), axis=-1)
     if grads is None:
         return loss
 
     dWs, dbs = grads
     # sigmoid(logit), from the loss's exp(-|logit|)
-    g = ((np.where(logit >= 0.0, 1.0, e) / (1.0 + e) - t) / B)[:, None]
-    np.matmul(g.T, acts[-1], out=dWs[-1])
-    g.sum(axis=0, out=dbs[-1])
+    g = ((np.where(logit >= 0.0, 1.0, e) / (1.0 + e) - t) / B)[..., None]
+    np.matmul(g.mT, acts[-1], out=dWs[-1])
+    np.add.reduce(g, axis=-2, out=dbs[-1])
     ga = g @ Ws[-1]
     for i in reversed(range(len(Ws) - 1)):
         a = acts[i + 1]
@@ -210,8 +219,8 @@ def _loss_and_grads(Ws, bs, X, t, config: TrainConfig, reg, grads=None) -> float
             # post-activations are >= 0, so sign(a) is the l1 subgradient with 0 at 0
             ga += scales[i] * (np.sign(a) if config.reg_norm == "l1" else 2.0 * a)
         gz = ga * (a > 0.0)
-        np.matmul(gz.T, acts[i], out=dWs[i])
-        gz.sum(axis=0, out=dbs[i])
+        np.matmul(gz.mT, acts[i], out=dWs[i])
+        np.add.reduce(gz, axis=-2, out=dbs[i])
         if i:
             ga = gz @ Ws[i]
     return loss
@@ -229,9 +238,9 @@ def _batch_loss_and_grads(net: Network, features, targets, config: TrainConfig, 
     Ws = [l.weight for l in net.layers]
     bs = [l.bias for l in net.layers]
     with np.errstate(over="ignore", invalid="ignore"):
-        return _loss_and_grads(
+        return float(_loss_and_grads(
             Ws, bs, X, t.astype(np.float64), config, _reg_terms(config, Ws), grads
-        )
+        ))
 
 
 def batch_loss(net: Network, features, targets, config: TrainConfig) -> float:
@@ -255,83 +264,146 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     """Consecutive views of ``flat``, one per shape."""
     views, start = [], 0
     for shape in shapes:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         views.append(flat[start : start + size].reshape(shape))
         start += size
     return views
 
 
-def train(dataset: Dataset, config: TrainConfig) -> tuple[Network, TrainHistory]:
-    """Mini-batch Adam over seeded epoch shuffles; the last short batch counts.
+# Rows of each seed gathered by one np.take: the largest whole number of
+# batches in this many rows, and at least one batch.
+_GATHER_ROWS = 4096
 
-    Raises TrainingDivergedError naming the 1-based epoch if a batch loss
-    goes non-finite. Identical dataset and config give bit-identical weights.
+
+def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
+    """Train one network per seed, every seed in each numpy call.
+
+    Returns each layer's weights (S, out, in) and biases (S, out), the
+    per-epoch losses and accuracies (epochs, S), and, by position in
+    ``seeds``, the first epoch in which each diverged seed's batch loss went
+    non-finite. A diverged seed trains on with non-finite weights, which
+    touch no other seed; training stops early only once the first seed has
+    diverged.
     """
-    rng = np.random.default_rng(config.seed)
-    Ws, bs = _glorot(dataset.n_features, config.hidden_widths, rng)
-    n_layers = len(Ws)
-    X_all, t_all = dataset.features, dataset.targets.astype(np.float64)
-    n = dataset.n_rows
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    S, n, d = len(rngs), dataset.n_rows, dataset.n_features
+    per_seed = [Ws + bs for Ws, bs in (_glorot(d, config.hidden_widths, rng) for rng in rngs)]
+    n_layers = len(config.hidden_widths) + 1
+    # A lone seed runs on plain 2-D arrays: each stacked numpy call costs
+    # about 1 µs more, which over a step's 40 calls would make a one-seed
+    # step about a quarter slower.
+    lead = (S,) if S > 1 else ()
 
     # Every W and b is a view into one flat buffer, and every gradient a view
-    # into a matching one, so Adam updates all parameters in whole-buffer calls.
-    shapes = [p.shape for p in Ws + bs]
-    params = np.concatenate([p.ravel() for p in Ws + bs])
+    # into a matching one, so Adam updates all parameters of every seed in
+    # whole-buffer calls.
+    params = np.concatenate([np.stack(p).ravel() for p in zip(*per_seed)])
+    shapes = [(*lead, *p.shape) for p in per_seed[0]]
     grad = np.zeros_like(params)
     views, grad_views = _views(params, shapes), _views(grad, shapes)
-    Ws, bs = views[:n_layers], views[n_layers:]
+    Ws = views[:n_layers]
+    bs = [b[..., None, :] for b in views[n_layers:]]  # a row axis, to broadcast
     grads = (grad_views[:n_layers], grad_views[n_layers:])
+    # The same parameters, indexed by seed.
+    seed_Ws = [W.reshape(S, *W.shape[-2:]) for W in Ws]
+    seed_bs = [b.reshape(S, b.shape[-1]) for b in views[n_layers:]]
     m = np.zeros_like(params)
     v = np.zeros_like(params)
     upd = np.empty_like(params)
     denom = np.empty_like(params)
-    X_perm = np.empty_like(X_all)
-    t_perm = np.empty_like(t_all)
-    reg = _reg_terms(config, Ws)
+
+    X_all, t_all = dataset.features, dataset.targets.astype(np.float64)
     lr, batch = config.learning_rate, config.batch_size
+    rows = min(n, batch * max(1, _GATHER_ROWS // batch))
+    perms = np.empty((S, n), dtype=np.intp)
+    X_block = np.empty((*lead, rows, d))
+    t_block = np.empty((*lead, rows))
+    reg = _reg_terms(config, Ws)
     beta1, beta2, eps = config.adam.beta1, config.adam.beta2, config.adam.epsilon
     step = 0
-    losses, accuracies = [], []
-    # errstate: exploded-but-not-yet-detected weights may overflow; the next
-    # batch loss check raises the typed error.
+    losses = np.empty((config.epochs, S))
+    accuracies = np.empty((config.epochs, S))
+    diverged: dict[int, int] = {}
+    # errstate: a diverged seed's weights overflow on every later step.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
-            perm = rng.permutation(n)
-            np.take(X_all, perm, axis=0, out=X_perm)
-            np.take(t_all, perm, out=t_perm)
+            for s, rng in enumerate(rngs):
+                perms[s] = rng.permutation(n)
             epoch_loss = 0.0
-            for start in range(0, n, batch):
-                X = X_perm[start : start + batch]
-                loss = _loss_and_grads(
-                    Ws, bs, X, t_perm[start : start + batch], config, reg, grads
-                )
-                if not math.isfinite(loss):
-                    raise TrainingDivergedError(epoch)
-                epoch_loss += loss * X.shape[0]
-                step += 1
-                corr1 = 1.0 - beta1**step
-                corr2 = 1.0 - beta2**step
-                # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps), in place
-                m *= beta1
-                np.multiply(grad, 1.0 - beta1, out=upd)
-                m += upd
-                v *= beta2
-                np.square(grad, out=upd)
-                upd *= 1.0 - beta2
-                v += upd
-                np.divide(m, corr1, out=upd)
-                upd *= lr
-                np.divide(v, corr2, out=denom)
-                np.sqrt(denom, out=denom)
-                denom += eps
-                upd /= denom
-                params -= upd
-            losses.append(epoch_loss / n)
-            for logits in _preactivations(zip(Ws, bs), X_all):
-                pass  # to the last matrix, holding two layers' matrices at a time
-            accuracies.append(float(((logits[:, 0] > 0.0) == t_all).mean()))
-    net = Network(tuple(Layer(w, b) for w, b in zip(Ws, bs)))
-    return net, TrainHistory(losses=tuple(losses), accuracies=tuple(accuracies))
+            for block in range(0, n, rows):
+                index = perms[:, block : block + rows].reshape(*lead, -1)
+                count = index.shape[-1]
+                X_rows, t_rows = X_block[..., :count, :], t_block[..., :count]
+                np.take(X_all, index, axis=0, out=X_rows)
+                np.take(t_all, index, out=t_rows)
+                for start in range(0, count, batch):
+                    X = X_rows[..., start : start + batch, :]
+                    loss = _loss_and_grads(
+                        Ws, bs, X, t_rows[..., start : start + batch], config, reg, grads
+                    )
+                    # A lone seed's loss is a scalar; the largest of several
+                    # losses is non-finite exactly when one of them is.
+                    if not math.isfinite(loss if S == 1 else loss.max()):
+                        for s in np.flatnonzero(~np.isfinite(loss)).tolist():
+                            diverged.setdefault(s, epoch)
+                        if 0 in diverged:
+                            return seed_Ws, seed_bs, losses, accuracies, diverged
+                    epoch_loss = epoch_loss + loss * X.shape[-2]
+                    step += 1
+                    corr1 = 1.0 - beta1**step
+                    corr2 = 1.0 - beta2**step
+                    # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps), in place
+                    m *= beta1
+                    np.multiply(grad, 1.0 - beta1, out=upd)
+                    m += upd
+                    v *= beta2
+                    np.square(grad, out=upd)
+                    upd *= 1.0 - beta2
+                    v += upd
+                    np.divide(m, corr1, out=upd)
+                    upd *= lr
+                    np.divide(v, corr2, out=denom)
+                    np.sqrt(denom, out=denom)
+                    denom += eps
+                    upd /= denom
+                    params -= upd
+            losses[epoch - 1] = epoch_loss / n
+            for s in range(S):
+                layers = ((W[s], b[s]) for W, b in zip(seed_Ws, seed_bs))
+                for logits in _preactivations(layers, X_all):
+                    pass  # to the last matrix, holding two layers' matrices at a time
+                accuracies[epoch - 1, s] = ((logits[:, 0] > 0.0) == t_all).mean()
+    return seed_Ws, seed_bs, losses, accuracies, diverged
+
+
+def train_seeds(dataset: Dataset, config: TrainConfig, seeds):
+    """Train one network per seed in lockstep; yield (net, history) in ``seeds`` order.
+
+    ``config.seed`` is ignored: seed s runs as `train` with ``seed=s`` would,
+    on its own ``default_rng(s)`` stream for Glorot and the epoch shuffles,
+    and gets bit-identical weights and history. Every seed trains on the
+    first ``next``. Iteration stops with TrainingDivergedError at the first
+    seed, in ``seeds`` order, whose batch loss went non-finite, naming that
+    seed's 1-based epoch; the seeds before it are yielded first.
+    """
+    Ws, bs, losses, accuracies, diverged = _train_lockstep(dataset, config, seeds)
+    for s in range(len(seeds)):
+        if s in diverged:
+            raise TrainingDivergedError(diverged[s])
+        net = Network(tuple(Layer(W[s], b[s]) for W, b in zip(Ws, bs)))
+        yield net, TrainHistory(
+            losses=tuple(losses[:, s].tolist()), accuracies=tuple(accuracies[:, s].tolist())
+        )
+
+
+def train(dataset: Dataset, config: TrainConfig) -> tuple[Network, TrainHistory]:
+    """Mini-batch Adam over seeded epoch shuffles; the last short batch counts.
+
+    The one-seed case of `train_seeds`. Raises TrainingDivergedError naming
+    the 1-based epoch if a batch loss goes non-finite. Identical dataset and
+    config give bit-identical weights.
+    """
+    return next(train_seeds(dataset, config, (config.seed,)))
 
 
 def accuracy(net: Network, dataset: Dataset) -> float:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from relu_prism import (
     history_to_csv,
     init_network,
     train,
+    train_seeds,
 )
 from conftest import make_random_network, network_text
 
@@ -351,6 +353,21 @@ class TestPinnedWeights:
         net, history = train(ds, config)
         text = network_text(net) + history_to_csv(history)
         assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256[name]
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_lockstep_sweep_matches_lone_runs(self, name):
+        """The pinned run leads a 3-seed lockstep sweep; every member is its lone run."""
+        kind, config = self.CASES[name]
+        ds = gen_boolean(530, seed=3) if kind == "boolean" else _gaussian_dataset()
+        seeds = (config.seed, config.seed + 7, config.seed + 9)
+        texts = [
+            network_text(net) + history_to_csv(history)
+            for net, history in train_seeds(ds, config, seeds)
+        ]
+        assert hashlib.sha256(texts[0].encode()).hexdigest() == self.SHA256[name]
+        for seed, text in zip(seeds[1:], texts[1:]):
+            net, history = train(ds, replace(config, seed=seed))
+            assert text == network_text(net) + history_to_csv(history), seed
 
 
 class TestAccuracy:
