@@ -300,7 +300,10 @@ def dataset_to_csv(dataset: Dataset) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(dataset.feature_names) + ["target"])
     # tolist() gives the Python floats and ints the csv module writes; a block
-    # at a time, so the Python copy of the rows stays small.
+    # at a time, so the Python copy of the rows stays small. Each block's text
+    # becomes one string and the buffer is emptied, so the one large string
+    # is the join.
+    blocks = []
     for start in range(0, dataset.n_rows, _CSV_BLOCK_ROWS):
         stop = start + _CSV_BLOCK_ROWS
         writer.writerows(
@@ -309,7 +312,10 @@ def dataset_to_csv(dataset: Dataset) -> str:
                 dataset.features[start:stop].tolist(), dataset.targets[start:stop].tolist()
             )
         )
-    return buf.getvalue()
+        blocks.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+    return "".join(blocks)
 
 
 def read_dataset_csv(path) -> Dataset:
