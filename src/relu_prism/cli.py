@@ -60,13 +60,17 @@ DEFAULT_DATA_SEED = 5
 
 
 def _default_seed() -> int:
+    """$RELU_PRISM_SEED, or 0 if it is unset; a bad value is refused under its own name."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return 0
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
-        raise InputError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+        seed = None
+    if not _is_seed(seed):
+        raise InputError(f"{SEED_ENV_VAR} must be {_SEED[0]}, got {raw!r}")
+    return seed
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -573,7 +577,9 @@ def _params(args) -> dict:
     paths are made absolute, so that a rerun from another directory reads the
     same files; only ``seeds`` and ``hidden``, or ``clusters`` and ``seed`` for
     verify, are normalized otherwise. The values are checked by
-    ``_check_params``, as a manifest's are.
+    ``_check_params``, as a manifest's are, but for a single seed from
+    ``--seed`` or $RELU_PRISM_SEED: it is checked as it is read, so that a
+    refusal names where it came from.
     """
     keys = _PARAM_KEYS[args.command]
     params = {key: getattr(args, key) for key in keys}
@@ -581,10 +587,16 @@ def _params(args) -> dict:
         if kind in (_PATH, _PATH_OR_NULL) and params[key] is not None:
             params[key] = str(Path(params[key]).absolute())
     if args.command != "verify":
+        # --seed and $RELU_PRISM_SEED fold into the seeds key, so a bad value
+        # is refused here, under the name the user gave it.
         if args.seeds:
             params["seeds"] = parse_seeds(args.seeds)
+        elif args.seed is None:
+            params["seeds"] = [_default_seed()]
+        elif _is_seed(args.seed):
+            params["seeds"] = [args.seed]
         else:
-            params["seeds"] = [args.seed if args.seed is not None else _default_seed()]
+            raise InputError(f"--seed must be {_SEED[0]}, got {args.seed!r}")
         params["hidden"] = parse_hidden(args.hidden)
         return params
     if args.no_clusters:

@@ -172,6 +172,22 @@ class TestSimulate:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    def test_negative_seed_flag_is_refused_by_its_name(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        err = assert_rejected(
+            ["simulate", "--n", "200", "--epochs", "1", "--seed", "-3", "--out", str(out)],
+            out, capsys,
+        )
+        assert err == "error: --seed must be a non-negative integer, got -3\n"
+
+    def test_negative_seed_env_var_is_refused_by_its_name(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RELU_PRISM_SEED", "-2")
+        out = tmp_path / "run"
+        err = assert_rejected(
+            ["simulate", "--n", "200", "--epochs", "1", "--out", str(out)], out, capsys
+        )
+        assert err == "error: RELU_PRISM_SEED must be a non-negative integer, got '-2'\n"
+
     def test_divergence_reports_the_first_diverging_seed_in_sweep_order(
         self, tmp_path, capsys
     ):
@@ -313,7 +329,11 @@ class TestRerun:
         self, manifests, synthetic_titanic_csv, tmp_path, capsys, monkeypatch,
         command, args, flags, env,
     ):
-        """One check, one message, whether the value comes from a flag or a manifest."""
+        """One check, one message, whether the value comes from a flag or a manifest.
+
+        A lone seed from --seed or $RELU_PRISM_SEED folds into the seeds key,
+        so on the command line its message names the flag or the variable.
+        """
         (manifest,) = [m for m in manifests if m["command"] == command]
         if command == "simulate":
             base = ["simulate", "--n", "400", "--epochs", "3"]
@@ -329,9 +349,14 @@ class TestRerun:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({**manifest, "args": {**manifest["args"], **args}}))
         from_manifest = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
-        assert from_flags == from_manifest
         key = [*args][-1]
-        assert f"--{key.replace('_', '-')} ({key!r}) must be " in from_flags, from_flags
+        assert f"--{key.replace('_', '-')} ({key!r}) must be " in from_manifest, from_manifest
+        if env is not None:
+            assert from_flags == f"error: RELU_PRISM_SEED must be {cli._SEED[0]}, got {env!r}\n"
+        elif command != "verify" and flags[-1].startswith("--seed="):
+            assert from_flags == f"error: --seed must be {cli._SEED[0]}, got {args['seeds'][0]}\n"
+        else:
+            assert from_flags == from_manifest
 
     def test_bad_tol_in_manifest_is_refused_before_training(self, manifests, tmp_path, capsys):
         out = tmp_path / "again"
