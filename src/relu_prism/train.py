@@ -192,7 +192,6 @@ def _loss_and_grads(Ws, bs, X, t, config: TrainConfig, reg, grads=None):
     into a typed divergence error instead of warning noise.
     """
     B = t.shape[-1]
-    flat = (*t.shape[:-1], -1)
     # acts[i + 1] is hidden layer i's activations: the loop rectified it in place.
     acts = [X, *_preactivations(zip(Ws, bs), X)]
     logit = acts.pop()[..., 0]
@@ -203,7 +202,7 @@ def _loss_and_grads(Ws, bs, X, t, config: TrainConfig, reg, grads=None):
     for i, divisor in reg:
         scales[i] = config.activity_reg_coeff / (B * divisor)
         pen = acts[i + 1] if config.reg_norm == "l1" else acts[i + 1] ** 2
-        loss += scales[i] * np.add.reduce(pen.reshape(flat), axis=-1)
+        loss += scales[i] * np.add.reduce(pen, axis=(-2, -1))
     if grads is None:
         return loss
 
@@ -282,8 +281,8 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
     per-epoch losses and accuracies (epochs, S), and, by position in
     ``seeds``, the first epoch in which each diverged seed's batch loss went
     non-finite. A diverged seed trains on with non-finite weights, which
-    touch no other seed; training stops early only once the first seed has
-    diverged.
+    touch no other seed; training stops early only when the first seed of
+    ``seeds`` diverges, as no other seed's result is then used.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     S, n, d = len(rngs), dataset.n_rows, dataset.n_features
@@ -386,6 +385,9 @@ def train_seeds(dataset: Dataset, config: TrainConfig, seeds):
     seed, in ``seeds`` order, whose batch loss went non-finite, naming that
     seed's 1-based epoch; the seeds before it are yielded first.
     """
+    seeds = tuple(seeds)
+    if not seeds:
+        raise InputError("train_seeds needs at least one seed")
     Ws, bs, losses, accuracies, diverged = _train_lockstep(dataset, config, seeds)
     for s in range(len(seeds)):
         if s in diverged:

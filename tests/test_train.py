@@ -306,6 +306,10 @@ class TestTrain:
         assert err.value.epoch == 1
         assert "epoch 1" in str(err.value)
 
+    def test_sweep_needs_a_seed(self):
+        with pytest.raises(InputError):
+            next(train_seeds(self.separable(20), TrainConfig(hidden_widths=(2,)), []))
+
     def test_history_lengths_match_epochs(self):
         ds = self.separable(60)
         _, history = train(ds, TrainConfig(hidden_widths=(2,), epochs=4, seed=0))
