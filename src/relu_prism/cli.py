@@ -587,8 +587,6 @@ def _params(args) -> dict:
         if kind in (_PATH, _PATH_OR_NULL) and params[key] is not None:
             params[key] = str(Path(params[key]).absolute())
     if args.command != "verify":
-        # --seed and $RELU_PRISM_SEED fold into the seeds key, so a bad value
-        # is refused here, under the name the user gave it.
         if args.seeds:
             params["seeds"] = parse_seeds(args.seeds)
         elif args.seed is None:

@@ -217,9 +217,11 @@ class ForwardTrace:
 def _preactivations(layers, X: np.ndarray):
     """The one layer loop: yield each layer's preactivation matrix for rows X.
 
-    ``layers`` gives (weight, bias) pairs. A hidden matrix is rectified in
-    place when the loop resumes, so the caller reads preactivations and a
-    matrix it keeps ends as activations; the output is never rectified.
+    ``layers`` gives (weight, bias) pairs: (out, in) and (out,), or a stack
+    of networks with weights (S, out, in), biases (S, 1, out) and rows
+    (S, n, in). A hidden matrix is rectified in place when the loop resumes,
+    so the caller reads preactivations and a matrix it keeps ends as
+    activations; the output is never rectified.
     """
     a = X
     for W, b in layers:
