@@ -329,7 +329,8 @@ class TestPinnedWeights:
     text followed by its history csv. Recorded on x86-64 Linux, numpy 2.x
     with OpenBLAS 0.3.31 (Haswell kernels); another BLAS or CPU may differ."""
 
-    # 530 rows against batch 100 (or 37) leaves a short final batch.
+    # 530 rows against batch 100 (or 37) leaves a short final batch; batch 1
+    # and batch 600 pin the two edges: one row per step, one step per epoch.
     CASES = {
         "l1-mean": ("boolean", TrainConfig(epochs=3, seed=1)),
         "l2-norm": ("boolean", TrainConfig(
@@ -340,6 +341,8 @@ class TestPinnedWeights:
         "no-reg": ("boolean", TrainConfig(
             epochs=3, seed=5, activity_reg_coeff=0.0, batch_size=37)),
         "gaussian-big-batch": ("gaussian", TrainConfig(epochs=4, seed=6, batch_size=1000)),
+        "batch-of-one": ("boolean", TrainConfig(epochs=3, seed=7, batch_size=1)),
+        "batch-over-rows": ("boolean", TrainConfig(epochs=3, seed=8, batch_size=600)),
     }
     SHA256 = {
         "l1-mean": "2f11c02330aabb4d2a75591c70bcbf69348c181d2af2266996925ada27127ba5",
@@ -348,6 +351,8 @@ class TestPinnedWeights:
         "layer-subset": "1634936af9c4d3832ef42fa916ab1db000cd0d29cdb9f6ad3c28bbffadf1e38c",
         "no-reg": "642c5c788df69e9e6a76b7e939dccbd2dd11d77f278e23318d62626486bb8739",
         "gaussian-big-batch": "23d42fc9c15b34b5a86f4a533dbc71524d75f18c70660a6851c4f15c11fed47c",
+        "batch-of-one": "495f2cadf016b238ee36c0f8bb3c9ca8a9ca1a951a612be407725c2ffdb54af5",
+        "batch-over-rows": "2a19a054de890eb3918c09644cb38252856b67f12f59442ba04ecf0ccf4ed03c",
     }
 
     @pytest.mark.parametrize("name", list(CASES))
