@@ -269,11 +269,6 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
     return views
 
 
-# Rows of each seed gathered by one np.take: the largest whole number of
-# batches in this many rows, and at least one batch.
-_GATHER_ROWS = 4096
-
-
 def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
     """Train one network per seed, every seed in each numpy call.
 
@@ -288,9 +283,8 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
     S, n, d = len(rngs), dataset.n_rows, dataset.n_features
     per_seed = [Ws + bs for Ws, bs in (_glorot(d, config.hidden_widths, rng) for rng in rngs)]
     n_layers = len(config.hidden_widths) + 1
-    # A lone seed runs on plain 2-D arrays: each stacked numpy call costs
-    # about 1 µs more, which over a step's 40 calls would make a one-seed
-    # step about a quarter slower.
+    # A lone seed runs on plain 2-D arrays: on the stacked (1, …) arrays a
+    # one-seed `train` at 50k rows ran 13% slower, in 17 of 20 pairs.
     lead = (S,) if S > 1 else ()
 
     # Every W and b is a view into one flat buffer, and every gradient a view
@@ -313,10 +307,7 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
 
     X_all, t_all = dataset.features, dataset.targets.astype(np.float64)
     lr, batch = config.learning_rate, config.batch_size
-    rows = min(n, batch * max(1, _GATHER_ROWS // batch))
     perms = np.empty((S, n), dtype=np.intp)
-    X_block = np.empty((*lead, rows, d))
-    t_block = np.empty((*lead, rows))
     reg = _reg_terms(config, Ws)
     beta1, beta2, eps = config.adam.beta1, config.adam.beta2, config.adam.epsilon
     step = 0
@@ -329,43 +320,38 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
             for s, rng in enumerate(rngs):
                 perms[s] = rng.permutation(n)
             epoch_loss = 0.0
-            for block in range(0, n, rows):
-                index = perms[:, block : block + rows].reshape(*lead, -1)
-                count = index.shape[-1]
-                X_rows, t_rows = X_block[..., :count, :], t_block[..., :count]
-                np.take(X_all, index, axis=0, out=X_rows)
-                np.take(t_all, index, out=t_rows)
-                for start in range(0, count, batch):
-                    X = X_rows[..., start : start + batch, :]
-                    loss = _loss_and_grads(
-                        Ws, bs, X, t_rows[..., start : start + batch], config, reg, grads
-                    )
-                    # A lone seed's loss is a scalar; the largest of several
-                    # losses is non-finite exactly when one of them is.
-                    if not math.isfinite(loss if S == 1 else loss.max()):
-                        for s in np.flatnonzero(~np.isfinite(loss)).tolist():
-                            diverged.setdefault(s, epoch)
-                        if 0 in diverged:
-                            return seed_Ws, seed_bs, losses, accuracies, diverged
-                    epoch_loss = epoch_loss + loss * X.shape[-2]
-                    step += 1
-                    corr1 = 1.0 - beta1**step
-                    corr2 = 1.0 - beta2**step
-                    # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps), in place
-                    m *= beta1
-                    np.multiply(grad, 1.0 - beta1, out=upd)
-                    m += upd
-                    v *= beta2
-                    np.square(grad, out=upd)
-                    upd *= 1.0 - beta2
-                    v += upd
-                    np.divide(m, corr1, out=upd)
-                    upd *= lr
-                    np.divide(v, corr2, out=denom)
-                    np.sqrt(denom, out=denom)
-                    denom += eps
-                    upd /= denom
-                    params -= upd
+            for start in range(0, n, batch):
+                index = perms[:, start : start + batch].reshape(*lead, -1)
+                loss = _loss_and_grads(
+                    Ws, bs, np.take(X_all, index, axis=0), np.take(t_all, index),
+                    config, reg, grads,
+                )
+                # A lone seed's loss is a scalar; the largest of several
+                # losses is non-finite exactly when one of them is.
+                if not math.isfinite(loss if S == 1 else loss.max()):
+                    for s in np.flatnonzero(~np.isfinite(loss)).tolist():
+                        diverged.setdefault(s, epoch)
+                    if 0 in diverged:
+                        return seed_Ws, seed_bs, losses, accuracies, diverged
+                epoch_loss = epoch_loss + loss * index.shape[-1]
+                step += 1
+                corr1 = 1.0 - beta1**step
+                corr2 = 1.0 - beta2**step
+                # p -= lr * (m / corr1) / (sqrt(v / corr2) + eps), in place
+                m *= beta1
+                np.multiply(grad, 1.0 - beta1, out=upd)
+                m += upd
+                v *= beta2
+                np.square(grad, out=upd)
+                upd *= 1.0 - beta2
+                v += upd
+                np.divide(m, corr1, out=upd)
+                upd *= lr
+                np.divide(v, corr2, out=denom)
+                np.sqrt(denom, out=denom)
+                denom += eps
+                upd /= denom
+                params -= upd
             losses[epoch - 1] = epoch_loss / n
             for s in range(S):
                 layers = ((W[s], b[s]) for W, b in zip(seed_Ws, seed_bs))
