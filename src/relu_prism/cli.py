@@ -429,31 +429,31 @@ def _one_of(choices: tuple) -> tuple:
 
 # An argument kind: (description, predicate). ``type(v) is int``, not
 # isinstance, so that a JSON ``true`` is not taken for 1.
-_INT = ("an integer", _is_int)
 _SEED = ("a non-negative integer", _is_seed)
-_NUMBER = ("a finite number", _is_number)
+_COUNT = ("a positive integer", lambda v: _is_int(v) and v > 0)
 _POSITIVE = ("a positive finite number", lambda v: _is_number(v) and v > 0)
+_NON_NEGATIVE = ("a non-negative finite number", lambda v: _is_number(v) and v >= 0)
 _FRACTION = ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1)
 # An input file's path; ``_params`` records it absolute.
 _PATH = ("a string", lambda v: type(v) is str)
 _PATH_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)
-_INTS = _list_of("integers", _is_int)
+_COUNTS = _list_of("positive integers", _COUNT[1])
 _SEEDS = _list_of("non-negative integers", _is_seed)
 
 # The one contract for each command's arguments, on the command line and in
 # a manifest: the keys they carry and what each value must be.
 _TRAIN_KEYS = {
     "seeds": _SEEDS,
-    "epochs": _INT,
-    "lr": _NUMBER,
-    "batch_size": _INT,
-    "reg": _NUMBER,
-    "hidden": _INTS,
+    "epochs": _COUNT,
+    "lr": _POSITIVE,
+    "batch_size": _COUNT,
+    "reg": _NON_NEGATIVE,
+    "hidden": _COUNTS,
     "normalization": _one_of(NORMALIZATIONS),
     "tol": _POSITIVE,
 }
 _PARAM_KEYS = {
-    "simulate": {"n": _INT, "data_seed": _SEED, **_TRAIN_KEYS},
+    "simulate": {"n": _COUNT, "data_seed": _SEED, **_TRAIN_KEYS},
     "titanic": {
         "csv": _PATH,
         "test_fraction": _FRACTION,
@@ -468,7 +468,7 @@ _PARAM_KEYS = {
         "clusters": _PATH_OR_NULL,
         "jacobian_samples": _SEED,
         "jacobian_step": _POSITIVE,
-        "jacobian_tol": _NUMBER,
+        "jacobian_tol": _POSITIVE,
         "seed": _SEED,
     },
 }

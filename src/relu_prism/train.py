@@ -50,6 +50,11 @@ class AdamParams:
             raise InputError("Adam epsilon must be positive and finite")
 
 
+def _is_count(value) -> bool:
+    """An integer >= 1, Python or numpy; not a bool, a float or a str."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters; defaults reproduce the reference experiment setup.
@@ -73,16 +78,17 @@ class TrainConfig:
     reg_layers: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        widths = tuple(int(w) for w in self.hidden_widths)
-        if not widths or any(w < 1 for w in widths):
-            raise InputError(f"hidden_widths must be positive, got {self.hidden_widths}")
-        object.__setattr__(self, "hidden_widths", widths)
+        widths = tuple(self.hidden_widths)
+        if not widths or not all(map(_is_count, widths)):
+            raise InputError(
+                f"hidden_widths must be integers >= 1, got {self.hidden_widths!r}"
+            )
+        object.__setattr__(self, "hidden_widths", tuple(map(int, widths)))
         if not 0.0 < self.learning_rate < math.inf:
             raise InputError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise InputError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise InputError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("epochs", "batch_size"):
+            if not _is_count(getattr(self, name)):
+                raise InputError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
         if not 0.0 <= self.activity_reg_coeff < math.inf:
             raise InputError(
                 f"activity_reg_coeff must be >= 0 and finite, got {self.activity_reg_coeff}"

@@ -323,6 +323,13 @@ class TestRerun:
             ("verify", {"jacobian_samples": -1}, ["--jacobian-samples=-1"], None),
             ("verify", {"jacobian_step": 0.0}, ["--jacobian-step=0"], None),
             ("verify", {"tol": -1.0}, ["--tol=-1"], None),
+            ("verify", {"jacobian_tol": -1.0}, ["--jacobian-tol=-1"], None),
+            ("simulate", {"n": 0}, ["--n=0"], None),
+            ("simulate", {"epochs": 0}, ["--epochs=0"], None),
+            ("simulate", {"batch_size": 0}, ["--batch-size=0"], None),
+            ("simulate", {"hidden": [4, 0]}, ["--hidden=4,0"], None),
+            ("simulate", {"lr": -0.1}, ["--lr=-0.1"], None),
+            ("simulate", {"reg": -1.0}, ["--reg=-1"], None),
         ],
     )
     def test_out_of_range_arg_is_refused_alike_on_both_paths(

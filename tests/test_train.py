@@ -101,6 +101,13 @@ class TestConfigValidation:
             {"reg_norm": "linf"},
             {"reg_reduction": "median"},
             {"reg_layers": (2,)},
+            {"epochs": 2.5},
+            {"epochs": True},
+            {"batch_size": 2.5},
+            {"batch_size": "100"},
+            {"hidden_widths": (4.7, 2)},
+            {"hidden_widths": ("4", 2)},
+            {"hidden_widths": (True, 2)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
