@@ -80,9 +80,7 @@ class TrainConfig:
     def __post_init__(self):
         widths = tuple(self.hidden_widths)
         if not widths or not all(map(_is_count, widths)):
-            raise InputError(
-                f"hidden_widths must be integers >= 1, got {self.hidden_widths!r}"
-            )
+            raise InputError(f"hidden_widths must be integers >= 1, got {self.hidden_widths!r}")
         object.__setattr__(self, "hidden_widths", tuple(map(int, widths)))
         if not 0.0 < self.learning_rate < math.inf:
             raise InputError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
