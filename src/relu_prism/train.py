@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,9 +51,19 @@ class AdamParams:
             raise InputError("Adam epsilon must be positive and finite")
 
 
+def _is_int(value) -> bool:
+    """A Python or numpy integer; not a bool, a float or a str."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _is_count(value) -> bool:
     """An integer >= 1, Python or numpy; not a bool, a float or a str."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+    return _is_int(value) and value >= 1
+
+
+def _is_real(value) -> bool:
+    """A Python or numpy real number; not a bool or a str."""
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -82,14 +93,16 @@ class TrainConfig:
         if not widths or not all(map(_is_count, widths)):
             raise InputError(f"hidden_widths must be integers >= 1, got {self.hidden_widths!r}")
         object.__setattr__(self, "hidden_widths", tuple(map(int, widths)))
-        if not 0.0 < self.learning_rate < math.inf:
-            raise InputError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not (_is_real(self.learning_rate) and 0.0 < self.learning_rate < math.inf):
+            raise InputError(
+                f"learning_rate must be a finite number > 0, got {self.learning_rate!r}"
+            )
         for name in ("epochs", "batch_size"):
             if not _is_count(getattr(self, name)):
                 raise InputError(f"{name} must be an integer >= 1, got {getattr(self, name)!r}")
-        if not 0.0 <= self.activity_reg_coeff < math.inf:
+        if not (_is_real(self.activity_reg_coeff) and 0.0 <= self.activity_reg_coeff < math.inf):
             raise InputError(
-                f"activity_reg_coeff must be >= 0 and finite, got {self.activity_reg_coeff}"
+                f"activity_reg_coeff must be a finite number >= 0, got {self.activity_reg_coeff!r}"
             )
         if self.reg_norm not in REG_NORMS:
             raise InputError(f"reg_norm must be one of {REG_NORMS}, got {self.reg_norm!r}")
@@ -98,7 +111,10 @@ class TrainConfig:
                 f"reg_reduction must be one of {REG_REDUCTIONS}, got {self.reg_reduction!r}"
             )
         if self.reg_layers is not None:
-            layers = tuple(int(i) for i in self.reg_layers)
+            layers = tuple(self.reg_layers)
+            if not all(map(_is_int, layers)):
+                raise InputError(f"reg_layers must be integers, got {self.reg_layers!r}")
+            layers = tuple(map(int, layers))
             if any(i < 0 or i >= len(widths) for i in layers):
                 raise InputError(
                     f"reg_layers {layers} out of range for {len(widths)} hidden layers"

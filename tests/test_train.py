@@ -114,6 +114,33 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"reg_layers": (1.7,)}, "reg_layers must be integers, got (1.7,)"),
+            ({"reg_layers": ("1",)}, "reg_layers must be integers, got ('1',)"),
+            ({"reg_layers": (True,)}, "reg_layers must be integers, got (True,)"),
+            ({"learning_rate": True}, "learning_rate must be a finite number > 0, got True"),
+            ({"learning_rate": "0.01"}, "learning_rate must be a finite number > 0, got '0.01'"),
+            ({"activity_reg_coeff": False},
+             "activity_reg_coeff must be a finite number >= 0, got False"),
+            ({"activity_reg_coeff": True},
+             "activity_reg_coeff must be a finite number >= 0, got True"),
+        ],
+    )
+    def test_refuses_a_value_of_the_wrong_type_in_one_line(self, kwargs, message):
+        """A bool, a float or a str is not taken for an integer, nor a bool for a number."""
+        with pytest.raises(InputError) as info:
+            TrainConfig(**kwargs)
+        assert str(info.value) == message
+
+    def test_numpy_scalars_are_accepted(self):
+        config = TrainConfig(
+            reg_layers=(np.int64(1),), learning_rate=np.float64(0.01),
+            activity_reg_coeff=np.float32(0.5),
+        )
+        assert config.reg_layers == (1,) and type(config.reg_layers[0]) is int
+
     def test_adam_validation(self):
         with pytest.raises(InputError):
             AdamParams(beta1=1.0)
