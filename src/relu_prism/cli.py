@@ -34,13 +34,13 @@ from .data import (
     Dataset,
     dataset_to_csv,
     gen_boolean,
-    load_titanic,
-    read_dataset_csv,
+    parse_dataset_csv,
+    parse_titanic_csv,
     split,
 )
 from .errors import InputError, SchemaError, TrainingDivergedError
 from .explain import NORMALIZATIONS, feature_importance, render_report
-from .network import bitstrings_to_masks, load_network, save_network
+from .network import bitstrings_to_masks, parse_network_json, save_network
 from .partition import clusters_to_json, partition
 from .train import TrainConfig, accuracy, history_to_csv, train_seeds
 
@@ -226,9 +226,10 @@ def run_simulate(params: dict, out: Path, recorded: dict | None = None) -> int:
 
 def run_titanic(params: dict, out: Path, recorded: dict | None = None) -> int:
     csv_path = Path(params["csv"])
-    hashes = {"csv": _sha256(csv_path.read_bytes())}
+    raw = csv_path.read_bytes()
+    hashes = {"csv": _sha256(raw)}
     _check_inputs(recorded, hashes)
-    full = load_titanic(csv_path)
+    full = parse_titanic_csv(raw, csv_path)
     if params["test_fraction"] > 0.0:
         test_set, train_set = split(full, params["test_fraction"], params["split_seed"])
     else:
@@ -271,44 +272,33 @@ class _StoredMap(NamedTuple):
     problem: str | None = None
 
 
+# The keys that make a JSON object a cluster entry for verify.
+_ENTRY_KEYS = frozenset(("pattern", "omega", "bias"))
+
+
 def _stored_map(obj: dict):
     """``json`` object hook: turn each cluster entry into arrays as it is parsed.
 
     Only one entry's float lists are alive at a time, instead of the whole
     document's.
     """
-    if not {"pattern", "omega", "bias"} <= obj.keys():
+    if not _ENTRY_KEYS <= obj.keys():
         return obj
     try:
         omega = np.array(obj["omega"], dtype=np.float64)
         bias = np.array(obj["bias"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         return _StoredMap(obj["pattern"], None, None, f"map is not numeric: {exc}")
     return _StoredMap(obj["pattern"], omega, bias)
 
 
-def _check_stored_clusters(net, clusters_path: Path, tol: float) -> tuple[dict, str]:
-    """Recompute every stored cluster's map from the network and compare.
+def _check_entries(doc, clusters_path: Path, total: int, shape: tuple) -> tuple:
+    """The stored patterns and maps of a document parsed with ``_stored_map``.
 
-    Returns the check's ``verify.json`` entry and the SHA-256 of the bytes
-    parsed, from one read of the file. The stored bitstrings become one mask
-    matrix, collapsed in one batch.
+    Checks one entry at a time and refuses the first bad one by its index.
     """
-    raw = clusters_path.read_bytes()
-    digest = _sha256(raw)
-    try:
-        text = raw.decode()
-        # One copy of the file at a time, as with read_text: the bytes are
-        # dropped before parsing and the text right after it.
-        del raw
-        doc = json.loads(text, object_hook=_stored_map)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"invalid cluster JSON in {clusters_path}: {exc}")
-    del text
     if not isinstance(doc, list):
         raise SchemaError(f"{clusters_path} must hold a JSON array of clusters")
-    total = sum(net.hidden_widths)
-    shape = (net.output_dim, net.input_dim)
     stored_omega = np.empty((len(doc), *shape))
     stored_bias = np.empty((len(doc), shape[0]))
     for i, entry in enumerate(doc):
@@ -329,20 +319,121 @@ def _check_stored_clusters(net, clusters_path: Path, tol: float) -> tuple[dict, 
             raise SchemaError(f"cluster {i} map is not finite")
         stored_omega[i] = entry.omega
         stored_bias[i] = entry.bias
-    masks = bitstrings_to_masks([entry.pattern for entry in doc], total)
-    omegas, biases = collapse_batch(net, masks)
+    return [entry.pattern for entry in doc], stored_omega, stored_bias
+
+
+# Entries whose float lists become arrays in one conversion.
+_MAP_BLOCK = 1024
+# What each cluster entry parses to under ``_StoredMaps``.
+_ENTRY = object()
+
+
+class _StoredMaps:
+    """``json`` object hook: keep each cluster entry's pattern, and its map as
+    arrays converted ``_MAP_BLOCK`` entries at a time.
+
+    Each entry parses to ``_ENTRY``. Only one block's float lists are alive at
+    a time. Once a block does not convert to maps of ``shape``, the rest of
+    the document is only parsed.
+    """
+
+    def __init__(self, shape: tuple):
+        self.shape = shape
+        self.patterns = []
+        # The converted blocks, after an empty one: no entries make (0, ...) maps.
+        self.omegas, self.biases = [np.empty((0, *shape))], [np.empty((0, shape[0]))]
+        self.pending_omegas, self.pending_biases = [], []
+        self.ok = True
+
+    def __call__(self, obj: dict):
+        if not _ENTRY_KEYS <= obj.keys():
+            return obj
+        self.patterns.append(obj["pattern"])
+        if self.ok:
+            self.pending_omegas.append(obj["omega"])
+            self.pending_biases.append(obj["bias"])
+            if len(self.pending_omegas) == _MAP_BLOCK:
+                self._convert()
+        return _ENTRY
+
+    def _convert(self) -> None:
+        n = len(self.pending_omegas)
+        try:
+            omega = np.array(self.pending_omegas, dtype=np.float64)
+            bias = np.array(self.pending_biases, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            self.ok = False
+        else:
+            self.ok = omega.shape == (n, *self.shape) and bias.shape == (n, self.shape[0])
+            self.omegas.append(omega)
+            self.biases.append(bias)
+        self.pending_omegas, self.pending_biases = [], []
+
+    def checked(self, doc, total: int) -> tuple | None:
+        """The stored patterns and maps if every entry of ``doc`` passes every check, else None.
+
+        One check per property over all entries: each is a top-level entry,
+        its map converted, its pattern a 0/1 string of ``total`` bits and its
+        map finite.
+        """
+        if self.ok and self.pending_omegas:
+            self._convert()
+        patterns = self.patterns
+        if not (self.ok and type(doc) is list and len(doc) == len(patterns) == doc.count(_ENTRY)):
+            return None
+        if set(map(type, patterns)) - {str} or set(map(len, patterns)) - {total}:
+            return None
+        if set("".join(patterns)) - {"0", "1"}:
+            return None
+        omegas, biases = np.concatenate(self.omegas), np.concatenate(self.biases)
+        if not (np.isfinite(omegas).all() and np.isfinite(biases).all()):
+            return None
+        return patterns, omegas, biases
+
+
+def _check_stored_clusters(net, clusters_path: Path, tol: float) -> tuple[dict, str]:
+    """Recompute every stored cluster's map from the network and compare.
+
+    Returns the check's ``verify.json`` entry and the SHA-256 of the bytes
+    parsed, from one read of the file. The entries are checked all at once;
+    only when that refuses are they parsed and checked again one at a time,
+    to name the first bad entry. The stored bitstrings become one mask
+    matrix, collapsed in one batch.
+    """
+    raw = clusters_path.read_bytes()
+    digest = _sha256(raw)
+    total = sum(net.hidden_widths)
+    shape = (net.output_dim, net.input_dim)
+    maps = _StoredMaps(shape)
+    try:
+        text = raw.decode()
+        # One copy of the file at a time, as with read_text: the bytes are
+        # dropped before parsing and the text once the entries are checked.
+        del raw
+        doc = json.loads(text, object_hook=maps)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"invalid cluster JSON in {clusters_path}: {exc}")
+    stored = maps.checked(doc, total)
+    del doc, maps
+    if stored is None:
+        stored = _check_entries(
+            json.loads(text, object_hook=_stored_map), clusters_path, total, shape
+        )
+    del text
+    patterns, stored_omega, stored_bias = stored
+    omegas, biases = collapse_batch(net, bitstrings_to_masks(patterns, total))
     worst = max(
         float(np.abs(stored_omega - omegas).max(initial=0.0)),
         float(np.abs(stored_bias - biases).max(initial=0.0)),
     )
-    return {"checked": len(doc), "max_abs_err": worst, "pass": worst <= tol}, digest
+    return {"checked": len(patterns), "max_abs_err": worst, "pass": worst <= tol}, digest
 
 
 def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
     net_path = Path(params["net"])
-    data_path = Path(params["data"])
-    net = load_network(net_path)
-    hashes = {"net": _sha256(net_path.read_bytes()), "data": _sha256(data_path.read_bytes())}
+    raw = net_path.read_bytes()
+    hashes = {"net": _sha256(raw)}
+    net = parse_network_json(raw, net_path)
     # Parsing clusters.json is this command's peak of memory, so it runs
     # before the rows are read.
     doc = {}
@@ -350,8 +441,12 @@ def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
         doc["clusters"], hashes["clusters"] = _check_stored_clusters(
             net, Path(params["clusters"]), params["tol"]
         )
+    data_path = Path(params["data"])
+    raw = data_path.read_bytes()
+    hashes["data"] = _sha256(raw)
     _check_inputs(recorded, hashes)
-    dataset = read_dataset_csv(data_path)
+    dataset = parse_dataset_csv(raw, data_path)
+    del raw
     affine_report = verify_affine(net, dataset.features, tol=params["tol"])
 
     n = dataset.n_rows

@@ -10,6 +10,7 @@ with the target taken from the Survived column.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from collections import Counter
 from contextlib import contextmanager
@@ -24,9 +25,11 @@ __all__ = [
     "Dataset",
     "gen_boolean",
     "load_titanic",
+    "parse_titanic_csv",
     "split",
     "dataset_to_csv",
     "read_dataset_csv",
+    "parse_dataset_csv",
     "TITANIC_FEATURE_NAMES",
 ]
 
@@ -168,8 +171,24 @@ def _decoding(path: Path):
         raise SchemaError(f"cannot decode {path}: {exc}") from exc
 
 
+def _text(raw: bytes) -> io.TextIOWrapper:
+    """``raw`` as the text stream that opening its file with ``newline=""`` gives."""
+    return io.TextIOWrapper(io.BytesIO(raw), newline="")
+
+
 def load_titanic(csv_path, age_bins: int = 5, fare_bins: int = 4) -> Dataset:
     """Build the seven-feature ordinal dataset from a Kaggle-format train csv.
+
+    See ``parse_titanic_csv``, which builds it from the file's bytes.
+    """
+    path = Path(csv_path)
+    return parse_titanic_csv(path.read_bytes(), path, age_bins, fare_bins)
+
+
+def parse_titanic_csv(raw: bytes, path, age_bins: int = 5, fare_bins: int = 4) -> Dataset:
+    """The seven-feature ordinal dataset of the Kaggle-format train csv bytes ``raw``.
+
+    ``path`` names the file in messages and provenance.
 
     Per-column treatment (bin counts overridable):
       Age      group-median imputation by (Gender, Pclass), then 5 equal-width
@@ -184,10 +203,10 @@ def load_titanic(csv_path, age_bins: int = 5, fare_bins: int = 4) -> Dataset:
     """
     if age_bins < 1 or fare_bins < 1:
         raise InputError("bin counts must be >= 1")
-    path = Path(csv_path)
+    path = Path(path)
     rows: list[dict] = []
-    with path.open(newline="") as fh, _decoding(path):
-        reader = csv.DictReader(fh)
+    with _decoding(path):
+        reader = csv.DictReader(_text(raw))
         header = reader.fieldnames or []
         for column in _TITANIC_REQUIRED:
             if column not in header:
@@ -294,8 +313,6 @@ _CSV_BLOCK_ROWS = 1024
 
 def dataset_to_csv(dataset: Dataset) -> str:
     """Comma-separated export: feature columns then a final ``target`` column."""
-    import io
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(dataset.feature_names) + ["target"])
@@ -321,8 +338,79 @@ def dataset_to_csv(dataset: Dataset) -> str:
 def read_dataset_csv(path) -> Dataset:
     """Load a dataset written by ``dataset_to_csv``."""
     path = Path(path)
-    with path.open(newline="") as fh, _decoding(path):
-        reader = csv.reader(fh)
+    return parse_dataset_csv(path.read_bytes(), path)
+
+
+def parse_dataset_csv(raw: bytes, path) -> Dataset:
+    """The dataset in the csv bytes ``raw``; ``path`` names them in messages and provenance.
+
+    The layout ``dataset_to_csv`` writes is parsed in one ``np.loadtxt`` call.
+    Any other input goes to the line parser, which accepts it or names its bad
+    line, so both give the same dataset or the same refusal.
+    """
+    path = Path(path)
+    parsed = _parse_canonical_csv(raw)
+    if parsed is None:
+        parsed = _parse_csv_lines(raw, path)
+    names, features, targets = parsed
+    return Dataset(
+        features=features,
+        targets=targets,
+        feature_names=names,
+        provenance=f"csv({path.name}, rows={targets.shape[0]})",
+    )
+
+
+# Every byte ``dataset_to_csv`` writes below its header: the reprs of finite
+# floats, 0/1 targets, commas and line ends.
+_CANONICAL_ROW_BYTES = b"0123456789.e+-,\n"
+
+
+def _parse_canonical_csv(raw: bytes):
+    """``(names, features, targets)`` of ``raw`` in the layout of ``dataset_to_csv``, else None.
+
+    That layout: an ASCII header without quotes or ``\\r`` that ends in
+    ``target``; then at least one row, each of ``_CANONICAL_ROW_BYTES`` only
+    and ending in ``,0\\n`` or ``,1\\n``; as many fields in every row as in
+    the header. Only the header is decoded; the rows are parsed from the bytes.
+    """
+    end = raw.find(b"\n") + 1
+    head = raw[:end]
+    if not end or not head.isascii() or b'"' in head or b"\r" in head:
+        return None
+    names = tuple(head[:-1].decode("ascii").split(","))
+    rows = raw.count(b"\n") - 1
+    if (
+        len(names) < 2
+        or names[-1] != "target"
+        or rows < 1
+        or not raw.endswith(b"\n")
+        # Deleting the row bytes leaves only the header's others: no other byte.
+        or raw.translate(None, _CANONICAL_ROW_BYTES) != head.translate(None, _CANONICAL_ROW_BYTES)
+        # Each row ends in one of the two; the header ends in "target\n".
+        or raw.count(b",0\n") + raw.count(b",1\n") != rows
+    ):
+        return None
+    try:
+        # max_rows lets loadtxt allocate its table once, at its final size.
+        table = np.loadtxt(
+            io.BytesIO(raw), dtype=np.float64, delimiter=",", comments=None,
+            skiprows=1, max_rows=rows, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if table.shape != (rows, len(names)):
+        return None
+    return names[:-1], table[:, :-1], table[:, -1].astype(np.int64)
+
+
+def _parse_csv_lines(raw: bytes, path: Path):
+    """``(names, features, targets)`` of any csv the line parser accepts.
+
+    A SchemaError names the first bad line.
+    """
+    with _decoding(path):
+        reader = csv.reader(_text(raw))
         try:
             header = next(reader)
         except StopIteration:
@@ -356,10 +444,4 @@ def read_dataset_csv(path) -> Dataset:
         target_blocks.append(np.array(targets))
     if not feature_blocks:
         raise SchemaError(f"{path} contains no data rows")
-    targets = np.concatenate(target_blocks)
-    return Dataset(
-        features=np.concatenate(feature_blocks),
-        targets=targets,
-        feature_names=tuple(header[:-1]),
-        provenance=f"csv({path.name}, rows={targets.shape[0]})",
-    )
+    return tuple(header[:-1]), np.concatenate(feature_blocks), np.concatenate(target_blocks)

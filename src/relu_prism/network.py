@@ -33,6 +33,7 @@ __all__ = [
     "network_from_json",
     "save_network",
     "load_network",
+    "parse_network_json",
 ]
 
 
@@ -344,7 +345,7 @@ def network_from_json(doc: dict) -> Network:
         try:
             w = np.array(entry["w"], dtype=np.float64)
             b = np.array(entry["b"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"layer {i + 1} is not numeric: {exc}") from exc
         try:
             layers.append(Layer(w, b))
@@ -361,8 +362,13 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
+    return parse_network_json(Path(path).read_bytes(), path)
+
+
+def parse_network_json(raw: bytes, path) -> Network:
+    """The network in the JSON bytes ``raw``; ``path`` names them in messages."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(raw.decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"invalid network JSON in {path}: {exc}") from exc
     return network_from_json(doc)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import builtins
 import hashlib
 import json
 import os
@@ -17,9 +18,11 @@ from relu_prism import (
     InputError,
     Layer,
     Network,
+    TrainConfig,
     __version__,
     accuracy,
     forward_batch,
+    init_network,
     load_network,
     partition,
     save_network,
@@ -701,6 +704,201 @@ class TestVerify:
             ["verify", "--net", str(tmp_path / "no.json"),
              "--data", str(tmp_path / "no.csv"), "--out", str(tmp_path / "v")]
         ) == 2
+
+
+class TestStoredClustersInBulk:
+    """verify checks the stored maps in blocks of entries; a bad entry is still named."""
+
+    BAD = 1100  # past the first block of _MAP_BLOCK entries
+
+    @pytest.fixture(scope="class")
+    def many(self, tmp_path_factory):
+        """network.json, dataset.csv and clusters.json of a random 16,8 net: 1,361 clusters."""
+        root = tmp_path_factory.mktemp("many")
+        net = init_network(10, TrainConfig(hidden_widths=(16, 8), seed=5))
+        X = np.random.default_rng(0).standard_normal((1500, 10))
+        dataset = Dataset(X, (X.sum(axis=1) > 0).astype(int), tuple("abcdefghij"))
+        clusters = partition(net, dataset)
+        assert len(clusters) > self.BAD > cli._MAP_BLOCK
+        save_network(net, root / "network.json")
+        (root / "dataset.csv").write_text(dataset_to_csv(dataset))
+        cli._write_json(root / "clusters.json", clusters_to_json(clusters))
+        return root
+
+    def verify(self, many, clusters: Path, out: Path) -> list[str]:
+        return ["verify", "--net", str(many / "network.json"), "--data", str(many / "dataset.csv"),
+                "--clusters", str(clusters), "--out", str(out)]
+
+    def test_every_entry_is_checked(self, many, tmp_path):
+        assert main(self.verify(many, many / "clusters.json", tmp_path / "v")) == 0
+        doc = json.loads((tmp_path / "v" / "verify.json").read_text())
+        assert doc["clusters"] == {"checked": 1361, "max_abs_err": 0.0, "pass": True}
+
+    def test_bulk_maps_equal_the_per_entry_maps(self, many):
+        text = (many / "clusters.json").read_text()
+        maps = cli._StoredMaps((1, 10))
+        bulk = maps.checked(json.loads(text, object_hook=maps), 24)
+        one_by_one = cli._check_entries(
+            json.loads(text, object_hook=cli._stored_map), many / "clusters.json", 24, (1, 10)
+        )
+        assert bulk[0] == one_by_one[0]
+        assert bulk[1].tobytes() == one_by_one[1].tobytes()
+        assert bulk[2].tobytes() == one_by_one[2].tobytes()
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("omega", "abc", "map is not numeric: could not convert string to float: 'abc'"),
+            ("omega", [[1.0, 2.0], [3.0]], None),  # ragged: numpy's own words follow
+            ("bias", [None], "map is not finite"),
+            ("pattern", "0" * 23, "pattern has 23 bits, network has 24 hidden units"),
+            ("pattern", "2" + "0" * 23, "pattern must be a 0/1 string"),
+            ("pattern", 7, "pattern must be a 0/1 string"),
+            ("omega", [[0.0] * 9], "map shapes do not match the network"),
+            ("bias", [0.0, 0.0], "map shapes do not match the network"),
+            ("omega", [[float("nan")] * 10], "map is not finite"),
+            ("bias", [float("-inf")], "map is not finite"),
+            ("bias", None, "must carry pattern, omega and bias"),
+            ("bias", [10**400], "map is not numeric: int too large to convert to float"),
+        ],
+    )
+    def test_bad_entry_in_a_later_block_is_named(
+        self, many, tmp_path, capsys, key, value, problem
+    ):
+        doc = json.loads((many / "clusters.json").read_text())
+        if value is None:
+            del doc[self.BAD][key]
+        else:
+            doc[self.BAD][key] = value
+        if problem is None:
+            with pytest.raises(ValueError) as numpy_error:
+                np.array(value, dtype=np.float64)
+            problem = f"map is not numeric: {numpy_error.value}"
+        bad = tmp_path / "clusters.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "v"
+        capsys.readouterr()
+        err = assert_rejected(self.verify(many, bad, out), out, capsys)
+        assert err == f"error: cluster {self.BAD} {problem}\n"
+
+    def test_first_bad_entry_is_named(self, many, tmp_path, capsys):
+        doc = json.loads((many / "clusters.json").read_text())
+        doc[1300]["omega"] = "abc"
+        doc[self.BAD]["pattern"] = "0" * 23
+        bad = tmp_path / "clusters.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "v"
+        capsys.readouterr()
+        err = assert_rejected(self.verify(many, bad, out), out, capsys)
+        assert err.startswith(f"error: cluster {self.BAD} pattern has 23 bits"), err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"pattern": "0", "omega": [[0.0]], "bias": [0.0]}',
+             "must hold a JSON array of clusters"),
+            ("[1]", "cluster 0 must carry pattern, omega and bias"),
+        ],
+    )
+    def test_document_of_the_wrong_shape_is_refused(self, many, tmp_path, capsys, text, message):
+        bad = tmp_path / "clusters.json"
+        bad.write_text(text)
+        out = tmp_path / "v"
+        capsys.readouterr()
+        err = assert_rejected(self.verify(many, bad, out), out, capsys)
+        assert message in err, err
+
+    def test_empty_list_checks_nothing_and_passes(self, many, tmp_path):
+        empty = tmp_path / "clusters.json"
+        empty.write_text("[]\n")
+        assert main(self.verify(many, empty, tmp_path / "v")) == 0
+        doc = json.loads((tmp_path / "v" / "verify.json").read_text())
+        assert doc["clusters"] == {"checked": 0, "max_abs_err": 0.0, "pass": True}
+
+
+class SwappingReads:
+    """Counts the opens of watched files for reading; swaps each file after its first.
+
+    Right after the first open, ``os.replace`` puts other bytes at the path.
+    The handle already open still reads the first bytes, so a command that
+    reads a file once sees only those, and one that reads it again sees the
+    others. ``open`` and ``Path.open``, which ``Path.read_bytes`` and
+    ``Path.read_text`` call, are both watched.
+    """
+
+    def __init__(self, monkeypatch, swaps: dict):
+        self.swaps = {Path(path).absolute(): other for path, other in swaps.items()}
+        self.first, self.opens = {}, dict.fromkeys(self.swaps, 0)
+        real_open, real_path_open = builtins.open, Path.open
+
+        def watch(file, mode):
+            path = Path(file).absolute() if isinstance(file, (str, os.PathLike)) else None
+            if path not in self.swaps or set(mode) & set("wax+"):
+                return
+            self.opens[path] += 1
+            if self.opens[path] == 1:
+                with real_open(path, "rb") as first:
+                    self.first[path] = first.read()
+                other = path.with_name(path.name + ".other")
+                with real_open(other, "wb") as fh:
+                    fh.write(self.swaps[path])
+                os.replace(other, path)
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            watch(file, mode)
+            return handle
+
+        def counting_path_open(path, mode="r", *args, **kwargs):
+            handle = real_path_open(path, mode, *args, **kwargs)
+            watch(path, mode)
+            return handle
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(Path, "open", counting_path_open)
+
+
+class TestEachInputReadOnce:
+    """Each input is read once, and the manifest holds the hash of the bytes parsed."""
+
+    def test_verify_reads_and_hashes_each_input_once(self, tmp_path, monkeypatch):
+        run, other = tmp_path / "run", tmp_path / "other"
+        assert main(simulate_args(run)) == 0
+        assert main(simulate_args(other, n=300, extra=("--hidden", "3"))) == 0
+        reference = tmp_path / "reference"
+        argv = ["verify", "--net", str(run / "network.json"), "--data", str(run / "dataset.csv"),
+                "--clusters", str(run / "clusters.json")]
+        assert main([*argv, "--out", str(reference)]) == 0
+        names = ("network.json", "dataset.csv", "clusters.json")
+        swaps = {run / name: (other / name).read_bytes() for name in names}
+        reads = SwappingReads(monkeypatch, swaps)
+        assert main([*argv, "--out", str(tmp_path / "v")]) == 0
+        monkeypatch.undo()
+        assert set(reads.opens.values()) == {1}, reads.opens
+        hashes = json.loads((tmp_path / "v" / "manifest.json").read_text())["input_hashes"]
+        for key, name in (("net", "network.json"), ("data", "dataset.csv"),
+                          ("clusters", "clusters.json")):
+            first = reads.first[(run / name).absolute()]
+            assert hashes[key] == hashlib.sha256(first).hexdigest(), key
+        assert (tmp_path / "v" / "verify.json").read_bytes() == (
+            reference / "verify.json").read_bytes()
+
+    def test_titanic_reads_and_hashes_its_csv_once(self, synthetic_titanic_csv, tmp_path,
+                                                    monkeypatch, tiny_titanic_csv):
+        csv_path = tmp_path / "train.csv"
+        csv_path.write_bytes(synthetic_titanic_csv.read_bytes())
+        argv = ["titanic", "--csv", str(csv_path), "--epochs", "1"]
+        assert main([*argv, "--out", str(tmp_path / "reference")]) == 0
+        reads = SwappingReads(monkeypatch, {csv_path: tiny_titanic_csv.read_bytes()})
+        assert main([*argv, "--out", str(tmp_path / "run")]) == 0
+        monkeypatch.undo()
+        assert reads.opens == {csv_path.absolute(): 1}
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        digest = hashlib.sha256(synthetic_titanic_csv.read_bytes()).hexdigest()
+        assert manifest["input_hashes"] == {"csv": digest}
+        for name in RUN_FILES:
+            assert (tmp_path / "run" / name).read_bytes() == (
+                tmp_path / "reference" / name).read_bytes(), name
 
 
 class TestTitanic:

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from relu_prism import Dataset, InputError, SchemaError, gen_boolean, load_titanic, split
+from relu_prism import Dataset, InputError, SchemaError, data, gen_boolean, load_titanic, split
 from relu_prism.data import (
     TITANIC_FEATURE_NAMES,
     boolean_target,
@@ -332,3 +332,107 @@ class TestCsvRoundTrip:
         path.write_text(text)
         with pytest.raises(SchemaError):
             read_dataset_csv(path)
+
+
+def parse_outcome(raw: bytes, path="d.csv"):
+    """What ``parse_dataset_csv`` makes of ``raw``: the dataset's bytes, or the refusal."""
+    try:
+        ds = data.parse_dataset_csv(raw, path)
+    except (InputError, SchemaError) as exc:
+        return type(exc), str(exc)
+    return (ds.features.tobytes(), ds.features.shape, ds.targets.tobytes(),
+            ds.feature_names, ds.provenance)
+
+
+def line_parser_outcome(raw: bytes, monkeypatch, path="d.csv"):
+    """``parse_outcome`` with the bulk path switched off: the line parser's result."""
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "_parse_canonical_csv", lambda raw: None)
+        return parse_outcome(raw, path)
+
+
+def special_floats(rng, shape) -> np.ndarray:
+    """Gaussian values mixed with -0.0, subnormals, +-1e308 and integer-valued floats."""
+    specials = np.array([
+        -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 1e308, -1e308,
+        1.7976931348623157e308, 3.0, -7.0, 2.0**53, 1e16, 123456789.0,
+    ])
+    X = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    pick = rng.random(shape) < 0.3
+    X[pick] = rng.choice(specials, size=int(pick.sum()))
+    return X
+
+
+class TestCsvBulkPath:
+    """The layout ``dataset_to_csv`` writes is parsed in bulk; anything else by the line parser."""
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 4), (7, 1), (2500, 3), (2500, 1)])
+    def test_canonical_bytes_give_the_line_parsers_dataset(self, rows, cols, monkeypatch):
+        rng = np.random.default_rng(rows * 10 + cols)
+        ds = Dataset(special_floats(rng, (rows, cols)), rng.integers(0, 2, rows),
+                     tuple(f"f{j}" for j in range(cols)))
+        raw = dataset_to_csv(ds).encode()
+        assert data._parse_canonical_csv(raw) is not None  # the bulk path is taken
+        bulk = parse_outcome(raw)
+        assert bulk == line_parser_outcome(raw, monkeypatch)
+        assert bulk[0] == ds.features.tobytes() and bulk[2] == ds.targets.tobytes()
+
+    BASE = "a,b,target\n1.5,-2.0,1\n0.25,3.0,0\n-0.0,1e-07,1\n"
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            BASE.replace("\n", "\r\n").encode(),  # CRLF line ends
+            b'a,b,target\n"1.5",-2.0,1\n0.25,3.0,0\n',  # a quoted field
+            b'"a","b","target"\n1.5,-2.0,1\n',  # a quoted header
+            b"a,b,target\n1.5,-2.0, 1\n0.25,3.0,0\n",  # target " 1"
+            b"a,b,target\n1.5,-2.0,+1\n0.25,3.0,0\n",  # target "+1"
+            b"a,b,target\n1.5,-2.0,01\n0.25,3.0,0\n",  # target "01"
+            b"a,b,target\n1.5,-2.0,1\n0.25,3.0,1.0\n",  # target "1.0"
+            b"a,b,target\n1.5,-2.0,1\n\n0.25,3.0,0\n",  # a blank line
+            b"a,b,target\n1.5,-2.0,1\n0.25,3.0,0\n\n",  # a blank last line
+            BASE.encode()[:-1],  # no trailing newline
+            b"a,b,target\n1_0,-2.0,1\n0.25,3.0,0\n",  # 1_0, which float() takes for 10
+            b"a,b,target\n1.5, -2.0,1\n",  # a space before a number
+            b"a,b,target\n1.5,-2.0,1,0\n0.25,3.0,0,1\n",  # every row one field too many
+            b"a,b,target\n1.5,1\n0.25,0\n",  # every row one field too few
+            b"a,b,target\n1.5,,1\n",  # an empty field
+            b"a,b,target\n1.5,nan,1\n",  # a non-finite feature
+            b"a,b,target\n1.5,-2.0,2\n",  # target 2
+            b"a,b,target\n1.5,--2.0,1\n",  # not a number, in the row alphabet
+            b"a\xff,b,target\n1.5,-2.0,1\n",  # a non-UTF-8 byte in the header
+            b"a,b,target\n1.5,-2.0\xff,1\n",  # a non-UTF-8 byte in a row
+            b"a,b,target\n1.5,-2.0\xa0,1\n",  # a byte latin-1 reads as a space
+            "a,é,target\n1.5,-2.0,1\n".encode(),  # a header that is not ASCII
+            b"a,b,target\n1.5,\xd9\xa3,1\n",  # a digit float() reads, not ASCII
+            b"a,b,label\n1.5,-2.0,1\n",  # no target column
+            b"target\n1\n",  # no feature column
+            b"a,b,target\n",  # no rows
+            b"",  # empty
+        ],
+    )
+    def test_other_bytes_give_the_line_parsers_result(self, raw, monkeypatch):
+        assert data._parse_canonical_csv(raw) is None
+        assert parse_outcome(raw) == line_parser_outcome(raw, monkeypatch)
+
+    def test_overflowing_feature_is_refused_alike(self, monkeypatch):
+        """1e999 has the canonical layout; both parsers read inf and the dataset refuses it."""
+        raw = b"a,b,target\n1.5,1e999,1\n"
+        assert parse_outcome(raw) == (InputError, "features must be finite")
+        assert parse_outcome(raw) == line_parser_outcome(raw, monkeypatch)
+
+    def test_refusal_names_the_same_line(self, monkeypatch):
+        raw = ("a,target\n" + "1.5,0\n" * 1500 + "1.5,1.0\n").encode()
+        outcome = parse_outcome(raw)
+        assert outcome == (SchemaError, "line 1502: target must be 0 or 1, got '1.0'")
+        assert outcome == line_parser_outcome(raw, monkeypatch)
+
+    def test_read_dataset_csv_parses_the_bytes_it_read(self, tmp_path):
+        rng = np.random.default_rng(9)
+        ds = Dataset(rng.normal(size=(40, 2)), rng.integers(0, 2, 40), ("a", "b"))
+        path = tmp_path / "d.csv"
+        path.write_text(dataset_to_csv(ds))
+        assert parse_outcome(path.read_bytes(), path) == parse_outcome(path.read_bytes(), path)
+        back = read_dataset_csv(path)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.provenance == "csv(d.csv, rows=40)"

@@ -27,6 +27,7 @@ from relu_prism import (
     sigmoid,
     verify_affine,
 )
+from relu_prism.network import parse_network_json
 from conftest import make_random_network
 
 
@@ -288,6 +289,18 @@ class TestSerialization:
     def test_schema_errors(self, doc):
         with pytest.raises(SchemaError):
             network_from_json(doc)
+
+    def test_integer_too_large_for_a_float_is_a_schema_error(self):
+        with pytest.raises(SchemaError, match="^layer 1 is not numeric: int too large"):
+            network_from_json({"layers": [{"w": [[10**400]], "b": [0.0]}]})
+
+    def test_parse_network_json_names_the_file(self, rng):
+        net = make_random_network(rng, d=3, widths=(2,))
+        raw = json.dumps(network_to_json(net)).encode()
+        assert parse_network_json(raw, "n.json").layers[0].weight.tobytes() == (
+            net.layers[0].weight.tobytes())
+        with pytest.raises(SchemaError, match="^invalid network JSON in n.json: "):
+            parse_network_json(b"\xff", "n.json")
 
     def test_invalid_json_text(self, tmp_path):
         path = tmp_path / "net.json"
