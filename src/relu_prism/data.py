@@ -205,8 +205,8 @@ def parse_titanic_csv(raw: bytes, path, age_bins: int = 5, fare_bins: int = 4) -
         raise InputError("bin counts must be >= 1")
     path = Path(path)
     rows: list[dict] = []
-    with _decoding(path):
-        reader = csv.DictReader(_text(raw))
+    with _text(raw) as text, _decoding(path):
+        reader = csv.DictReader(text)
         header = reader.fieldnames or []
         for column in _TITANIC_REQUIRED:
             if column not in header:
@@ -409,8 +409,8 @@ def _parse_csv_lines(raw: bytes, path: Path):
 
     A SchemaError names the first bad line.
     """
-    with _decoding(path):
-        reader = csv.reader(_text(raw))
+    with _text(raw) as text, _decoding(path):
+        reader = csv.reader(text)
         try:
             header = next(reader)
         except StopIteration:

@@ -426,13 +426,3 @@ class TestCsvBulkPath:
         outcome = parse_outcome(raw)
         assert outcome == (SchemaError, "line 1502: target must be 0 or 1, got '1.0'")
         assert outcome == line_parser_outcome(raw, monkeypatch)
-
-    def test_read_dataset_csv_parses_the_bytes_it_read(self, tmp_path):
-        rng = np.random.default_rng(9)
-        ds = Dataset(rng.normal(size=(40, 2)), rng.integers(0, 2, 40), ("a", "b"))
-        path = tmp_path / "d.csv"
-        path.write_text(dataset_to_csv(ds))
-        assert parse_outcome(path.read_bytes(), path) == parse_outcome(path.read_bytes(), path)
-        back = read_dataset_csv(path)
-        assert back.features.tobytes() == ds.features.tobytes()
-        assert back.provenance == "csv(d.csv, rows=40)"
