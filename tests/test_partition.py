@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,14 +11,20 @@ from relu_prism import (
     Cluster,
     Dataset,
     ShapeError,
+    TrainConfig,
     cluster_of,
     clusters_to_json,
     effective_affine,
+    feature_importance,
     forward_batch,
     forward_trace,
+    init_network,
     partition,
+    render_report,
     verify_affine,
 )
+from relu_prism.data import dataset_to_csv
+from relu_prism.explain import NORMALIZATIONS
 from conftest import make_random_network
 
 
@@ -206,3 +215,39 @@ def test_clusters_to_json_round_trip(rng):
         np.testing.assert_array_equal(entry["omega"], c.affine.omega)
         expected = effective_affine(net, c.pattern)
         np.testing.assert_array_equal(entry["omega"], expected.omega)
+
+
+def many_region_chain():
+    """The analysis tail on a random 16,8 net over 2k Gaussian rows: 1,800 patterns."""
+    net = init_network(10, TrainConfig(hidden_widths=(16, 8), seed=5))
+    X = np.random.default_rng(5).standard_normal((2000, 10))
+    ds = Dataset(X, (X.sum(axis=1) > 0.0).astype(np.int64), tuple(f"x{i}" for i in range(10)))
+    clusters = partition(net, ds)
+    texts = {}
+    for mode in NORMALIZATIONS:
+        reports = [
+            feature_importance(c, ds.feature_names, mode, cluster_id=i)
+            for i, c in enumerate(clusters)
+        ]
+        texts[f"importance_{mode}.csv"] = render_report(clusters, reports, "csv")
+    texts["clusters.json"] = json.dumps(clusters_to_json(clusters), indent=2)
+    texts["dataset.csv"] = dataset_to_csv(ds)
+    return clusters, texts
+
+
+# SHA-256 of each text of ``many_region_chain``, recorded on x86-64 Linux with
+# numpy 2.x and OpenBLAS, like GOLDEN_SHA256 in test_cli.py. They hold the
+# bytes of the cluster writers fixed across changes to how they are built.
+MANY_REGION_SHA256 = {
+    "importance_raw.csv": "bad0792024f780156bdd6291b88bdaf1d9454f2f5c70b4441222fd386ebb447d",
+    "importance_max_abs.csv": "87486494d1f7b858c52952a129cad9e1a65471a5faa41450779bd4546dbb57c5",
+    "clusters.json": "f15dcdcad32ac2b8eb2c1ba85083261255f5f285726a30688c527be5ec8c467d",
+    "dataset.csv": "256c4580028d7d52d556b2886e4e7a93661567fcd881c0cf330cc2ed09f5a865",
+}
+
+
+def test_many_region_chain_bytes_are_pinned():
+    clusters, texts = many_region_chain()
+    assert len(clusters) > 1000
+    got = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert got == MANY_REGION_SHA256
