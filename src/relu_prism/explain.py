@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +22,6 @@ from .partition import Cluster
 __all__ = ["NORMALIZATIONS", "ImportanceReport", "feature_importance", "render_report"]
 
 NORMALIZATIONS = ("raw", "max_abs")
-RENDER_FORMATS = ("json", "csv", "text-table")
 
 
 @dataclass(frozen=True)
@@ -88,9 +86,9 @@ def feature_importance(
 def render_report(clusters, reports, format: str = "csv") -> str:
     """Serialize aligned clusters and reports into one document.
 
-    Output is a deterministic function of the inputs. The csv layout is one
-    row per (cluster, feature) pair with columns cluster_id, feature, weight,
-    bias, size, fraction.
+    Output is a deterministic function of the inputs. The one format, csv,
+    has one row per (cluster, feature) pair with columns cluster_id, feature,
+    weight, bias, size, fraction.
     """
     clusters = list(clusters)
     reports = list(reports)
@@ -98,52 +96,21 @@ def render_report(clusters, reports, format: str = "csv") -> str:
         raise InputError(
             f"{len(clusters)} clusters but {len(reports)} reports"
         )
-    if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["cluster_id", "feature", "weight", "bias", "size", "fraction"])
-        for cluster, report in zip(clusters, reports):
-            for name, weight in report.feature_importances:
-                writer.writerow(
-                    [
-                        report.cluster_id,
-                        name,
-                        repr(weight),
-                        repr(report.bias),
-                        cluster.stats.size,
-                        repr(cluster.stats.fraction),
-                    ]
-                )
-        return buf.getvalue()
-    if format == "json":
-        doc = [
-            {
-                "cluster_id": report.cluster_id,
-                "pattern": cluster.pattern.bitstring,
-                "normalization": report.normalization,
-                "bias": report.bias,
-                "size": cluster.stats.size,
-                "fraction": cluster.stats.fraction,
-                "importances": [
-                    {"feature": name, "weight": weight}
-                    for name, weight in report.feature_importances
-                ],
-            }
-            for cluster, report in zip(clusters, reports)
-        ]
-        return json.dumps(doc, indent=2) + "\n"
-    if format == "text-table":
-        lines = []
-        for cluster, report in zip(clusters, reports):
-            lines.append(
-                f"cluster {report.cluster_id}  pattern={cluster.pattern.bitstring or '-'}  "
-                f"size={cluster.stats.size}  fraction={cluster.stats.fraction:.4f}  "
-                f"bias={report.bias:+.6f}"
+    if format != "csv":
+        raise InputError(f"format must be 'csv', got {format!r}")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["cluster_id", "feature", "weight", "bias", "size", "fraction"])
+    for cluster, report in zip(clusters, reports):
+        for name, weight in report.feature_importances:
+            writer.writerow(
+                [
+                    report.cluster_id,
+                    name,
+                    repr(weight),
+                    repr(report.bias),
+                    cluster.stats.size,
+                    repr(cluster.stats.fraction),
+                ]
             )
-            width = max((len(n) for n, _ in report.feature_importances), default=0)
-            for name, weight in report.feature_importances:
-                lines.append(f"  {name:<{width}}  {weight:+.6f}")
-        if not lines:
-            lines.append("(no clusters)")
-        return "\n".join(lines) + "\n"
-    raise InputError(f"format must be one of {RENDER_FORMATS}, got {format!r}")
+    return buf.getvalue()
