@@ -56,6 +56,13 @@ class AffineMap:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "bias", bias)
 
+    @classmethod
+    def _from_frozen(cls, omega: np.ndarray, bias: np.ndarray) -> "AffineMap":
+        """Wrap read-only float64 arrays of consistent shapes, uncopied and unchecked."""
+        affine = object.__new__(cls)
+        vars(affine).update(omega=omega, bias=bias)
+        return affine
+
     def apply(self, u) -> np.ndarray:
         """Evaluate the map on one vector or on rows of a matrix."""
         u = np.asarray(u, dtype=np.float64)
@@ -191,7 +198,7 @@ def verify_affine(net: Network, inputs, tol: float = 1e-6) -> VerifyReport:
         rows = order[at]
         fit = X[rows] @ omegas[groups].transpose(0, 2, 1) + biases[groups][:, None, :]
         err[at] = np.abs(fit - logits[rows]).max(axis=2)
-    # The first maximum in ``order`` lies in the first pattern, in np.unique
+    # The first maximum in ``order`` lies in the first pattern, in bitstring
     # order, that attains it, and is that pattern's lowest such row.
     first = int(np.argmax(err))
     max_err = float(err[first])

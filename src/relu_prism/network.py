@@ -286,21 +286,32 @@ def group_by_pattern(
 
     Returns the logits (n, output_dim), the (k, total_bits) masks of the k
     distinct patterns with hidden layers side by side, the row order
-    ``order`` and the row count of each pattern, patterns in ``np.unique``
-    order of their packed bits. Pattern g owns ``order[s : s + counts[g]]``
-    with ``s = counts[:g].sum()``, a strictly increasing run of row indices.
+    ``order`` and the row count of each pattern. Pattern g owns
+    ``order[s : s + counts[g]]`` with ``s = counts[:g].sum()``, a strictly
+    increasing run of row indices.
+
+    Each row's key is its packed bits plus one zero byte, viewed as one
+    ``np.void`` scalar; the byte gives a net without hidden layers a key too.
+    Voids compare as unsigned bytes, so one stable sort of the keys orders
+    the patterns by bitstring, as ``np.unique(..., axis=0)`` over the packed
+    bits does, and keeps each pattern's rows in increasing order.
     """
     logits, bits = forward_batch(net, inputs)
     n = logits.shape[0]
-    bitmat = np.hstack(bits) if bits else np.zeros((n, 0), dtype=bool)
-    packed, inverse, counts = np.unique(
-        np.packbits(bitmat, axis=1), axis=0, return_inverse=True, return_counts=True
-    )
-    masks = np.unpackbits(packed, axis=1, count=bitmat.shape[1]).view(bool)
-    # A stable sort keeps each group's rows in increasing order. No per-group
-    # views are made: with tens of thousands of patterns, holding them all at
-    # once costs several MB of peak memory.
-    order = np.argsort(inverse.reshape(-1), kind="stable")
+    width = sum(b.shape[1] for b in bits)
+    key_bytes = (width + 7) // 8 + 1
+    keys = np.zeros((n, key_bytes), dtype=np.uint8)
+    if bits:
+        keys[:, :-1] = np.packbits(np.hstack(bits), axis=1)
+    keys = keys.view(np.dtype((np.void, key_bytes)))[:, 0]
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=n)
+    packed = ordered[starts].view(np.uint8).reshape(-1, key_bytes)[:, :-1]
+    masks = np.unpackbits(packed, axis=1, count=width).view(bool)
     return logits, masks, order, counts
 
 

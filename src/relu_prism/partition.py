@@ -54,6 +54,18 @@ class Cluster:
         idx.setflags(write=False)
         object.__setattr__(self, "member_indices", idx)
 
+    @classmethod
+    def _from_frozen(
+        cls, pattern: ActivationPattern, member_indices: np.ndarray, affine: AffineMap,
+        stats: ClusterStats,
+    ) -> "Cluster":
+        """Wrap a read-only, non-empty, strictly increasing int64 vector, uncopied and unchecked."""
+        cluster = object.__new__(cls)
+        vars(cluster).update(
+            pattern=pattern, member_indices=member_indices, affine=affine, stats=stats
+        )
+        return cluster
+
     @property
     def size(self) -> int:
         return int(self.member_indices.shape[0])
@@ -78,38 +90,46 @@ def partition(net: Network, dataset: Dataset) -> list[Cluster]:
     logits, masks, order, counts = group_by_pattern(net, dataset.features)
     starts = np.cumsum(counts) - counts
     omegas, biases = collapse_batch(net, masks)
+    # Each cluster's invariants, checked once over the whole table: every
+    # group has rows, and its rows increase (the step into a group's first
+    # row is not within a group), and its map has one consistent shape.
+    steps = np.diff(order)
+    steps[starts[1:] - 1] = 1
+    if (
+        not (counts > 0).all()
+        or not (steps > 0).all()
+        or omegas.shape != (counts.shape[0], 1, net.input_dim)
+        or biases.shape != (counts.shape[0], 1)
+    ):
+        raise ShapeError("pattern groups do not form a table of clusters")
+    for table in (order, omegas, biases):
+        table.setflags(write=False)
     # Predictions and targets are 0/1, so each weighted bincount is an exact
     # count and each rate the same division that a per-group mean makes.
     label = np.repeat(np.arange(counts.shape[0]), counts)
     predicted_rates = np.bincount(label, weights=logits[order, 0] > 0.0) / counts
     target_rates = np.bincount(label, weights=dataset.targets[order]) / counts
+    # Groups come in bitstring order, so a stable sort on size descending
+    # gives the canonical order.
+    rank = np.argsort(-counts, kind="stable")
+    bitstrings = masks_to_bitstrings(masks)
     widths = net.hidden_widths
-
-    clusters = [
-        Cluster(
-            pattern=ActivationPattern._from_bitstring(bitstring, widths),
-            member_indices=order[start : start + size],
-            affine=AffineMap(omega, bias),
-            stats=ClusterStats(
-                size=size,
-                fraction=fraction,
-                predicted_positive_rate=predicted_rate,
-                target_positive_rate=target_rate,
-            ),
+    return [
+        Cluster._from_frozen(
+            ActivationPattern._from_bitstring(bitstrings[g], widths),
+            order[start : start + size],
+            AffineMap._from_frozen(omegas[g], biases[g]),
+            ClusterStats(size, fraction, predicted_rate, target_rate),
         )
-        for bitstring, start, size, fraction, predicted_rate, target_rate, omega, bias in zip(
-            masks_to_bitstrings(masks),
-            starts.tolist(),
-            counts.tolist(),
-            (counts / n).tolist(),
-            predicted_rates.tolist(),
-            target_rates.tolist(),
-            omegas,
-            biases,
+        for g, start, size, fraction, predicted_rate, target_rate in zip(
+            rank.tolist(),
+            starts[rank].tolist(),
+            counts[rank].tolist(),
+            (counts[rank] / n).tolist(),
+            predicted_rates[rank].tolist(),
+            target_rates[rank].tolist(),
         )
     ]
-    clusters.sort(key=lambda c: (-c.size, c.pattern.bitstring))
-    return clusters
 
 
 def cluster_of(clusters: list[Cluster], net: Network, u) -> Cluster | None:

@@ -27,7 +27,7 @@ from relu_prism import (
     sigmoid,
     verify_affine,
 )
-from relu_prism.network import parse_network_json
+from relu_prism.network import group_by_pattern, masks_to_bitstrings, parse_network_json
 from conftest import make_random_network
 
 
@@ -307,3 +307,44 @@ class TestSerialization:
         path.write_text("{not json")
         with pytest.raises(SchemaError):
             load_network(path)
+
+
+def unique_grouping(net, X):
+    """The grouping as ``np.unique(..., axis=0)`` over packed bits gives it: the reference."""
+    logits, bits = forward_batch(net, X)
+    bitmat = np.hstack(bits) if bits else np.zeros((X.shape[0], 0), dtype=bool)
+    packed, inverse, counts = np.unique(
+        np.packbits(bitmat, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    masks = np.unpackbits(packed, axis=1, count=bitmat.shape[1]).view(bool)
+    return logits, masks, np.argsort(inverse.reshape(-1), kind="stable"), counts
+
+
+class TestGroupByPattern:
+    @pytest.mark.parametrize(
+        "widths", [(), (1,), (7,), (8,), (9,), (63,), (64,), (65,), (60, 40)],
+        ids=lambda w: f"bits{sum(w)}",
+    )
+    def test_matches_unique_over_packed_bits(self, widths):
+        rng = np.random.default_rng(sum(widths) + 1)
+        net = make_random_network(rng, d=6, widths=widths)
+        X = rng.normal(size=(300, 6))
+        # Repeated rows, scattered: each pattern then owns rows far apart.
+        X = X[rng.integers(0, 300, size=600)]
+        got = group_by_pattern(net, X)
+        expected = unique_grouping(net, X)
+        assert [a.dtype for a in got] == [a.dtype for a in expected]
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+        assert got[1].shape[1] == sum(widths)
+        assert got[3].sum() == 600
+
+    def test_bitstring_order_and_increasing_rows(self, rng):
+        net = make_random_network(rng, d=3, widths=(5, 4))
+        X = rng.normal(size=(400, 3))
+        _, masks, order, counts = group_by_pattern(net, X)
+        keys = masks_to_bitstrings(masks)
+        assert keys == sorted(set(keys))
+        starts = np.cumsum(counts) - counts
+        for s, c in zip(starts, counts):
+            assert (np.diff(order[s : s + c]) > 0).all()

@@ -8,6 +8,7 @@ import pytest
 
 from relu_prism import (
     ActivationPattern,
+    AffineMap,
     Cluster,
     Dataset,
     ShapeError,
@@ -166,6 +167,36 @@ class TestClusterType:
             Cluster(c.pattern, np.array([3, 1]), c.affine, c.stats)
         with pytest.raises(ShapeError):
             Cluster(c.pattern, np.array([], dtype=int), c.affine, c.stats)
+
+
+    def test_partition_clusters_are_read_only(self):
+        rng = np.random.default_rng(12)
+        net = make_random_network(rng, d=4, widths=(6, 3))
+        ds = random_dataset(rng, net, 500)
+        clusters = partition(net, ds)
+        assert len(clusters) > 10
+        for c in clusters:
+            idx = c.member_indices
+            assert idx.dtype == np.int64 and idx.ndim == 1 and idx.shape[0] > 0
+            assert (np.diff(idx) > 0).all()
+            for arr in (idx, c.affine.omega, c.affine.bias):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+            assert c.affine.omega.shape == (1, 4) and c.affine.bias.shape == (1,)
+
+    def test_public_constructors_keep_their_checks(self, rng):
+        net = make_random_network(rng, d=2, widths=(2,))
+        c = partition(net, random_dataset(rng, net, 20))[0]
+        for bad in ([0, 0], [2, 1, 3], [[0, 1]]):
+            with pytest.raises(ShapeError):
+                Cluster(c.pattern, np.array(bad), c.affine, c.stats)
+        with pytest.raises(ShapeError):
+            AffineMap([[1.0, 2.0]], [0.0, 1.0])
+        indices = np.array([1, 4])
+        public = Cluster(c.pattern, indices, AffineMap(c.affine.omega, c.affine.bias), c.stats)
+        indices[0] = 3
+        assert public.member_indices.tolist() == [1, 4]
 
 
 class TestClusterOf:
