@@ -61,7 +61,7 @@ def feature_importance(
         raise ShapeError(
             f"importance reports require a scalar output, got {omega.shape[0]} rows"
         )
-    names = tuple(str(n) for n in feature_names)
+    names = tuple(map(str, feature_names))
     if len(names) != omega.shape[1]:
         raise ShapeError(
             f"{len(names)} feature names for {omega.shape[1]} weights"
@@ -77,10 +77,21 @@ def feature_importance(
             row = row / peak
     return ImportanceReport(
         cluster_id=cluster_id,
-        feature_importances=tuple(zip(names, (float(w) for w in row))),
+        feature_importances=tuple(zip(names, row.tolist())),
         bias=float(cluster.affine.bias[0]),
         normalization=normalization,
     )
+
+
+class _CsvFields(dict):
+    """Each text as one csv field, quoted as ``csv.writer`` quotes it; made once per text."""
+
+    def __missing__(self, text: str) -> str:
+        buf = io.StringIO()
+        # A second, empty field: csv.writer quotes a lone empty field.
+        csv.writer(buf, lineterminator="\n").writerow([text, ""])
+        field = self[text] = buf.getvalue()[:-2]
+        return field
 
 
 def render_report(clusters, reports, format: str = "csv") -> str:
@@ -88,7 +99,9 @@ def render_report(clusters, reports, format: str = "csv") -> str:
 
     Output is a deterministic function of the inputs. The one format, csv,
     has one row per (cluster, feature) pair with columns cluster_id, feature,
-    weight, bias, size, fraction.
+    weight, bias, size, fraction: the bytes ``csv.writer`` writes for the
+    ``repr`` of each weight, bias and fraction. Each cluster's closing
+    fields are formatted once, and each feature name is quoted once.
     """
     clusters = list(clusters)
     reports = list(reports)
@@ -98,19 +111,13 @@ def render_report(clusters, reports, format: str = "csv") -> str:
         )
     if format != "csv":
         raise InputError(f"format must be 'csv', got {format!r}")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["cluster_id", "feature", "weight", "bias", "size", "fraction"])
+    names = _CsvFields()
+    lines = ["cluster_id,feature,weight,bias,size,fraction\n"]
     for cluster, report in zip(clusters, reports):
-        for name, weight in report.feature_importances:
-            writer.writerow(
-                [
-                    report.cluster_id,
-                    name,
-                    repr(weight),
-                    repr(report.bias),
-                    cluster.stats.size,
-                    repr(cluster.stats.fraction),
-                ]
-            )
-    return buf.getvalue()
+        head = f"{report.cluster_id},"
+        tail = f",{report.bias!r},{cluster.stats.size},{cluster.stats.fraction!r}\n"
+        lines += [
+            f"{head}{names[name]},{weight!r}{tail}"
+            for name, weight in report.feature_importances
+        ]
+    return "".join(lines)

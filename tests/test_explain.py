@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -152,3 +155,79 @@ class TestRenderReport:
             cells = line.split(",")
             assert cells[1] == name
             assert float(cells[2]) == weight
+
+
+def reference_report_csv(clusters, reports) -> str:
+    """The importance csv as ``csv.writer`` writes it, one row at a time."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["cluster_id", "feature", "weight", "bias", "size", "fraction"])
+    for cluster, report in zip(clusters, reports):
+        for name, weight in report.feature_importances:
+            writer.writerow([
+                report.cluster_id, name, repr(weight), repr(report.bias),
+                cluster.stats.size, repr(cluster.stats.fraction),
+            ])
+    return buf.getvalue()
+
+
+# Names csv.writer must quote, or must not: a comma, a quote, a line break,
+# the empty name, and non-ASCII text.
+AWKWARD_NAMES = ("a,b", 'say "hi"', "two\nlines", "", "Größe", "température", "x")
+AWKWARD_WEIGHTS = (-0.0, 5e-324, 1e16, 1e-7, 3.0, -12.0, 0.1)
+
+
+class TestReportMatchesCsvWriter:
+    def clusters(self):
+        rows = [
+            AWKWARD_WEIGHTS,
+            tuple(reversed(AWKWARD_WEIGHTS)),
+            (0.0,) * len(AWKWARD_WEIGHTS),
+            (-2.0, 1e16, -0.0, 5e-324, 1e-7, 4.0, -0.5),
+        ]
+        biases = (-0.0, 1e-7, 2.5, 5e-324)
+        stats = (
+            ClusterStats(5, 0.5, 0.2, 0.4),
+            ClusterStats(3, 0.3, 1.0, 0.0),
+            ClusterStats(1, 0.1, 0.0, 1.0),
+            ClusterStats(1, 0.1, 0.0, 0.0),
+        )
+        return [
+            Cluster(ActivationPattern(((True, False),)), np.arange(st.size), AffineMap([row], [b]), st)
+            for row, b, st in zip(rows, biases, stats)
+        ]
+
+    @pytest.mark.parametrize("normalization", ["raw", "max_abs"])
+    def test_awkward_names_and_weights(self, normalization):
+        clusters = self.clusters()
+        reports = [
+            feature_importance(c, AWKWARD_NAMES, normalization, cluster_id=i)
+            for i, c in enumerate(clusters)
+        ]
+        text = render_report(clusters, reports)
+        assert text == reference_report_csv(clusters, reports)
+        assert '\n0,"a,b",' in text and '\n0,"say ""hi""",' in text and '\n0,,' in text
+        parsed = list(csv.reader(io.StringIO(text)))
+        assert [row[1] for row in parsed[1:8]] == list(AWKWARD_NAMES)
+
+    def test_max_abs_rows_in_the_csv(self):
+        clusters = self.clusters()
+        reports = [feature_importance(c, AWKWARD_NAMES, "max_abs") for c in clusters]
+        rows = list(csv.reader(io.StringIO(render_report(clusters, reports))))[1:]
+        weights = np.array([float(row[2]) for row in rows]).reshape(len(clusters), -1)
+        peaks = np.abs(weights).max(axis=1)
+        assert peaks.tolist() == [1.0, 1.0, 0.0, 1.0]
+
+    def test_partition_clusters(self, rng):
+        net = make_random_network(rng, d=3, widths=(4, 3))
+        ds = Dataset(rng.normal(size=(200, 3)), rng.integers(0, 2, 200), ("p,q", "é", '"r"'))
+        clusters = partition(net, ds)
+        for normalization in ("raw", "max_abs"):
+            reports = [
+                feature_importance(c, ds.feature_names, normalization, cluster_id=i)
+                for i, c in enumerate(clusters)
+            ]
+            assert render_report(clusters, reports) == reference_report_csv(clusters, reports)
+
+    def test_zero_clusters(self):
+        assert render_report([], []) == reference_report_csv([], [])
