@@ -32,9 +32,10 @@ from . import __version__
 from .affine import collapse_batch, jacobian_check, verify_affine
 from .data import (
     Dataset,
+    _parse_dataset_table,
+    _table_dataset,
     dataset_to_csv,
     gen_boolean,
-    parse_dataset_csv,
     parse_titanic_csv,
     split,
 )
@@ -445,8 +446,12 @@ def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
     raw = data_path.read_bytes()
     hashes["data"] = _sha256(raw)
     _check_inputs(recorded, hashes)
-    dataset = parse_dataset_csv(raw, data_path)
+    table = _parse_dataset_table(raw, data_path)
+    # The bytes are dropped before the Dataset copies the parsed table, so
+    # the three are never alive at once.
     del raw
+    dataset = _table_dataset(table, data_path)
+    del table
     affine_report = verify_affine(net, dataset.features, tol=params["tol"])
 
     n = dataset.n_rows

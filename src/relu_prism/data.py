@@ -312,26 +312,26 @@ _CSV_BLOCK_ROWS = 1024
 
 
 def dataset_to_csv(dataset: Dataset) -> str:
-    """Comma-separated export: feature columns then a final ``target`` column."""
+    """Comma-separated export: feature columns then a final ``target`` column.
+
+    The bytes are those of ``csv.writer``: the header through it, and each
+    row as the ``repr`` of its floats and its 0/1 target, which never need
+    quoting.
+    """
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(dataset.feature_names) + ["target"])
-    # tolist() gives the Python floats and ints the csv module writes; a block
-    # at a time, so the Python copy of the rows stays small. Each block's text
-    # becomes one string and the buffer is emptied, so the one large string
-    # is the join.
-    blocks = []
+    csv.writer(buf, lineterminator="\n").writerow([*dataset.feature_names, "target"])
+    # tolist() gives the Python floats and ints, a block at a time, so the
+    # Python copy of the rows stays small; each block becomes one string, so
+    # the one large string is the join.
+    blocks = [buf.getvalue()]
     for start in range(0, dataset.n_rows, _CSV_BLOCK_ROWS):
         stop = start + _CSV_BLOCK_ROWS
-        writer.writerows(
-            x + [t]
+        blocks.append("".join([
+            f"{','.join(map(repr, x))},{t}\n"
             for x, t in zip(
                 dataset.features[start:stop].tolist(), dataset.targets[start:stop].tolist()
             )
-        )
-        blocks.append(buf.getvalue())
-        buf.seek(0)
-        buf.truncate()
+        ]))
     return "".join(blocks)
 
 
@@ -349,10 +349,18 @@ def parse_dataset_csv(raw: bytes, path) -> Dataset:
     line, so both give the same dataset or the same refusal.
     """
     path = Path(path)
+    return _table_dataset(_parse_dataset_table(raw, path), path)
+
+
+def _parse_dataset_table(raw: bytes, path: Path):
+    """``(names, features, targets)`` of the csv bytes ``raw``, as ``parse_dataset_csv`` reads them."""
     parsed = _parse_canonical_csv(raw)
-    if parsed is None:
-        parsed = _parse_csv_lines(raw, path)
-    names, features, targets = parsed
+    return _parse_csv_lines(raw, path) if parsed is None else parsed
+
+
+def _table_dataset(table, path: Path) -> Dataset:
+    """The checked ``Dataset`` copy of a parsed ``(names, features, targets)``."""
+    names, features, targets = table
     return Dataset(
         features=features,
         targets=targets,

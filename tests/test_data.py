@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 
 import numpy as np
@@ -286,6 +288,21 @@ class TestCsvRoundTrip:
             for x, t in zip(ds.features, ds.targets)
         )
         assert dataset_to_csv(ds) == expected
+
+    def test_matches_csv_writer(self):
+        # Awkward names are quoted in the header; special floats are written
+        # by their repr, over more than one write block.
+        rng = np.random.default_rng(9)
+        names = ("a,b", 'say "hi"', "Größe", "", "x")
+        X = special_floats(rng, (2500, len(names)))
+        X[:7, 0] = [-0.0, 5e-324, 1e16, 1e-7, 3.0, -12.0, 2.0**53]
+        ds = Dataset(X, rng.integers(0, 2, 2500), names)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([*names, "target"])
+        writer.writerows(x + [t] for x, t in zip(X.tolist(), ds.targets.tolist()))
+        assert dataset_to_csv(ds) == buf.getvalue()
+        assert dataset_to_csv(ds).startswith('"a,b","say ""hi""",Größe,,x,target\n-0.0,')
 
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
