@@ -60,7 +60,8 @@ class AffineMap:
     def _from_frozen(cls, omega: np.ndarray, bias: np.ndarray) -> "AffineMap":
         """Wrap read-only float64 arrays of consistent shapes, uncopied and unchecked."""
         affine = object.__new__(cls)
-        vars(affine).update(omega=omega, bias=bias)
+        object.__setattr__(affine, "omega", omega)
+        object.__setattr__(affine, "bias", bias)
         return affine
 
     def apply(self, u) -> np.ndarray:

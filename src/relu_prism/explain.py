@@ -116,8 +116,10 @@ def render_report(clusters, reports, format: str = "csv") -> str:
     for cluster, report in zip(clusters, reports):
         head = f"{report.cluster_id},"
         tail = f",{report.bias!r},{cluster.stats.size},{cluster.stats.fraction!r}\n"
-        lines += [
+        # One string per cluster: a string per row would hold a Python
+        # object for every row of the document until the final join.
+        lines.append("".join([
             f"{head}{names[name]},{weight!r}{tail}"
             for name, weight in report.feature_importances
-        ]
+        ]))
     return "".join(lines)

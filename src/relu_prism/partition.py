@@ -61,9 +61,10 @@ class Cluster:
     ) -> "Cluster":
         """Wrap a read-only, non-empty, strictly increasing int64 vector, uncopied and unchecked."""
         cluster = object.__new__(cls)
-        vars(cluster).update(
-            pattern=pattern, member_indices=member_indices, affine=affine, stats=stats
-        )
+        object.__setattr__(cluster, "pattern", pattern)
+        object.__setattr__(cluster, "member_indices", member_indices)
+        object.__setattr__(cluster, "affine", affine)
+        object.__setattr__(cluster, "stats", stats)
         return cluster
 
     @property
