@@ -210,14 +210,6 @@ class TestReportMatchesCsvWriter:
         parsed = list(csv.reader(io.StringIO(text)))
         assert [row[1] for row in parsed[1:8]] == list(AWKWARD_NAMES)
 
-    def test_max_abs_rows_in_the_csv(self):
-        clusters = self.clusters()
-        reports = [feature_importance(c, AWKWARD_NAMES, "max_abs") for c in clusters]
-        rows = list(csv.reader(io.StringIO(render_report(clusters, reports))))[1:]
-        weights = np.array([float(row[2]) for row in rows]).reshape(len(clusters), -1)
-        peaks = np.abs(weights).max(axis=1)
-        assert peaks.tolist() == [1.0, 1.0, 0.0, 1.0]
-
     def test_partition_clusters(self, rng):
         net = make_random_network(rng, d=3, widths=(4, 3))
         ds = Dataset(rng.normal(size=(200, 3)), rng.integers(0, 2, 200), ("p,q", "é", '"r"'))

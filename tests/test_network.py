@@ -27,7 +27,7 @@ from relu_prism import (
     sigmoid,
     verify_affine,
 )
-from relu_prism.network import group_by_pattern, masks_to_bitstrings, parse_network_json
+from relu_prism.network import group_by_pattern, parse_network_json
 from conftest import make_random_network
 
 
@@ -338,13 +338,3 @@ class TestGroupByPattern:
             np.testing.assert_array_equal(a, b)
         assert got[1].shape[1] == sum(widths)
         assert got[3].sum() == 600
-
-    def test_bitstring_order_and_increasing_rows(self, rng):
-        net = make_random_network(rng, d=3, widths=(5, 4))
-        X = rng.normal(size=(400, 3))
-        _, masks, order, counts = group_by_pattern(net, X)
-        keys = masks_to_bitstrings(masks)
-        assert keys == sorted(set(keys))
-        starts = np.cumsum(counts) - counts
-        for s, c in zip(starts, counts):
-            assert (np.diff(order[s : s + c]) > 0).all()

@@ -163,8 +163,9 @@ class TestClusterType:
         net = make_random_network(rng, d=2, widths=(2,))
         ds = random_dataset(rng, net, 20)
         c = partition(net, ds)[0]
-        with pytest.raises(ShapeError):
-            Cluster(c.pattern, np.array([3, 1]), c.affine, c.stats)
+        for bad in ([3, 1], [0, 0], [2, 1, 3], [[0, 1]]):
+            with pytest.raises(ShapeError):
+                Cluster(c.pattern, np.array(bad), c.affine, c.stats)
         with pytest.raises(ShapeError):
             Cluster(c.pattern, np.array([], dtype=int), c.affine, c.stats)
 
@@ -185,12 +186,9 @@ class TestClusterType:
                     arr[0] = 0
             assert c.affine.omega.shape == (1, 4) and c.affine.bias.shape == (1,)
 
-    def test_public_constructors_keep_their_checks(self, rng):
+    def test_public_constructors_check_and_copy(self, rng):
         net = make_random_network(rng, d=2, widths=(2,))
         c = partition(net, random_dataset(rng, net, 20))[0]
-        for bad in ([0, 0], [2, 1, 3], [[0, 1]]):
-            with pytest.raises(ShapeError):
-                Cluster(c.pattern, np.array(bad), c.affine, c.stats)
         with pytest.raises(ShapeError):
             AffineMap([[1.0, 2.0]], [0.0, 1.0])
         indices = np.array([1, 4])
