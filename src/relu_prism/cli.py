@@ -24,7 +24,6 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +40,7 @@ from .data import (
 )
 from .errors import InputError, SchemaError, TrainingDivergedError
 from .explain import NORMALIZATIONS, feature_importance, render_report
-from .network import bitstrings_to_masks, parse_network_json, save_network
+from .network import _numeric_array, bitstrings_to_masks, parse_network_json, save_network
 from .partition import clusters_to_json, partition
 from .train import TrainConfig, accuracy, history_to_csv, train_seeds
 
@@ -264,65 +263,8 @@ def run_titanic(params: dict, out: Path, recorded: dict | None = None) -> int:
     return _run_experiment("titanic", params, out, train_set, target, hashes, note, fields)
 
 
-class _StoredMap(NamedTuple):
-    """One parsed clusters.json entry: its pattern and map, or why the map is unusable."""
-
-    pattern: object
-    omega: np.ndarray | None
-    bias: np.ndarray | None
-    problem: str | None = None
-
-
 # The keys that make a JSON object a cluster entry for verify.
 _ENTRY_KEYS = frozenset(("pattern", "omega", "bias"))
-
-
-def _stored_map(obj: dict):
-    """``json`` object hook: turn each cluster entry into arrays as it is parsed.
-
-    Only one entry's float lists are alive at a time, instead of the whole
-    document's.
-    """
-    if not _ENTRY_KEYS <= obj.keys():
-        return obj
-    try:
-        omega = np.array(obj["omega"], dtype=np.float64)
-        bias = np.array(obj["bias"], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        return _StoredMap(obj["pattern"], None, None, f"map is not numeric: {exc}")
-    return _StoredMap(obj["pattern"], omega, bias)
-
-
-def _check_entries(doc, clusters_path: Path, total: int, shape: tuple) -> tuple:
-    """The stored patterns and maps of a document parsed with ``_stored_map``.
-
-    Checks one entry at a time and refuses the first bad one by its index.
-    """
-    if not isinstance(doc, list):
-        raise SchemaError(f"{clusters_path} must hold a JSON array of clusters")
-    stored_omega = np.empty((len(doc), *shape))
-    stored_bias = np.empty((len(doc), shape[0]))
-    for i, entry in enumerate(doc):
-        if not isinstance(entry, _StoredMap):
-            raise SchemaError(f"cluster {i} must carry pattern, omega and bias")
-        if entry.problem is not None:
-            raise SchemaError(f"cluster {i} {entry.problem}")
-        bits = entry.pattern
-        if not isinstance(bits, str) or set(bits) - {"0", "1"}:
-            raise SchemaError(f"cluster {i} pattern must be a 0/1 string")
-        if len(bits) != total:
-            raise SchemaError(
-                f"cluster {i} pattern has {len(bits)} bits, network has {total} hidden units"
-            )
-        if entry.omega.shape != shape or entry.bias.shape != shape[:1]:
-            raise SchemaError(f"cluster {i} map shapes do not match the network")
-        if not (np.isfinite(entry.omega).all() and np.isfinite(entry.bias).all()):
-            raise SchemaError(f"cluster {i} map is not finite")
-        stored_omega[i] = entry.omega
-        stored_bias[i] = entry.bias
-    return [entry.pattern for entry in doc], stored_omega, stored_bias
-
-
 # Entries whose float lists become arrays in one conversion.
 _MAP_BLOCK = 1024
 # What each cluster entry parses to under ``_StoredMaps``.
@@ -334,8 +276,11 @@ class _StoredMaps:
     arrays converted ``_MAP_BLOCK`` entries at a time.
 
     Each entry parses to ``_ENTRY``. Only one block's float lists are alive at
-    a time. Once a block does not convert to maps of ``shape``, the rest of
-    the document is only parsed.
+    a time. A block that does not convert to numeric maps of ``shape`` is
+    converted one entry at a time: an entry whose map is not numeric, or not
+    of ``shape``, is recorded, with NaN in its place so that the test for
+    finite maps refuses it. The hook never raises, so a syntax error later
+    in the document is still reported as one.
     """
 
     def __init__(self, shape: tuple):
@@ -344,51 +289,83 @@ class _StoredMaps:
         # The converted blocks, after an empty one: no entries make (0, ...) maps.
         self.omegas, self.biases = [np.empty((0, *shape))], [np.empty((0, shape[0]))]
         self.pending_omegas, self.pending_biases = [], []
-        self.ok = True
+        # Why each unusable entry's map is not numeric, and the entries of the wrong shape.
+        self.not_numeric, self.misshapen = {}, set()
 
     def __call__(self, obj: dict):
         if not _ENTRY_KEYS <= obj.keys():
             return obj
         self.patterns.append(obj["pattern"])
-        if self.ok:
-            self.pending_omegas.append(obj["omega"])
-            self.pending_biases.append(obj["bias"])
-            if len(self.pending_omegas) == _MAP_BLOCK:
-                self._convert()
+        self.pending_omegas.append(obj["omega"])
+        self.pending_biases.append(obj["bias"])
+        if len(self.pending_omegas) == _MAP_BLOCK:
+            self._convert()
         return _ENTRY
 
     def _convert(self) -> None:
-        n = len(self.pending_omegas)
-        try:
-            omega = np.array(self.pending_omegas, dtype=np.float64)
-            bias = np.array(self.pending_biases, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            self.ok = False
-        else:
-            self.ok = omega.shape == (n, *self.shape) and bias.shape == (n, self.shape[0])
-            self.omegas.append(omega)
-            self.biases.append(bias)
+        omegas, biases = self.pending_omegas, self.pending_biases
         self.pending_omegas, self.pending_biases = [], []
+        n, shape = len(omegas), self.shape
+        try:
+            # The dtype is inferred, not given: numpy would parse a string such as "0.25".
+            omega, bias = np.array(omegas), np.array(biases)
+        except (TypeError, ValueError, OverflowError):
+            omega = bias = np.empty(0)
+        if not (omega.shape == (n, *shape) and bias.shape == (n, shape[0])
+                and omega.dtype.kind in "biuf" and bias.dtype.kind in "biuf"):
+            omega, bias = np.full((n, *shape), np.nan), np.full((n, shape[0]), np.nan)
+            first = len(self.patterns) - n
+            for j in range(n):
+                try:
+                    one_omega, one_bias = _numeric_array(omegas[j]), _numeric_array(biases[j])
+                except (TypeError, ValueError, OverflowError) as exc:
+                    self.not_numeric[first + j] = str(exc)
+                    continue
+                if one_omega.shape == shape and one_bias.shape == shape[:1]:
+                    omega[j], bias[j] = one_omega, one_bias
+                else:
+                    self.misshapen.add(first + j)
+        self.omegas.append(omega.astype(np.float64, copy=False))
+        self.biases.append(bias.astype(np.float64, copy=False))
 
-    def checked(self, doc, total: int) -> tuple | None:
-        """The stored patterns and maps if every entry of ``doc`` passes every check, else None.
+    def checked(self, doc, clusters_path: Path, total: int) -> tuple:
+        """The stored patterns and maps of ``doc``; a bad entry is refused by its index.
 
-        One check per property over all entries: each is a top-level entry,
-        its map converted, its pattern a 0/1 string of ``total`` bits and its
-        map finite.
+        Each check runs once over all entries: each is a top-level entry, its
+        map numeric, its pattern a 0/1 string of ``total`` bits and its map
+        finite. Only if that refuses does one loop over the same entries name
+        the first bad one. Within an entry the checks run in that order, with
+        the map's shapes checked after its pattern.
         """
-        if self.ok and self.pending_omegas:
-            self._convert()
+        if type(doc) is not list:
+            raise SchemaError(f"{clusters_path} must hold a JSON array of clusters")
         patterns = self.patterns
-        if not (self.ok and type(doc) is list and len(doc) == len(patterns) == doc.count(_ENTRY)):
-            return None
-        if set(map(type, patterns)) - {str} or set(map(len, patterns)) - {total}:
-            return None
-        if set("".join(patterns)) - {"0", "1"}:
-            return None
+        if doc.count(_ENTRY) != len(patterns):
+            raise SchemaError(f"{clusters_path} holds a cluster entry below its top-level array")
+        if self.pending_omegas:
+            self._convert()
         omegas, biases = np.concatenate(self.omegas), np.concatenate(self.biases)
-        if not (np.isfinite(omegas).all() and np.isfinite(biases).all()):
-            return None
+        if (len(doc) == len(patterns) and not set(map(type, patterns)) - {str}
+                and not set(map(len, patterns)) - {total}
+                and not set("".join(patterns)) - {"0", "1"}
+                and np.isfinite(omegas).all() and np.isfinite(biases).all()):
+            return patterns, omegas, biases
+        for i, item in enumerate(doc):
+            if item is not _ENTRY:
+                raise SchemaError(f"cluster {i} must carry pattern, omega and bias")
+            if i in self.not_numeric:
+                raise SchemaError(f"cluster {i} map is not numeric: {self.not_numeric[i]}")
+            bits = patterns[i]
+            if not isinstance(bits, str) or set(bits) - {"0", "1"}:
+                raise SchemaError(f"cluster {i} pattern must be a 0/1 string")
+            if len(bits) != total:
+                raise SchemaError(
+                    f"cluster {i} pattern has {len(bits)} bits, network has {total} hidden units"
+                )
+            if i in self.misshapen:
+                raise SchemaError(f"cluster {i} map shapes do not match the network")
+            if not (np.isfinite(omegas[i]).all() and np.isfinite(biases[i]).all()):
+                raise SchemaError(f"cluster {i} map is not finite")
         return patterns, omegas, biases
 
 
@@ -396,32 +373,27 @@ def _check_stored_clusters(net, clusters_path: Path, tol: float) -> tuple[dict, 
     """Recompute every stored cluster's map from the network and compare.
 
     Returns the check's ``verify.json`` entry and the SHA-256 of the bytes
-    parsed, from one read of the file. The entries are checked all at once;
-    only when that refuses are they parsed and checked again one at a time,
-    to name the first bad entry. The stored bitstrings become one mask
-    matrix, collapsed in one batch.
+    parsed, from one read of the file. The file is parsed once, through
+    ``_StoredMaps``, whether it is accepted or refused: its entries are
+    checked all at once, and only when that refuses are the same parsed
+    entries checked one at a time, to name the first bad one. The stored
+    bitstrings become one mask matrix, collapsed in one batch.
     """
     raw = clusters_path.read_bytes()
     digest = _sha256(raw)
     total = sum(net.hidden_widths)
-    shape = (net.output_dim, net.input_dim)
-    maps = _StoredMaps(shape)
+    maps = _StoredMaps((net.output_dim, net.input_dim))
     try:
         text = raw.decode()
         # One copy of the file at a time, as with read_text: the bytes are
-        # dropped before parsing and the text once the entries are checked.
+        # dropped before parsing and the text as soon as it is parsed.
         del raw
         doc = json.loads(text, object_hook=maps)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"invalid cluster JSON in {clusters_path}: {exc}")
-    stored = maps.checked(doc, total)
-    del doc, maps
-    if stored is None:
-        stored = _check_entries(
-            json.loads(text, object_hook=_stored_map), clusters_path, total, shape
-        )
     del text
-    patterns, stored_omega, stored_bias = stored
+    patterns, stored_omega, stored_bias = maps.checked(doc, clusters_path, total)
+    del doc, maps
     omegas, biases = collapse_batch(net, bitstrings_to_masks(patterns, total))
     worst = max(
         float(np.abs(stored_omega - omegas).max(initial=0.0)),

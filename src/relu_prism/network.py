@@ -37,6 +37,14 @@ __all__ = [
 ]
 
 
+def _numeric_array(values) -> np.ndarray:
+    """``values`` as float64; a string among them is refused, though numpy would parse "0.25"."""
+    arr = np.array(values, dtype=np.float64)
+    if np.array(values).dtype.kind == "U":
+        raise ValueError("it holds a string")
+    return arr
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
@@ -354,8 +362,7 @@ def network_from_json(doc: dict) -> Network:
         if not isinstance(entry, dict) or "w" not in entry or "b" not in entry:
             raise SchemaError(f'layer {i + 1} must be an object with "w" and "b"')
         try:
-            w = np.array(entry["w"], dtype=np.float64)
-            b = np.array(entry["b"], dtype=np.float64)
+            w, b = _numeric_array(entry["w"]), _numeric_array(entry["b"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"layer {i + 1} is not numeric: {exc}") from exc
         try:

@@ -615,6 +615,7 @@ class TestVerify:
             ("omega", [[1.0, 2.0], [3.0]]),
             ("bias", {"b": 1.0}),
             ("omega", [[0.0] * 9]),
+            ("bias", ["0.5"]),
         ],
     )
     def test_malformed_stored_map_exits_two(self, run_dir, tmp_path, capsys, key, value):
@@ -709,8 +710,6 @@ class TestVerify:
 class TestStoredClustersInBulk:
     """verify checks the stored maps in blocks of entries; a bad entry is still named."""
 
-    BAD = 1100  # past the first block of _MAP_BLOCK entries
-
     @pytest.fixture(scope="class")
     def many(self, tmp_path_factory):
         """network.json, dataset.csv and clusters.json of a random 16,8 net: 1,361 clusters."""
@@ -719,7 +718,8 @@ class TestStoredClustersInBulk:
         X = np.random.default_rng(0).standard_normal((1500, 10))
         dataset = Dataset(X, (X.sum(axis=1) > 0).astype(int), tuple("abcdefghij"))
         clusters = partition(net, dataset)
-        assert len(clusters) > self.BAD > cli._MAP_BLOCK
+        # Entry 500 sits in the first, full block; 1100 and 1300 in the last, partial one.
+        assert 500 < cli._MAP_BLOCK < 1100 < 1300 < len(clusters) < 2 * cli._MAP_BLOCK
         save_network(net, root / "network.json")
         (root / "dataset.csv").write_text(dataset_to_csv(dataset))
         cli._write_json(root / "clusters.json", clusters_to_json(clusters))
@@ -734,21 +734,31 @@ class TestStoredClustersInBulk:
         doc = json.loads((tmp_path / "v" / "verify.json").read_text())
         assert doc["clusters"] == {"checked": 1361, "max_abs_err": 0.0, "pass": True}
 
-    def test_bulk_maps_equal_the_per_entry_maps(self, many):
+    def test_parsed_maps_equal_plain_json_arrays(self, many):
         text = (many / "clusters.json").read_text()
         maps = cli._StoredMaps((1, 10))
-        bulk = maps.checked(json.loads(text, object_hook=maps), 24)
-        one_by_one = cli._check_entries(
-            json.loads(text, object_hook=cli._stored_map), many / "clusters.json", 24, (1, 10)
+        patterns, omegas, biases = maps.checked(
+            json.loads(text, object_hook=maps), many / "clusters.json", 24
         )
-        assert bulk[0] == one_by_one[0]
-        assert bulk[1].tobytes() == one_by_one[1].tobytes()
-        assert bulk[2].tobytes() == one_by_one[2].tobytes()
+        plain = json.loads(text)
+        assert patterns == [entry["pattern"] for entry in plain]
+        assert omegas.tobytes() == b"".join(np.array(e["omega"]).tobytes() for e in plain)
+        assert biases.tobytes() == b"".join(np.array(e["bias"]).tobytes() for e in plain)
 
+    def refused(self, many, tmp_path, capsys, doc, text=None) -> str:
+        bad = tmp_path / "clusters.json"
+        bad.write_text(json.dumps(doc) if text is None else text)
+        out = tmp_path / "v"
+        capsys.readouterr()
+        return assert_rejected(self.verify(many, bad, out), out, capsys)
+
+    @pytest.mark.parametrize("bad", [500, 1100])  # inside the first, full block; in the last
     @pytest.mark.parametrize(
         "key, value, problem",
         [
             ("omega", "abc", "map is not numeric: could not convert string to float: 'abc'"),
+            ("omega", [["0.25"] * 10], "map is not numeric: it holds a string"),
+            ("bias", ["0.25"], "map is not numeric: it holds a string"),
             ("omega", [[1.0, 2.0], [3.0]], None),  # ragged: numpy's own words follow
             ("bias", [None], "map is not finite"),
             ("pattern", "0" * 23, "pattern has 23 bits, network has 24 hidden units"),
@@ -762,35 +772,56 @@ class TestStoredClustersInBulk:
             ("bias", [10**400], "map is not numeric: int too large to convert to float"),
         ],
     )
-    def test_bad_entry_in_a_later_block_is_named(
-        self, many, tmp_path, capsys, key, value, problem
-    ):
+    def test_bad_entry_is_named(self, many, tmp_path, capsys, bad, key, value, problem):
         doc = json.loads((many / "clusters.json").read_text())
         if value is None:
-            del doc[self.BAD][key]
+            del doc[bad][key]
         else:
-            doc[self.BAD][key] = value
+            doc[bad][key] = value
         if problem is None:
             with pytest.raises(ValueError) as numpy_error:
                 np.array(value, dtype=np.float64)
             problem = f"map is not numeric: {numpy_error.value}"
-        bad = tmp_path / "clusters.json"
-        bad.write_text(json.dumps(doc))
-        out = tmp_path / "v"
-        capsys.readouterr()
-        err = assert_rejected(self.verify(many, bad, out), out, capsys)
-        assert err == f"error: cluster {self.BAD} {problem}\n"
+        err = self.refused(many, tmp_path, capsys, doc)
+        assert err == f"error: cluster {bad} {problem}\n"
 
-    def test_first_bad_entry_is_named(self, many, tmp_path, capsys):
+    NOT_NUMERIC = ("omega", "abc", "map is not numeric: could not convert string to float: 'abc'")
+    SHORT = ("pattern", "0" * 23, "pattern has 23 bits, network has 24 hidden units")
+
+    @pytest.mark.parametrize("first, second", [(500, 1100), (1100, 1300)])
+    @pytest.mark.parametrize("early, late", [(NOT_NUMERIC, SHORT), (SHORT, NOT_NUMERIC)])
+    def test_first_bad_entry_is_named(self, many, tmp_path, capsys, first, second, early, late):
         doc = json.loads((many / "clusters.json").read_text())
-        doc[1300]["omega"] = "abc"
-        doc[self.BAD]["pattern"] = "0" * 23
-        bad = tmp_path / "clusters.json"
-        bad.write_text(json.dumps(doc))
-        out = tmp_path / "v"
-        capsys.readouterr()
-        err = assert_rejected(self.verify(many, bad, out), out, capsys)
-        assert err.startswith(f"error: cluster {self.BAD} pattern has 23 bits"), err
+        doc[first][early[0]] = early[1]
+        doc[second][late[0]] = late[1]
+        err = self.refused(many, tmp_path, capsys, doc)
+        assert err == f"error: cluster {first} {early[2]}\n"
+
+    def test_a_refused_file_is_parsed_once(self, many, tmp_path, capsys, monkeypatch):
+        doc = json.loads((many / "clusters.json").read_text())
+        doc[500]["omega"] = "abc"
+        parses, real_loads = [], json.loads
+
+        def counting_loads(text, **kwargs):
+            parses.append(text)
+            return real_loads(text, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        assert "cluster 500 map is not numeric" in self.refused(many, tmp_path, capsys, doc)
+        assert parses.count(json.dumps(doc)) == 1
+
+    def test_syntax_error_after_a_bad_entry_is_invalid_json(self, many, tmp_path, capsys):
+        """The block holding the bad entry is converted while parsing; nothing is raised then."""
+        doc = json.loads((many / "clusters.json").read_text())
+        doc[500]["omega"] = "abc"
+        err = self.refused(many, tmp_path, capsys, doc, text=json.dumps(doc)[:-1])
+        assert err.startswith("error: invalid cluster JSON in "), err
+
+    def test_entry_below_the_top_level_is_refused(self, many, tmp_path, capsys):
+        doc = json.loads((many / "clusters.json").read_text())
+        doc[3]["note"] = dict(doc[4])
+        err = self.refused(many, tmp_path, capsys, doc)
+        assert err.endswith("clusters.json holds a cluster entry below its top-level array\n"), err
 
     @pytest.mark.parametrize(
         "text, message",
@@ -801,11 +832,7 @@ class TestStoredClustersInBulk:
         ],
     )
     def test_document_of_the_wrong_shape_is_refused(self, many, tmp_path, capsys, text, message):
-        bad = tmp_path / "clusters.json"
-        bad.write_text(text)
-        out = tmp_path / "v"
-        capsys.readouterr()
-        err = assert_rejected(self.verify(many, bad, out), out, capsys)
+        err = self.refused(many, tmp_path, capsys, None, text=text)
         assert message in err, err
 
     def test_empty_list_checks_nothing_and_passes(self, many, tmp_path):

@@ -290,9 +290,18 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             network_from_json(doc)
 
-    def test_integer_too_large_for_a_float_is_a_schema_error(self):
-        with pytest.raises(SchemaError, match="^layer 1 is not numeric: int too large"):
-            network_from_json({"layers": [{"w": [[10**400]], "b": [0.0]}]})
+    @pytest.mark.parametrize(
+        "w, b, problem",
+        [
+            ([[10**400]], [0.0], "int too large"),
+            ([["0.5", True]], ["1"], "it holds a string"),  # numpy would parse "0.5"
+            ([[0.5]], ["1"], "it holds a string"),
+            ([["abc"]], [0.0], "could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_non_numeric_layer_is_a_schema_error(self, w, b, problem):
+        with pytest.raises(SchemaError, match=f"^layer 1 is not numeric: {problem}"):
+            network_from_json({"layers": [{"w": w, "b": b}]})
 
     def test_parse_network_json_names_the_file(self, rng):
         net = make_random_network(rng, d=3, widths=(2,))
