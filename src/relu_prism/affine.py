@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class AffineMap:
     """The pair (omega, bias): logit(u) = omega @ u + bias on one pattern's region.
 
@@ -191,9 +191,10 @@ def verify_affine(net: Network, inputs, tol: float = 1e-6) -> VerifyReport:
     starts = np.cumsum(counts) - counts
     omegas, biases = collapse_batch(net, masks)
     # Each row's error, at its place in ``order``. The groups of one size are
-    # one stacked product, per group the same as ``AffineMap.apply``.
+    # one stacked product, per group the same as ``AffineMap.apply``. The
+    # sizes come from a bincount: np.unique would import numpy.ma.
     err = np.empty(X.shape[0])
-    for size in np.unique(counts):
+    for size in np.flatnonzero(np.bincount(counts)):
         groups = np.flatnonzero(counts == size)
         at = starts[groups][:, None] + np.arange(size)
         rows = order[at]

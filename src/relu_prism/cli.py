@@ -40,7 +40,9 @@ from .data import (
 )
 from .errors import InputError, SchemaError, TrainingDivergedError
 from .explain import NORMALIZATIONS, feature_importance, render_report
-from .network import _numeric_array, bitstrings_to_masks, parse_network_json, save_network
+from .network import (
+    _leaf_types, _numeric_array, bitstrings_to_masks, parse_network_json, save_network,
+)
 from .partition import clusters_to_json, partition
 from .train import TrainConfig, accuracy, history_to_csv, train_seeds
 
@@ -276,15 +278,17 @@ class _StoredMaps:
     arrays converted ``_MAP_BLOCK`` entries at a time.
 
     Each entry parses to ``_ENTRY``. Only one block's float lists are alive at
-    a time. A block that does not convert to numeric maps of ``shape`` is
-    converted one entry at a time: an entry whose map is not numeric, or not
-    of ``shape``, is recorded, with NaN in its place so that the test for
-    finite maps refuses it. The hook never raises, so a syntax error later
-    in the document is still reported as one.
+    a time. A block that does not convert to numeric maps of ``shape``, or
+    that holds a boolean, is converted one entry at a time: an entry whose
+    map is not numeric, or not of ``shape``, is recorded, with NaN in its
+    place so that the test for finite maps refuses it. A block is searched
+    for booleans only if ``booleans`` says the document may hold one. The
+    hook never raises, so a syntax error later in the document is still
+    reported as one.
     """
 
-    def __init__(self, shape: tuple):
-        self.shape = shape
+    def __init__(self, shape: tuple, booleans: bool = True):
+        self.shape, self.booleans = shape, booleans
         self.patterns = []
         # The converted blocks, after an empty one: no entries make (0, ...) maps.
         self.omegas, self.biases = [np.empty((0, *shape))], [np.empty((0, shape[0]))]
@@ -312,7 +316,9 @@ class _StoredMaps:
         except (TypeError, ValueError, OverflowError):
             omega = bias = np.empty(0)
         if not (omega.shape == (n, *shape) and bias.shape == (n, shape[0])
-                and omega.dtype.kind in "biuf" and bias.dtype.kind in "biuf"):
+                and omega.dtype.kind in "iuf" and bias.dtype.kind in "iuf"
+                # true beside numbers infers as a number.
+                and not (self.booleans and bool in _leaf_types([omegas, biases]))):
             omega, bias = np.full((n, *shape), np.nan), np.full((n, shape[0]), np.nan)
             first = len(self.patterns) - n
             for j in range(n):
@@ -382,7 +388,9 @@ def _check_stored_clusters(net, clusters_path: Path, tol: float) -> tuple[dict, 
     raw = clusters_path.read_bytes()
     digest = _sha256(raw)
     total = sum(net.hidden_widths)
-    maps = _StoredMaps((net.output_dim, net.input_dim))
+    # No key that clusters_to_json writes holds a "u" or an "l", and both
+    # true and false do: a file without either letter holds no boolean.
+    maps = _StoredMaps((net.output_dim, net.input_dim), b"u" in raw or b"l" in raw)
     try:
         text = raw.decode()
         # One copy of the file at a time, as with read_text: the bytes are

@@ -320,18 +320,18 @@ def dataset_to_csv(dataset: Dataset) -> str:
     """
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([*dataset.feature_names, "target"])
-    # tolist() gives the Python floats and ints, a block at a time, so the
-    # Python copy of the rows stays small; each block becomes one string, so
-    # the one large string is the join.
+    # Each block of rows is one % format of one flat tuple: the features and
+    # the 0/1 target side by side as floats, which "%d" writes as 0 or 1.
+    # No Python list is made per row, and the one large string is the join.
+    n, d = dataset.features.shape
+    row = "%r," * d + "%d\n"
+    block = np.empty((_CSV_BLOCK_ROWS, d + 1))
     blocks = [buf.getvalue()]
-    for start in range(0, dataset.n_rows, _CSV_BLOCK_ROWS):
-        stop = start + _CSV_BLOCK_ROWS
-        blocks.append("".join([
-            f"{','.join(map(repr, x))},{t}\n"
-            for x, t in zip(
-                dataset.features[start:stop].tolist(), dataset.targets[start:stop].tolist()
-            )
-        ]))
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        rows = min(_CSV_BLOCK_ROWS, n - start)
+        block[:rows, :d] = dataset.features[start : start + rows]
+        block[:rows, d] = dataset.targets[start : start + rows]
+        blocks.append(row * rows % tuple(block[:rows].ravel().tolist()))
     return "".join(blocks)
 
 

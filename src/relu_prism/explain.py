@@ -24,7 +24,7 @@ __all__ = ["NORMALIZATIONS", "ImportanceReport", "feature_importance", "render_r
 NORMALIZATIONS = ("raw", "max_abs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ImportanceReport:
     """Named feature weights of one cluster's affine map."""
 
@@ -56,7 +56,8 @@ def feature_importance(
     magnitude 1; an all-zero row is left untouched. Rescaling by a positive
     constant preserves signs, zeros and the magnitude ranking.
     """
-    omega = cluster.affine.omega
+    affine = cluster.affine
+    omega = affine.omega
     if omega.shape[0] != 1:
         raise ShapeError(
             f"importance reports require a scalar output, got {omega.shape[0]} rows"
@@ -76,10 +77,7 @@ def feature_importance(
         if peak > 0.0:
             row = row / peak
     return ImportanceReport(
-        cluster_id=cluster_id,
-        feature_importances=tuple(zip(names, row.tolist())),
-        bias=float(cluster.affine.bias[0]),
-        normalization=normalization,
+        cluster_id, tuple(zip(names, row.tolist())), affine.bias.item(0), normalization
     )
 
 

@@ -37,11 +37,28 @@ __all__ = [
 ]
 
 
+def _leaf_types(values) -> set:
+    """The types of what the nested lists ``values`` hold below every list."""
+    types, level = set(), [values]
+    while level:
+        types.update(map(type, level))
+        level = [v for item in level if type(item) is list for v in item]
+    types.discard(list)
+    return types
+
+
 def _numeric_array(values) -> np.ndarray:
-    """``values`` as float64; a string among them is refused, though numpy would parse "0.25"."""
+    """``values`` as float64; a string or a boolean among them is refused.
+
+    numpy would parse a string such as "0.25" and take true as 1, even beside
+    numbers. A null still becomes NaN, which the test for finite values refuses.
+    """
     arr = np.array(values, dtype=np.float64)
-    if np.array(values).dtype.kind == "U":
+    kind, types = np.array(values).dtype.kind, _leaf_types(values)
+    if kind == "U" or str in types:
         raise ValueError("it holds a string")
+    if kind == "b" or bool in types:
+        raise ValueError("it holds true or false")
     return arr
 
 

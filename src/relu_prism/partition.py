@@ -26,7 +26,7 @@ from .network import (
 __all__ = ["ClusterStats", "Cluster", "partition", "cluster_of", "clusters_to_json"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterStats:
     """Membership summary: counts plus predicted and observed positive rates."""
 
@@ -36,7 +36,7 @@ class ClusterStats:
     target_positive_rate: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Cluster:
     """One equivalence class of dataset rows together with its affine map."""
 
@@ -103,30 +103,33 @@ def partition(net: Network, dataset: Dataset) -> list[Cluster]:
         or biases.shape != (counts.shape[0], 1)
     ):
         raise ShapeError("pattern groups do not form a table of clusters")
-    for table in (order, omegas, biases):
-        table.setflags(write=False)
     # Predictions and targets are 0/1, so each weighted bincount is an exact
     # count and each rate the same division that a per-group mean makes.
     label = np.repeat(np.arange(counts.shape[0]), counts)
     predicted_rates = np.bincount(label, weights=logits[order, 0] > 0.0) / counts
     target_rates = np.bincount(label, weights=dataset.targets[order]) / counts
     # Groups come in bitstring order, so a stable sort on size descending
-    # gives the canonical order.
+    # gives the canonical order. The tables are ranked once, and each
+    # cluster wraps one row of each.
     rank = np.argsort(-counts, kind="stable")
-    bitstrings = masks_to_bitstrings(masks)
+    sizes, omegas, biases = counts[rank], omegas[rank], biases[rank]
+    for table in (order, omegas, biases):
+        table.setflags(write=False)
     widths = net.hidden_widths
     return [
         Cluster._from_frozen(
-            ActivationPattern._from_bitstring(bitstrings[g], widths),
+            ActivationPattern._from_bitstring(bitstring, widths),
             order[start : start + size],
-            AffineMap._from_frozen(omegas[g], biases[g]),
+            AffineMap._from_frozen(omega, bias),
             ClusterStats(size, fraction, predicted_rate, target_rate),
         )
-        for g, start, size, fraction, predicted_rate, target_rate in zip(
-            rank.tolist(),
+        for bitstring, omega, bias, start, size, fraction, predicted_rate, target_rate in zip(
+            masks_to_bitstrings(masks[rank]),
+            omegas,
+            biases,
             starts[rank].tolist(),
-            counts[rank].tolist(),
-            (counts[rank] / n).tolist(),
+            sizes.tolist(),
+            (sizes / n).tolist(),
             predicted_rates[rank].tolist(),
             target_rates[rank].tolist(),
         )
@@ -148,15 +151,16 @@ def cluster_of(clusters: list[Cluster], net: Network, u) -> Cluster | None:
 
 def clusters_to_json(clusters: list[Cluster]) -> list[dict]:
     """Export clusters in canonical order as plain JSON objects."""
-    return [
-        {
+    docs = []
+    for c in clusters:
+        stats, affine = c.stats, c.affine
+        docs.append({
             "pattern": c.pattern.bitstring,
-            "size": c.stats.size,
-            "fraction": c.stats.fraction,
-            "predicted_positive_rate": c.stats.predicted_positive_rate,
-            "target_positive_rate": c.stats.target_positive_rate,
-            "omega": c.affine.omega.tolist(),
-            "bias": c.affine.bias.tolist(),
-        }
-        for c in clusters
-    ]
+            "size": stats.size,
+            "fraction": stats.fraction,
+            "predicted_positive_rate": stats.predicted_positive_rate,
+            "target_positive_rate": stats.target_positive_rate,
+            "omega": affine.omega.tolist(),
+            "bias": affine.bias.tolist(),
+        })
+    return docs

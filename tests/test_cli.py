@@ -530,6 +530,22 @@ class TestVerify:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "value, problem", [(True, "it holds true or false"), ("0.5", "it holds a string")]
+    )
+    def test_non_numeric_weight_exits_two(self, run_dir, tmp_path, capsys, value, problem):
+        net_doc = json.loads((run_dir / "network.json").read_text())
+        net_doc["layers"][1]["w"][0][1] = value
+        (run_dir / "network.json").write_text(json.dumps(net_doc))
+        out = tmp_path / "v"
+        capsys.readouterr()
+        err = assert_rejected(
+            ["verify", "--net", str(run_dir / "network.json"),
+             "--data", str(run_dir / "dataset.csv"), "--out", str(out)],
+            out, capsys,
+        )
+        assert err == f"error: layer 2 is not numeric: {problem}\n"
+
     def test_structurally_corrupt_network_exits_two(self, run_dir, tmp_path, capsys):
         (run_dir / "network.json").write_text('{"layers": [')
         code = main(
@@ -770,6 +786,12 @@ class TestStoredClustersInBulk:
             ("bias", [float("-inf")], "map is not finite"),
             ("bias", None, "must carry pattern, omega and bias"),
             ("bias", [10**400], "map is not numeric: int too large to convert to float"),
+            # numpy infers true beside numbers as a number, and converts a string
+            # beside an integer too large for uint64.
+            ("omega", [[0.5, True] + [0.0] * 8], "map is not numeric: it holds true or false"),
+            ("bias", [False], "map is not numeric: it holds true or false"),
+            ("omega", [[True] * 10], "map is not numeric: it holds true or false"),
+            ("omega", [["0.5", 2**70] + [0.0] * 8], "map is not numeric: it holds a string"),
         ],
     )
     def test_bad_entry_is_named(self, many, tmp_path, capsys, bad, key, value, problem):
@@ -834,6 +856,19 @@ class TestStoredClustersInBulk:
     def test_document_of_the_wrong_shape_is_refused(self, many, tmp_path, capsys, text, message):
         err = self.refused(many, tmp_path, capsys, None, text=text)
         assert message in err, err
+
+    @pytest.mark.parametrize("note", [None, True, "null"])
+    def test_accepted_maps_convert_a_block_at_a_time(self, many, tmp_path, monkeypatch, note):
+        """No entry is converted alone, also when a boolean or null sits outside the maps."""
+        doc = json.loads((many / "clusters.json").read_text())
+        if note is not None:
+            doc[3]["note"] = note
+        stored = tmp_path / "clusters.json"
+        stored.write_text(json.dumps(doc))
+        alone = []
+        monkeypatch.setattr(cli, "_numeric_array", lambda values: alone.append(values))
+        assert main(self.verify(many, stored, tmp_path / "v")) == 0
+        assert alone == []
 
     def test_empty_list_checks_nothing_and_passes(self, many, tmp_path):
         empty = tmp_path / "clusters.json"
@@ -1085,6 +1120,26 @@ def test_closed_stdout_exits_141_with_a_whole_run_or_none(tmp_path, unbuffered):
         assert not out.exists()
     else:
         assert sorted(os.listdir(out)) == sorted(RUN_FILES)
+
+
+def test_simulate_and_verify_do_not_import_numpy_ma(tmp_path):
+    """numpy.ma costs each fresh process about 15 ms; np.unique imports it."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run, checked = tmp_path / "run", tmp_path / "v"
+    script = (
+        "import sys\n"
+        "from relu_prism.cli import main\n"
+        "at = sys.argv.index('verify')\n"
+        "codes = [main(sys.argv[1:at]), main(sys.argv[at:])]\n"
+        "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+    )
+    argv = [sys.executable, "-c", script,
+            "simulate", "--n", "300", "--epochs", "1", "--seeds", "1..2", "--out", str(run),
+            "verify", "--net", str(run / "network.json"), "--data", str(run / "dataset.csv"),
+            "--clusters", str(run / "clusters.json"), "--out", str(checked)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.stderr == "[0, 0] False\n"
 
 
 # SHA-256 of stdout and of each artifact of two small runs, as recorded on

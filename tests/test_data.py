@@ -304,6 +304,22 @@ class TestCsvRoundTrip:
         assert dataset_to_csv(ds) == buf.getvalue()
         assert dataset_to_csv(ds).startswith('"a,b","say ""hi""",Größe,,x,target\n-0.0,')
 
+    @pytest.mark.parametrize(
+        "rows, features",
+        [(1, 3), (data._CSV_BLOCK_ROWS, 3), (data._CSV_BLOCK_ROWS + 1, 3),
+         (2 * data._CSV_BLOCK_ROWS, 3), (data._CSV_BLOCK_ROWS + 1, 1)],
+    )
+    def test_block_edges_match_csv_writer(self, rows, features):
+        rng = np.random.default_rng(rows + features)
+        names = tuple(f"f{j}" for j in range(features))
+        X = special_floats(rng, (rows, features))
+        ds = Dataset(X, rng.integers(0, 2, rows), names)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([*names, "target"])
+        writer.writerows(x + [t] for x, t in zip(X.tolist(), ds.targets.tolist()))
+        assert dataset_to_csv(ds) == buf.getvalue()
+
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         ds = Dataset(rng.normal(size=(25, 3)), rng.integers(0, 2, 25), ("a", "b", "c"))

@@ -297,6 +297,10 @@ class TestSerialization:
             ([["0.5", True]], ["1"], "it holds a string"),  # numpy would parse "0.5"
             ([[0.5]], ["1"], "it holds a string"),
             ([["abc"]], [0.0], "could not convert string to float: 'abc'"),
+            ([[0.5, True]], [1.0], "it holds true or false"),  # numpy would take it as 1.0
+            ([[0.5]], [False], "it holds true or false"),
+            ([[True]], [0.0], "it holds true or false"),
+            ([["0.5", 2**70]], [0.0], "it holds a string"),  # an object array
         ],
     )
     def test_non_numeric_layer_is_a_schema_error(self, w, b, problem):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from relu_prism import (
     ActivationPattern,
     AffineMap,
     Cluster,
+    ClusterStats,
     Dataset,
+    ImportanceReport,
     ShapeError,
     TrainConfig,
     cluster_of,
@@ -195,6 +199,71 @@ class TestClusterType:
         public = Cluster(c.pattern, indices, AffineMap(c.affine.omega, c.affine.bias), c.stats)
         indices[0] = 3
         assert public.member_indices.tolist() == [1, 4]
+
+
+class TestSlottedTypes:
+    """Cluster, AffineMap, ClusterStats and ImportanceReport hold their fields in slots."""
+
+    @pytest.fixture()
+    def cluster(self):
+        rng = np.random.default_rng(21)
+        net = make_random_network(rng, d=3, widths=(4, 2))
+        clusters = partition(net, random_dataset(rng, net, 200))
+        assert len(clusters) > 2
+        return clusters[1]
+
+    def objects(self, cluster):
+        report = feature_importance(cluster, ("a", "b", "c"), "max_abs", cluster_id=1)
+        return cluster, cluster.affine, cluster.stats, report
+
+    def test_every_field_is_frozen(self, cluster):
+        for obj in self.objects(cluster):
+            assert not hasattr(obj, "__dict__")
+            for field in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, field.name, getattr(obj, field.name))
+            # A name that is not a field cannot be set either; under slots,
+            # Python 3.11 raises TypeError for it, not FrozenInstanceError.
+            with pytest.raises((AttributeError, TypeError)):
+                obj.extra = 1
+
+    def test_cluster_pickles(self, cluster):
+        back = pickle.loads(pickle.dumps(cluster))
+        assert type(back) is Cluster and back.pattern == cluster.pattern
+        assert back.stats == cluster.stats and back.size == cluster.size
+        for got, want in ((back.member_indices, cluster.member_indices),
+                          (back.affine.omega, cluster.affine.omega),
+                          (back.affine.bias, cluster.affine.bias)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_replace(self, cluster):
+        stats = dataclasses.replace(cluster.stats, size=7)
+        assert type(stats) is ClusterStats and stats.size == 7
+        assert stats.fraction == cluster.stats.fraction
+        report = self.objects(cluster)[3]
+        renamed = dataclasses.replace(report, cluster_id=9)
+        assert type(renamed) is ImportanceReport and renamed.cluster_id == 9
+        assert renamed.feature_importances == report.feature_importances
+        assert renamed.bias == report.bias and renamed.normalization == "max_abs"
+
+    def test_private_constructors_match_public_ones(self, cluster):
+        public = Cluster(
+            ActivationPattern(cluster.pattern.bits),
+            list(cluster.member_indices),
+            AffineMap(cluster.affine.omega.tolist(), cluster.affine.bias.tolist()),
+            ClusterStats(*(getattr(cluster.stats, f.name)
+                           for f in dataclasses.fields(ClusterStats))),
+        )
+        assert public.pattern == cluster.pattern
+        assert public.pattern.widths == cluster.pattern.widths == (4, 2)
+        assert public.stats == cluster.stats
+        for got, want in ((public.member_indices, cluster.member_indices),
+                          (public.affine.omega, cluster.affine.omega),
+                          (public.affine.bias, cluster.affine.bias)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable and not want.flags.writeable
 
 
 class TestClusterOf:
