@@ -370,8 +370,7 @@ class TestPinnedWeights:
         "l2-norm": ("boolean", TrainConfig(
             epochs=3, seed=2, activity_reg_coeff=0.05, reg_norm="l2")),
         "sum-reduction": ("boolean", TrainConfig(epochs=3, seed=3, reg_reduction="sum")),
-        "layer-subset": ("boolean", TrainConfig(
-            epochs=3, seed=4, hidden_widths=(6, 3, 2), reg_layers=(1,))),
+        "three-hidden": ("boolean", TrainConfig(epochs=3, seed=4, hidden_widths=(6, 3, 2))),
         "no-reg": ("boolean", TrainConfig(
             epochs=3, seed=5, activity_reg_coeff=0.0, batch_size=37)),
         "gaussian-big-batch": ("gaussian", TrainConfig(epochs=4, seed=6, batch_size=1000)),
@@ -382,7 +381,7 @@ class TestPinnedWeights:
         "l1-mean": "2f11c02330aabb4d2a75591c70bcbf69348c181d2af2266996925ada27127ba5",
         "l2-norm": "b5759a497cebae69bfffcc7b125d2cd96d33bd126861e11286b6389aac18c586",
         "sum-reduction": "26419fd72f2ddee452a6147cb841dc6b91a0598e2d26c170ff7985648c77ad8d",
-        "layer-subset": "1634936af9c4d3832ef42fa916ab1db000cd0d29cdb9f6ad3c28bbffadf1e38c",
+        "three-hidden": "185af29bbc55efa3ebefa67e0779ea16b109228b71f39161f3e36d8ee332c16e",
         "no-reg": "642c5c788df69e9e6a76b7e939dccbd2dd11d77f278e23318d62626486bb8739",
         "gaussian-big-batch": "23d42fc9c15b34b5a86f4a533dbc71524d75f18c70660a6851c4f15c11fed47c",
         "batch-of-one": "495f2cadf016b238ee36c0f8bb3c9ca8a9ca1a951a612be407725c2ffdb54af5",
