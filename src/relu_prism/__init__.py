@@ -36,7 +36,6 @@ from .network import (
 )
 from .partition import Cluster, ClusterStats, cluster_of, clusters_to_json, partition
 from .train import (
-    AdamParams,
     TrainConfig,
     TrainHistory,
     accuracy,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "ActivationPattern",
-    "AdamParams",
     "AffineMap",
     "Cluster",
     "ClusterStats",

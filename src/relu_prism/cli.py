@@ -430,7 +430,7 @@ def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
     # The bytes are dropped before the Dataset copies the parsed table, so
     # the three are never alive at once.
     del raw
-    dataset = _table_dataset(table, data_path)
+    dataset = _table_dataset(table)
     del table
     affine_report = verify_affine(net, dataset.features, tol=params["tol"])
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from collections import Counter
 from contextlib import contextmanager
@@ -44,6 +45,7 @@ _TITLE_SYNONYMS = {"Mlle": "Miss", "Ms": "Miss", "Mme": "Mrs"}
 _TITLE_CODES = {"Mr": 1, "Miss": 2, "Mrs": 3, "Master": 4}
 _RARE_TITLE_CODE = 5
 _EMBARKED_CODES = {"S": 0, "C": 1, "Q": 2}
+_AGE_BINS, _FARE_BINS = 5, 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,19 +55,20 @@ class Dataset:
     features: np.ndarray
     targets: np.ndarray
     feature_names: tuple[str, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         X = np.array(self.features, dtype=np.float64)
-        t = np.array(self.targets, dtype=np.int64)
+        # Checked before the int64 copy, which would truncate 0.7 to 0 and parse "1".
+        t = np.asarray(self.targets)
         if X.ndim != 2 or X.shape[0] < 1:
             raise InputError(f"features must be a non-empty matrix, got shape {X.shape}")
         if t.shape != (X.shape[0],):
             raise InputError(f"targets shape {t.shape} does not match {X.shape[0]} rows")
         if not np.all(np.isfinite(X)):
             raise InputError("features must be finite")
-        if not np.all((t == 0) | (t == 1)):
+        if t.dtype.kind not in "biuf" or not np.all((t == 0) | (t == 1)):
             raise InputError("targets must be 0 or 1")
+        t = np.array(t, dtype=np.int64)
         names = tuple(str(n) for n in self.feature_names)
         if len(names) != X.shape[1]:
             raise InputError(
@@ -85,13 +88,12 @@ class Dataset:
     def n_features(self) -> int:
         return self.features.shape[1]
 
-    def take(self, indices: np.ndarray, provenance: str | None = None) -> "Dataset":
+    def take(self, indices: np.ndarray) -> "Dataset":
         """Row subset (or reordering) as a new dataset."""
         return Dataset(
             features=self.features[indices],
             targets=self.targets[indices],
             feature_names=self.feature_names,
-            provenance=self.provenance if provenance is None else provenance,
         )
 
 
@@ -114,7 +116,6 @@ def gen_boolean(n: int = 100_000, seed: int = 0) -> Dataset:
         features=X,
         targets=t,
         feature_names=BOOLEAN_FEATURE_NAMES,
-        provenance=f"boolean-sim(n={n}, seed={seed})",
     )
 
 
@@ -123,9 +124,12 @@ def _parse_optional_float(text: str, column: str, line_num: int) -> float | None
     if text == "":
         return None
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise SchemaError(f"line {line_num}: cannot parse {column}={text!r} as a number")
+    if not math.isfinite(value):
+        raise SchemaError(f"line {line_num}: {column}={text!r} is not a finite number")
+    return value
 
 
 def _parse_int(text: str, column: str, line_num: int) -> int:
@@ -176,21 +180,21 @@ def _text(raw: bytes) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(raw), newline="")
 
 
-def load_titanic(csv_path, age_bins: int = 5, fare_bins: int = 4) -> Dataset:
+def load_titanic(csv_path) -> Dataset:
     """Build the seven-feature ordinal dataset from a Kaggle-format train csv.
 
     See ``parse_titanic_csv``, which builds it from the file's bytes.
     """
     path = Path(csv_path)
-    return parse_titanic_csv(path.read_bytes(), path, age_bins, fare_bins)
+    return parse_titanic_csv(path.read_bytes(), path)
 
 
-def parse_titanic_csv(raw: bytes, path, age_bins: int = 5, fare_bins: int = 4) -> Dataset:
+def parse_titanic_csv(raw: bytes, path) -> Dataset:
     """The seven-feature ordinal dataset of the Kaggle-format train csv bytes ``raw``.
 
-    ``path`` names the file in messages and provenance.
+    ``path`` names the file in messages.
 
-    Per-column treatment (bin counts overridable):
+    Per-column treatment:
       Age      group-median imputation by (Gender, Pclass), then 5 equal-width
                bands coded 0-4
       Gender   1 if female else 0
@@ -201,8 +205,6 @@ def parse_titanic_csv(raw: bytes, path, age_bins: int = 5, fare_bins: int = 4) -
                Mme), Master 4, anything else 5
       IsAlone  1 iff SibSp + Parch == 0
     """
-    if age_bins < 1 or fare_bins < 1:
-        raise InputError("bin counts must be >= 1")
     path = Path(path)
     rows: list[dict] = []
     with _text(raw) as text, _decoding(path):
@@ -240,7 +242,6 @@ def parse_titanic_csv(raw: bytes, path, age_bins: int = 5, fare_bins: int = 4) -
     if not rows:
         raise SchemaError(f"{path} contains no data rows")
 
-    n = len(rows)
     gender = np.array([r["gender"] for r in rows], dtype=np.int64)
     pclass = np.array([r["pclass"] for r in rows], dtype=np.int64)
 
@@ -257,14 +258,14 @@ def parse_titanic_csv(raw: bytes, path, age_bins: int = 5, fare_bins: int = 4) -
             seen = cell & observed
             fill = float(np.median(ages[seen])) if seen.any() else overall_age
             imputed_age[cell & ~observed] = fill
-    age_code = _equal_width_bins(imputed_age, age_bins)
+    age_code = _equal_width_bins(imputed_age, _AGE_BINS)
 
     fares = np.array([np.nan if r["fare"] is None else r["fare"] for r in rows])
     fare_seen = ~np.isnan(fares)
     if not fare_seen.any():
         raise SchemaError("Fare column has no observed values to impute from")
     fares[~fare_seen] = float(np.median(fares[fare_seen]))
-    fare_code = _quantile_bins(fares, fare_bins)
+    fare_code = _quantile_bins(fares, _FARE_BINS)
 
     ports = [r["embarked"] for r in rows]
     known_ports = [p for p in ports if p is not None]
@@ -288,7 +289,6 @@ def parse_titanic_csv(raw: bytes, path, age_bins: int = 5, fare_bins: int = 4) -
         features=features,
         targets=targets,
         feature_names=TITANIC_FEATURE_NAMES,
-        provenance=f"titanic({path.name}, rows={n})",
     )
 
 
@@ -303,8 +303,8 @@ def split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Datase
             f"fraction {fraction} makes an empty part out of {n} rows"
         )
     perm = np.random.default_rng(seed).permutation(n)
-    first = dataset.take(np.sort(perm[:n_first]), f"{dataset.provenance}|split[:{n_first}]")
-    second = dataset.take(np.sort(perm[n_first:]), f"{dataset.provenance}|split[{n_first}:]")
+    first = dataset.take(np.sort(perm[:n_first]))
+    second = dataset.take(np.sort(perm[n_first:]))
     return first, second
 
 
@@ -342,14 +342,14 @@ def read_dataset_csv(path) -> Dataset:
 
 
 def parse_dataset_csv(raw: bytes, path) -> Dataset:
-    """The dataset in the csv bytes ``raw``; ``path`` names them in messages and provenance.
+    """The dataset in the csv bytes ``raw``; ``path`` names them in messages.
 
     The layout ``dataset_to_csv`` writes is parsed in one ``np.loadtxt`` call.
     Any other input goes to the line parser, which accepts it or names its bad
     line, so both give the same dataset or the same refusal.
     """
     path = Path(path)
-    return _table_dataset(_parse_dataset_table(raw, path), path)
+    return _table_dataset(_parse_dataset_table(raw, path))
 
 
 def _parse_dataset_table(raw: bytes, path: Path):
@@ -358,14 +358,13 @@ def _parse_dataset_table(raw: bytes, path: Path):
     return _parse_csv_lines(raw, path) if parsed is None else parsed
 
 
-def _table_dataset(table, path: Path) -> Dataset:
+def _table_dataset(table) -> Dataset:
     """The checked ``Dataset`` copy of a parsed ``(names, features, targets)``."""
     names, features, targets = table
     return Dataset(
         features=features,
         targets=targets,
         feature_names=names,
-        provenance=f"csv({path.name}, rows={targets.shape[0]})",
     )
 
 

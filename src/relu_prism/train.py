@@ -13,7 +13,7 @@ import csv
 import io
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .errors import InputError, ShapeError, TrainingDivergedError
 from .network import Layer, Network, _preactivations, predict_batch
 
 __all__ = [
-    "AdamParams",
     "TrainConfig",
     "TrainHistory",
     "init_network",
@@ -37,28 +36,13 @@ __all__ = [
 REG_NORMS = ("l1", "l2")
 REG_REDUCTIONS = ("mean", "sum")
 
-
-@dataclass(frozen=True)
-class AdamParams:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-7
-
-    def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise InputError("Adam betas must lie in [0, 1)")
-        if not 0.0 < self.epsilon < math.inf:
-            raise InputError("Adam epsilon must be positive and finite")
-
-
-def _is_int(value) -> bool:
-    """A Python or numpy integer; not a bool, a float or a str."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+# Adam's standard decay rates (Kingma & Ba, 2015), with Keras's epsilon.
+_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON = 0.9, 0.999, 1e-7
 
 
 def _is_count(value) -> bool:
     """An integer >= 1, Python or numpy; not a bool, a float or a str."""
-    return _is_int(value) and value >= 1
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
 
 
 def _is_real(value) -> bool:
@@ -70,11 +54,10 @@ def _is_real(value) -> bool:
 class TrainConfig:
     """Hyperparameters; defaults reproduce the reference experiment setup.
 
-    The regularizer is configurable in three directions: norm (l1 or l2),
-    which hidden layers it covers (None = all), and whether the per-batch
-    value is the mean over batch and units ("mean") or the per-sample sum
-    over units averaged over the batch ("sum", the convention of common
-    deep-learning frameworks).
+    The regularizer covers every hidden layer and is configurable in two
+    directions: norm (l1 or l2), and whether the per-batch value is the mean
+    over batch and units ("mean") or the per-sample sum over units averaged
+    over the batch ("sum", the convention of common deep-learning frameworks).
     """
 
     hidden_widths: tuple[int, ...] = (4, 2)
@@ -83,10 +66,8 @@ class TrainConfig:
     batch_size: int = 100
     activity_reg_coeff: float = 0.02
     seed: int = 0
-    adam: AdamParams = field(default_factory=AdamParams)
     reg_norm: str = "l1"
     reg_reduction: str = "mean"
-    reg_layers: tuple[int, ...] | None = None
 
     def __post_init__(self):
         widths = tuple(self.hidden_widths)
@@ -110,34 +91,6 @@ class TrainConfig:
             raise InputError(
                 f"reg_reduction must be one of {REG_REDUCTIONS}, got {self.reg_reduction!r}"
             )
-        if self.reg_layers is not None:
-            layers = tuple(self.reg_layers)
-            if not all(map(_is_int, layers)):
-                raise InputError(f"reg_layers must be integers, got {self.reg_layers!r}")
-            layers = tuple(map(int, layers))
-            if any(i < 0 or i >= len(widths) for i in layers):
-                raise InputError(
-                    f"reg_layers {layers} out of range for {len(widths)} hidden layers"
-                )
-            object.__setattr__(self, "reg_layers", layers)
-
-    def regularized_layers(self, n_hidden: int | None = None) -> tuple[int, ...]:
-        """Hidden-layer indices the activity penalty applies to.
-
-        ``n_hidden`` is the hidden-layer count of the network actually being
-        evaluated, which may differ from the configured architecture when the
-        loss is computed on an externally built network.
-        """
-        if n_hidden is None:
-            n_hidden = len(self.hidden_widths)
-        if self.reg_layers is None:
-            return tuple(range(n_hidden))
-        bad = [i for i in self.reg_layers if i >= n_hidden]
-        if bad:
-            raise InputError(
-                f"reg_layers {self.reg_layers} out of range for {n_hidden} hidden layers"
-            )
-        return self.reg_layers
 
 
 @dataclass(frozen=True)
@@ -176,17 +129,17 @@ def init_network(d: int, config: TrainConfig) -> Network:
 
 
 def _reg_terms(config: TrainConfig, Ws) -> tuple[tuple[int, int], ...]:
-    """(hidden layer, unit divisor) for each layer the activity penalty covers.
+    """(hidden layer, unit divisor) for each hidden layer of ``Ws``.
 
-    The penalty's scale on a batch of B rows is coeff / (B * divisor): the
+    ``Ws`` may come from an externally built network, whose depth need not
+    match ``config.hidden_widths``. The penalty's scale on a batch of B rows is coeff / (B * divisor): the
     divisor is the layer's width for the "mean" reduction and 1 for "sum".
     """
     if config.activity_reg_coeff == 0.0:
         return ()
-    n_hidden = len(Ws) - 1
     return tuple(
         (i, Ws[i].shape[-2] if config.reg_reduction == "mean" else 1)
-        for i in config.regularized_layers(n_hidden)
+        for i in range(len(Ws) - 1)
     )
 
 
@@ -329,7 +282,7 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
     lr, batch = config.learning_rate, config.batch_size
     perms = np.empty((S, n), dtype=np.intp)
     reg = _reg_terms(config, Ws)
-    beta1, beta2, eps = config.adam.beta1, config.adam.beta2, config.adam.epsilon
+    beta1, beta2, eps = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON
     step = 0
     losses = np.empty((config.epochs, S))
     accuracies = np.empty((config.epochs, S))

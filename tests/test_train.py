@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from relu_prism import (
-    AdamParams,
     Dataset,
     InputError,
     Layer,
@@ -23,6 +22,7 @@ from relu_prism import (
     train,
     train_seeds,
 )
+from relu_prism.train import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON
 from conftest import make_random_network, network_text
 
 
@@ -100,7 +100,6 @@ class TestConfigValidation:
             {"activity_reg_coeff": float("inf")},
             {"reg_norm": "linf"},
             {"reg_reduction": "median"},
-            {"reg_layers": (2,)},
             {"epochs": 2.5},
             {"epochs": True},
             {"batch_size": 2.5},
@@ -117,9 +116,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"reg_layers": (1.7,)}, "reg_layers must be integers, got (1.7,)"),
-            ({"reg_layers": ("1",)}, "reg_layers must be integers, got ('1',)"),
-            ({"reg_layers": (True,)}, "reg_layers must be integers, got (True,)"),
             ({"learning_rate": True}, "learning_rate must be a finite number > 0, got True"),
             ({"learning_rate": "0.01"}, "learning_rate must be a finite number > 0, got '0.01'"),
             ({"activity_reg_coeff": False},
@@ -135,19 +131,7 @@ class TestConfigValidation:
         assert str(info.value) == message
 
     def test_numpy_scalars_are_accepted(self):
-        config = TrainConfig(
-            reg_layers=(np.int64(1),), learning_rate=np.float64(0.01),
-            activity_reg_coeff=np.float32(0.5),
-        )
-        assert config.reg_layers == (1,) and type(config.reg_layers[0]) is int
-
-    def test_adam_validation(self):
-        with pytest.raises(InputError):
-            AdamParams(beta1=1.0)
-        with pytest.raises(InputError):
-            AdamParams(epsilon=0.0)
-        with pytest.raises(InputError):
-            AdamParams(epsilon=float("nan"))
+        TrainConfig(learning_rate=np.float64(0.01), activity_reg_coeff=np.float32(0.5))
 
     def test_defaults_match_reference_setup(self):
         config = TrainConfig()
@@ -156,13 +140,7 @@ class TestConfigValidation:
         assert config.epochs == 10
         assert config.batch_size == 100
         assert config.activity_reg_coeff == 0.02
-        assert (config.adam.beta1, config.adam.beta2, config.adam.epsilon) == (
-            0.9, 0.999, 1e-7,
-        )
-
-    def test_regularized_layers_default_all(self):
-        assert TrainConfig().regularized_layers() == (0, 1)
-        assert TrainConfig(reg_layers=(1,)).regularized_layers() == (1,)
+        assert (_ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON) == (0.9, 0.999, 1e-7)
 
 
 class TestInit:
@@ -238,17 +216,6 @@ class TestLossAndGradients:
         expected = np.abs(a).sum(axis=1).mean()
         assert full - base == pytest.approx(0.25 * expected, rel=1e-12)
 
-    def test_regularizer_layer_subset(self, rng):
-        net = make_random_network(rng, d=2, widths=(3, 2))
-        X = rng.uniform(-2, 2, (6, 2))
-        t = rng.integers(0, 2, 6)
-        base = batch_loss(net, X, t, TrainConfig(activity_reg_coeff=0.0))
-        only_first = batch_loss(
-            net, X, t, TrainConfig(activity_reg_coeff=0.5, reg_layers=(0,))
-        )
-        a1 = np.maximum(X @ net.layers[0].weight.T + net.layers[0].bias, 0.0)
-        assert only_first - base == pytest.approx(0.5 * np.abs(a1).mean(), rel=1e-12)
-
     @pytest.mark.parametrize(
         "config",
         [
@@ -256,9 +223,8 @@ class TestLossAndGradients:
             TrainConfig(activity_reg_coeff=0.3),
             TrainConfig(activity_reg_coeff=0.3, reg_norm="l2"),
             TrainConfig(activity_reg_coeff=0.3, reg_reduction="sum"),
-            TrainConfig(activity_reg_coeff=0.3, reg_layers=(0,)),
         ],
-        ids=["no-reg", "l1-mean", "l2-mean", "l1-sum", "l1-subset"],
+        ids=["no-reg", "l1-mean", "l2-mean", "l1-sum"],
     )
     def test_backprop_matches_finite_differences(self, config):
         net, X, t = interior_micro_case(seed=97, widths=(2,))
