@@ -29,12 +29,10 @@ from .network import (
     load_network,
     network_from_json,
     network_to_json,
-    predict,
     predict_batch,
     save_network,
-    sigmoid,
 )
-from .partition import Cluster, ClusterStats, cluster_of, clusters_to_json, partition
+from .partition import Cluster, ClusterStats, clusters_to_json, partition
 from .train import (
     TrainConfig,
     TrainHistory,
@@ -71,7 +69,6 @@ __all__ = [
     "accuracy",
     "batch_gradients",
     "batch_loss",
-    "cluster_of",
     "clusters_to_json",
     "effective_affine",
     "feature_importance",
@@ -86,11 +83,9 @@ __all__ = [
     "network_from_json",
     "network_to_json",
     "partition",
-    "predict",
     "predict_batch",
     "render_report",
     "save_network",
-    "sigmoid",
     "split",
     "train",
     "train_seeds",

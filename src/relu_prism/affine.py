@@ -220,22 +220,30 @@ class JacobianReport:
 
     max_row_err: float | None
     skipped: bool
-    reason: str | None = None
 
 
 def jacobian_check(net: Network, u, h: float = 1e-4) -> JacobianReport:
     """Compare central finite differences of the logit against the affine weights.
 
-    The check only makes sense strictly inside a linear region: if any hidden
-    preactivation is within 10*h of zero the input is treated as boundary and
-    the check is skipped rather than failed.
+    Each difference moves u by h along one axis, so the check is exact only
+    while that step stays in u's linear region. On the region each hidden
+    preactivation is affine, z_i = g_i . u + c_i, where g_i is row i of the
+    partial collapse through unit i's layer, taken before unit i's own mask.
+    The distance from u to the region's boundary is r = min |z_i| / ||g_i||
+    over the units with g_i != 0, and the check is skipped exactly when h >= r.
     """
     if not 0.0 < h < np.inf:
         raise InputError(f"step h must be positive and finite, got {h}")
     trace = forward_trace(net, u)
-    for z in trace.preactivations[:-1]:
-        if np.any(np.abs(z) < 10.0 * h):
-            return JacobianReport(max_row_err=None, skipped=True, reason="boundary")
+    partial, radius = np.eye(net.input_dim), np.inf
+    for layer, z in zip(net.layers[:-1], trace.preactivations):
+        g = layer.weight @ partial
+        norms = np.linalg.norm(g, axis=1)
+        live = norms > 0.0
+        radius = min(radius, (np.abs(z[live]) / norms[live]).min(initial=np.inf))
+        partial = g * (z > 0.0)[:, None]
+    if h >= radius:
+        return JacobianReport(max_row_err=None, skipped=True)
     amap = effective_affine(net, trace.pattern)
     u = np.asarray(u, dtype=np.float64)
     d = net.input_dim
@@ -244,4 +252,3 @@ def jacobian_check(net: Network, u, h: float = 1e-4) -> JacobianReport:
     fd = (logits[:d] - logits[d:]) / (2.0 * h)  # (d, q)
     err = float(np.abs(fd.T - amap.omega).max())
     return JacobianReport(max_row_err=err, skipped=False)
-

@@ -37,12 +37,6 @@ class ImportanceReport:
     def weights(self) -> np.ndarray:
         return np.array([w for _, w in self.feature_importances])
 
-    def weight_of(self, feature_name: str) -> float:
-        for name, w in self.feature_importances:
-            if name == feature_name:
-                return w
-        raise InputError(f"unknown feature name: {feature_name}")
-
 
 def feature_importance(
     cluster: Cluster,

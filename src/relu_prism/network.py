@@ -1,11 +1,10 @@
-"""Fully-connected feedforward ReLU network with a sigmoid output head.
+"""Fully-connected feedforward ReLU network with a logit output.
 
 A network is an ordered stack of affine layers. Every layer except the last
-is followed by a ReLU; the last layer is plain affine and a sigmoid is
-applied only when a probability or class prediction is requested. A forward
-pass records which hidden units fired (preactivation strictly greater than
-zero), and that firing record is the activation pattern the rest of the
-package is built on.
+is followed by a ReLU; the last layer is plain affine, and a class label is
+1 exactly when its logit is strictly positive. A forward pass records which
+hidden units fired (preactivation strictly greater than zero), and that
+firing record is the activation pattern the rest of the package is built on.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ __all__ = [
     "Network",
     "ActivationPattern",
     "ForwardTrace",
-    "sigmoid",
     "forward_trace",
     "forward_batch",
-    "predict",
     "predict_batch",
     "network_to_json",
     "network_from_json",
@@ -68,17 +65,6 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-def sigmoid(z: np.ndarray | float) -> np.ndarray:
-    """Numerically stable logistic function, safe for large |z|."""
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 @dataclass(frozen=True)
 class Layer:
     """One affine layer: weight of shape (d_out, d_in) and bias of shape (d_out,)."""
@@ -115,9 +101,9 @@ class Layer:
 class Network:
     """An immutable stack of affine layers, ReLU between all but the last.
 
-    ``depth`` counts affine layers; the first ``depth - 1`` are the hidden
-    ReLU layers and the last produces the logit. The type admits any output
-    width, although prediction and clustering require a scalar output.
+    All layers but the last are the hidden ReLU layers, and the last
+    produces the logit. The type admits any output width, although
+    prediction and clustering require a scalar output.
     """
 
     layers: tuple[Layer, ...]
@@ -135,10 +121,6 @@ class Network:
                     f"produces {layers[i - 1].d_out}"
                 )
         object.__setattr__(self, "layers", layers)
-
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
 
     @property
     def input_dim(self) -> int:
@@ -200,10 +182,6 @@ class ActivationPattern:
             at += w
         return tuple(rows)
 
-    @property
-    def total_bits(self) -> int:
-        return len(self.bitstring)
-
     def matches(self, net: Network) -> bool:
         return self.widths == net.hidden_widths
 
@@ -229,14 +207,12 @@ class ForwardTrace:
     """Everything recorded by one forward pass.
 
     ``preactivations`` holds one vector per layer (before the nonlinearity);
-    ``logit`` is the raw output of the final affine layer and ``probability``
-    its sigmoid. ``pattern`` collects the strict-positivity bits of the
-    hidden preactivations.
+    ``logit`` is the raw output of the final affine layer. ``pattern``
+    collects the strict-positivity bits of the hidden preactivations.
     """
 
     preactivations: tuple[np.ndarray, ...]
     logit: np.ndarray
-    probability: np.ndarray
     pattern: ActivationPattern
 
 
@@ -272,11 +248,9 @@ def forward_trace(net: Network, u) -> ForwardTrace:
         raise InputError("input vector must be finite")
     layers = ((layer.weight, layer.bias) for layer in net.layers)
     pres = tuple(_frozen_array(z[0]) for z in _preactivations(layers, x[None, :]))
-    logit = pres[-1]
     return ForwardTrace(
         preactivations=pres,
-        logit=logit,
-        probability=_frozen_array(sigmoid(logit)),
+        logit=pres[-1],
         pattern=ActivationPattern(tuple(tuple(z > 0.0) for z in pres[:-1])),
     )
 
@@ -340,20 +314,14 @@ def group_by_pattern(
     return logits, masks, order, counts
 
 
-def predict(net: Network, u) -> int:
-    """Class label for a scalar-output network: 1 iff the logit is strictly positive.
+def predict_batch(net: Network, inputs) -> np.ndarray:
+    """Class labels of a scalar-output network for rows of an input matrix.
 
-    A logit of exactly 0 (probability 0.5) maps to class 0.
+    A row's label is 1 iff its logit is strictly positive, so a logit of
+    exactly 0 maps to class 0.
     """
     if net.output_dim != 1:
-        raise ShapeError(f"predict requires output_dim=1, got {net.output_dim}")
-    return int(forward_trace(net, u).logit[0] > 0.0)
-
-
-def predict_batch(net: Network, inputs) -> np.ndarray:
-    """Vectorized ``predict`` over rows of an input matrix."""
-    if net.output_dim != 1:
-        raise ShapeError(f"predict requires output_dim=1, got {net.output_dim}")
+        raise ShapeError(f"predict_batch requires output_dim=1, got {net.output_dim}")
     logits, _ = forward_batch(net, inputs)
     return (logits[:, 0] > 0.0).astype(np.int64)
 

@@ -18,12 +18,11 @@ from .errors import ShapeError
 from .network import (
     ActivationPattern,
     Network,
-    forward_trace,
     group_by_pattern,
     masks_to_bitstrings,
 )
 
-__all__ = ["ClusterStats", "Cluster", "partition", "cluster_of", "clusters_to_json"]
+__all__ = ["ClusterStats", "Cluster", "partition", "clusters_to_json"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,10 +65,6 @@ class Cluster:
         object.__setattr__(cluster, "affine", affine)
         object.__setattr__(cluster, "stats", stats)
         return cluster
-
-    @property
-    def size(self) -> int:
-        return int(self.member_indices.shape[0])
 
 
 def partition(net: Network, dataset: Dataset) -> list[Cluster]:
@@ -134,19 +129,6 @@ def partition(net: Network, dataset: Dataset) -> list[Cluster]:
             target_rates[rank].tolist(),
         )
     ]
-
-
-def cluster_of(clusters: list[Cluster], net: Network, u) -> Cluster | None:
-    """Find the cluster whose pattern the input realizes, if any.
-
-    Inputs from regions the partitioned dataset never visited return None
-    instead of minting a new cluster.
-    """
-    key = forward_trace(net, u).pattern.bitstring
-    for cluster in clusters:
-        if cluster.pattern.bitstring == key:
-            return cluster
-    return None
 
 
 def clusters_to_json(clusters: list[Cluster]) -> list[dict]:

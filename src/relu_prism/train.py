@@ -104,10 +104,6 @@ class TrainHistory:
         if len(self.losses) != len(self.accuracies):
             raise InputError("losses and accuracies must have equal length")
 
-    @property
-    def epochs(self) -> int:
-        return len(self.losses)
-
 
 def _glorot(d: int, widths: tuple[int, ...], rng: np.random.Generator):
     """Glorot-uniform weights, zero biases, for dims d -> widths -> 1."""

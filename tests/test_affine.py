@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from relu_prism import (
     ActivationPattern,
     AffineMap,
+    Dataset,
     InputError,
     Layer,
     Network,
@@ -14,9 +17,12 @@ from relu_prism import (
     forward_batch,
     forward_trace,
     jacobian_check,
+    save_network,
     verify_affine,
 )
 from relu_prism.affine import _COLLAPSE_CHUNK, collapse_batch
+from relu_prism.cli import main
+from relu_prism.data import dataset_to_csv
 from conftest import make_random_network
 
 
@@ -230,11 +236,32 @@ class TestJacobianCheck:
                 return
         pytest.fail("no interior input found in 20 draws")
 
-    def test_boundary_input_is_skipped(self):
-        net = Network((Layer([[1.0]], [0.0]), Layer([[1.0]], [0.0])))
-        report = jacobian_check(net, [0.0], h=1e-4)
-        assert report.skipped and report.reason == "boundary"
-        assert report.max_row_err is None
+    @pytest.mark.parametrize(
+        "weight, u, skipped",
+        [
+            # z = 0.005 is 50 steps from the kink, but r = z / 100 = 5e-5 < h:
+            # the differences cross the kink, so the probe is skipped.
+            (100.0, 5e-5, True),
+            # on the kink: r = 0.
+            (1.0, 0.0, True),
+            # z = 5e-4 is within 10 steps of the kink, but r = 0.05 >> h.
+            (0.01, 0.05, False),
+        ],
+        ids=["steep", "on-kink", "shallow"],
+    )
+    def test_skipped_exactly_within_the_region_radius(self, tmp_path, weight, u, skipped):
+        """One unit, z = weight * u, r = |z| / |weight|, h = 1e-4; ``verify`` passes."""
+        net = Network((Layer([[weight]], [0.0]), Layer([[1.0]], [0.0])))
+        report = jacobian_check(net, [u], h=1e-4)
+        assert report.skipped is skipped
+        assert (report.max_row_err is None) is skipped
+        save_network(net, tmp_path / "network.json")
+        (tmp_path / "dataset.csv").write_text(dataset_to_csv(Dataset([[u]], [1], ("x",))))
+        out = tmp_path / "v"
+        assert main(["verify", "--net", str(tmp_path / "network.json"),
+                     "--data", str(tmp_path / "dataset.csv"), "--out", str(out)]) == 0
+        jacobian = json.loads((out / "verify.json").read_text())["jacobian"]
+        assert (jacobian["checked"], jacobian["skipped"]) == (int(not skipped), int(skipped))
 
     def test_linear_net_checks_anywhere(self, rng):
         net = Network((Layer([[3.0, -2.0]], [1.0]),))

@@ -655,7 +655,7 @@ class TestVerify:
         X = rng.normal(size=(20, 3))
         dataset = Dataset(X, (X[:, 0] > 0).astype(int), ("a", "b", "c"))
         (cluster,) = partition(net, dataset)
-        assert cluster.pattern.bitstring == "" and cluster.size == 20
+        assert cluster.pattern.bitstring == "" and cluster.stats.size == 20
         np.testing.assert_array_equal(cluster.affine.omega, net.layers[0].weight)
         assert verify_affine(net, X).n_patterns == 1
         save_network(net, tmp_path / "network.json")

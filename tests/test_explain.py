@@ -66,8 +66,7 @@ class TestFeatureImportance:
             ("x", "y"),
             normalization="max_abs",
         )
-        assert report.weight_of("x") == 1.0
-        assert report.weight_of("y") == -0.5
+        assert report.feature_importances == (("x", 1.0), ("y", -0.5))
 
     def test_max_abs_leaves_zero_row_alone(self):
         report = feature_importance(
@@ -100,13 +99,6 @@ class TestFeatureImportance:
             feature_importance(cluster, ("x",))
         with pytest.raises(InputError):
             feature_importance(cluster, ("x", "y"), normalization="l2")
-
-    def test_unknown_feature_lookup(self):
-        report = feature_importance(
-            cluster_with_map([[1.0]], [0.0], ((True,),)), ("x",)
-        )
-        with pytest.raises(InputError):
-            report.weight_of("nope")
 
 
 class TestRenderReport:

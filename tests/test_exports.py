@@ -1,14 +1,19 @@
-"""Every name a module of the package exports through ``__all__`` is bound.
+"""Every name a module of the package exports through ``__all__`` is bound and used.
 
 A name that is retired from a module but left in its ``__all__`` breaks
 ``from relu_prism import *`` only when someone runs it; this checks the
-package and each of its modules that declares ``__all__``.
+package and each of its modules that declares ``__all__``. A public name
+also needs a caller outside the unit tests: the package's own modules, the
+benchmark, the acceptance checks or the README's library tour.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,38 @@ MODULES = ["relu_prism"] + [
     f"relu_prism.{info.name}" for info in pkgutil.iter_modules(relu_prism.__path__)
 ]
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _used_names() -> set:
+    """Names loaded and attributes read outside the unit tests.
+
+    The benchmark's tracer names the functions it wraps as strings, so string
+    constants count there too.
+    """
+    package = ROOT / "src" / "relu_prism"
+    (tour,) = re.findall(
+        r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S
+    )
+    # (source, whether its string constants count)
+    sources = [
+        *((path.read_text(), False) for path in sorted(package.glob("*.py"))
+          if path.name != "__init__.py"),
+        *((path.read_text(), True) for path in sorted((ROOT / "perfbench").glob("*.py"))),
+        ((ROOT / "tests" / "test_acceptance.py").read_text(), False),
+        (tour, False),
+    ]
+    names = set()
+    for source, strings in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_is_bound(name):
@@ -25,6 +62,17 @@ def test_every_exported_name_is_bound(name):
     exported = getattr(module, "__all__", ())
     unbound = [n for n in exported if not hasattr(module, n)]
     assert not unbound, f"{name}.__all__ names unbound {unbound}"
+
+
+def test_every_exported_name_has_a_caller_outside_the_unit_tests():
+    used = _used_names()
+    unused = sorted(
+        f"{name}.{n}"
+        for name in MODULES
+        for n in getattr(importlib.import_module(name), "__all__", ())
+        if n not in used
+    )
+    assert not unused, f"exported but called only by the unit tests: {unused}"
 
 
 def test_star_import_of_the_package():

@@ -21,10 +21,8 @@ from relu_prism import (
     network_from_json,
     network_to_json,
     partition,
-    predict,
     predict_batch,
     save_network,
-    sigmoid,
     verify_affine,
 )
 from relu_prism.network import group_by_pattern, parse_network_json
@@ -68,26 +66,9 @@ class TestLayerAndNetwork:
 
     def test_dimension_properties(self):
         net = two_layer_net()
-        assert net.depth == 2
         assert net.input_dim == 2
         assert net.output_dim == 1
         assert net.hidden_widths == (2,)
-
-
-class TestSigmoid:
-    def test_midpoint_and_symmetry(self):
-        assert sigmoid(0.0) == 0.5
-        z = np.linspace(-20, 20, 41)
-        np.testing.assert_allclose(sigmoid(z) + sigmoid(-z), 1.0, atol=1e-15)
-
-    def test_extremes_stay_finite(self):
-        assert sigmoid(1000.0) == 1.0
-        assert sigmoid(-1000.0) == 0.0
-        assert np.all(np.isfinite(sigmoid(np.array([-1e308, 1e308]))))
-
-    def test_against_direct_formula(self):
-        z = np.linspace(-30, 30, 201)
-        np.testing.assert_allclose(sigmoid(z), 1.0 / (1.0 + np.exp(-z)), rtol=1e-14)
 
 
 class TestForwardTrace:
@@ -98,7 +79,6 @@ class TestForwardTrace:
         np.testing.assert_array_equal(trace.preactivations[0], [-1.0, 3.0])
         np.testing.assert_array_equal(trace.logit, [2.0])
         assert trace.pattern.bits == ((False, True),)
-        np.testing.assert_allclose(trace.probability, sigmoid(2.0))
 
     def test_zero_preactivation_counts_inactive(self):
         net = Network((Layer([[1.0]], [0.0]), Layer([[1.0]], [0.0])))
@@ -198,25 +178,23 @@ class TestPredict:
     def test_strictly_positive_logit_is_class_one(self):
         up = Network((Layer([[1.0]], [0.5]),))
         down = Network((Layer([[1.0]], [-0.5]),))
-        assert predict(up, [0.0]) == 1
-        assert predict(down, [0.0]) == 0
+        np.testing.assert_array_equal(predict_batch(up, [[0.0]]), [1])
+        np.testing.assert_array_equal(predict_batch(down, [[0.0]]), [0])
 
     def test_zero_logit_ties_to_class_zero(self):
         net = Network((Layer([[1.0]], [0.0]),))
-        assert predict(net, [0.0]) == 0
+        np.testing.assert_array_equal(predict_batch(net, [[0.0], [1.0]]), [0, 1])
 
     def test_requires_scalar_output(self, rng):
         net = make_random_network(rng, d=3, widths=(2,), q=2)
         with pytest.raises(ShapeError):
-            predict(net, [0.0, 0.0, 0.0])
-        with pytest.raises(ShapeError):
             predict_batch(net, np.zeros((2, 3)))
 
-    def test_batch_matches_scalar(self, rng):
+    def test_batch_matches_one_row_logits(self, rng):
         net = make_random_network(rng, d=4, widths=(3,))
         X = rng.uniform(-2, 2, (25, 4))
         np.testing.assert_array_equal(
-            predict_batch(net, X), [predict(net, x) for x in X]
+            predict_batch(net, X), [forward_trace(net, x).logit[0] > 0.0 for x in X]
         )
 
 
@@ -227,7 +205,6 @@ class TestActivationPattern:
         assert pattern.bits == bits
         assert pattern.bitstring == "10001"
         assert pattern.widths == (3, 2)
-        assert pattern.total_bits == 5
         assert ActivationPattern(pattern.bits) == pattern
         # any 0/1 or bool-like rows, such as a forward pass's numpy bools
         assert ActivationPattern([np.array([1, 0, 0]), [0, 1]]) == pattern
@@ -248,7 +225,6 @@ class TestActivationPattern:
         assert rebuilt == pattern
         assert rebuilt.bitstring == "101"
         assert rebuilt.widths == (2, 1)
-        assert rebuilt.total_bits == 3
 
     def test_from_flat_checks_length(self):
         with pytest.raises(ShapeError):

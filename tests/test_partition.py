@@ -17,7 +17,6 @@ from relu_prism import (
     ImportanceReport,
     ShapeError,
     TrainConfig,
-    cluster_of,
     clusters_to_json,
     effective_affine,
     feature_importance,
@@ -54,7 +53,7 @@ class TestPartitionLaws:
         ds = random_dataset(rng, net, 1)
         clusters = partition(net, ds)
         assert len(clusters) == 1
-        assert clusters[0].size == 1
+        assert clusters[0].stats.size == len(clusters[0].member_indices) == 1
         assert clusters[0].stats.fraction == 1.0
 
     def test_disjoint_cover_and_consistency(self, rng):
@@ -108,7 +107,8 @@ class TestPartitionLaws:
         net = make_random_network(rng, d=3, widths=(3,))
         ds = random_dataset(rng, net, 500)
         clusters = partition(net, ds)
-        keys = [(-c.size, c.pattern.bitstring) for c in clusters]
+        assert all(c.stats.size == len(c.member_indices) for c in clusters)
+        keys = [(-c.stats.size, c.pattern.bitstring) for c in clusters]
         assert keys == sorted(keys)
 
     def test_shuffle_yields_same_clusters(self, rng):
@@ -119,7 +119,7 @@ class TestPartitionLaws:
         a = partition(net, ds)
         b = partition(net, shuffled)
         assert [c.pattern for c in a] == [c.pattern for c in b]
-        assert [c.size for c in a] == [c.size for c in b]
+        assert [c.stats.size for c in a] == [c.stats.size for c in b]
         for ca, cb in zip(a, b):
             np.testing.assert_array_equal(
                 np.sort(perm[cb.member_indices]), ca.member_indices
@@ -230,7 +230,7 @@ class TestSlottedTypes:
     def test_cluster_pickles(self, cluster):
         back = pickle.loads(pickle.dumps(cluster))
         assert type(back) is Cluster and back.pattern == cluster.pattern
-        assert back.stats == cluster.stats and back.size == cluster.size
+        assert back.stats == cluster.stats
         for got, want in ((back.member_indices, cluster.member_indices),
                           (back.affine.omega, cluster.affine.omega),
                           (back.affine.bias, cluster.affine.bias)):
@@ -266,38 +266,17 @@ class TestSlottedTypes:
             assert not got.flags.writeable and not want.flags.writeable
 
 
-class TestClusterOf:
-    def test_finds_member_cluster(self, rng):
-        net = make_random_network(rng, d=3, widths=(2, 2))
-        ds = random_dataset(rng, net, 150)
-        clusters = partition(net, ds)
-        for i in (0, 50, 149):
-            c = cluster_of(clusters, net, ds.features[i])
-            assert c is not None
-            assert i in c.member_indices
-
-    def test_unseen_pattern_returns_none(self):
-        # single hidden unit: the dataset only realizes the active side
-        from relu_prism import Layer, Network
-
-        net = Network((Layer([[1.0]], [0.0]), Layer([[1.0]], [0.0])))
-        ds = Dataset([[1.0], [2.0]], [0, 1], ("x",))
-        clusters = partition(net, ds)
-        assert len(clusters) == 1
-        assert cluster_of(clusters, net, [-1.0]) is None
-
-    def test_stable_under_interior_perturbation(self, rng):
-        net = make_random_network(rng, d=3, widths=(3,))
-        ds = random_dataset(rng, net, 100)
-        clusters = partition(net, ds)
-        u = ds.features[0]
-        trace = forward_trace(net, u)
-        margin = min(abs(z) for z in trace.preactivations[0])
-        if margin == 0.0:
-            pytest.skip("input sits exactly on a boundary")
-        base = cluster_of(clusters, net, u)
-        nudged = cluster_of(clusters, net, u + margin * 1e-6)
-        assert nudged is base
+def test_pattern_stable_under_interior_perturbation(rng):
+    net = make_random_network(rng, d=3, widths=(3,))
+    ds = random_dataset(rng, net, 100)
+    (home,) = [c for c in partition(net, ds) if 0 in c.member_indices]
+    u = ds.features[0]
+    trace = forward_trace(net, u)
+    margin = min(abs(z) for z in trace.preactivations[0])
+    if margin == 0.0:
+        pytest.skip("input sits exactly on a boundary")
+    assert trace.pattern == home.pattern
+    assert forward_trace(net, u + margin * 1e-6).pattern == home.pattern
 
 
 def test_clusters_to_json_round_trip(rng):
@@ -309,7 +288,7 @@ def test_clusters_to_json_round_trip(rng):
     assert abs(sum(entry["fraction"] for entry in doc) - 1.0) < 1e-9
     for entry, c in zip(doc, clusters):
         assert entry["pattern"] == c.pattern.bitstring
-        assert entry["size"] == c.size
+        assert entry["size"] == c.stats.size == len(c.member_indices)
         np.testing.assert_array_equal(entry["omega"], c.affine.omega)
         expected = effective_affine(net, c.pattern)
         np.testing.assert_array_equal(entry["omega"], expected.omega)

@@ -179,10 +179,10 @@ class TestLossAndGradients:
         X = rng.uniform(-1, 1, (20, 3))
         t = rng.integers(0, 2, 20)
         config = TrainConfig(activity_reg_coeff=0.0)
-        from relu_prism import forward_batch, sigmoid
+        from relu_prism import forward_batch
 
         logits, _ = forward_batch(net, X)
-        p = sigmoid(logits[:, 0])
+        p = 1.0 / (1.0 + np.exp(-logits[:, 0]))
         naive = -(t * np.log(p) + (1 - t) * np.log(1 - p)).mean()
         assert batch_loss(net, X, t, config) == pytest.approx(naive, rel=1e-12)
 
@@ -265,7 +265,7 @@ class TestTrain:
         )
         net, history = train(ds, config)
         assert accuracy(net, ds) == 1.0
-        assert history.epochs == 10
+        assert len(history.losses) == 10
         assert all(np.isfinite(l) for l in history.losses)
 
     def test_bitwise_deterministic(self):
@@ -313,7 +313,7 @@ class TestTrain:
     def test_history_lengths_match_epochs(self):
         ds = self.separable(60)
         _, history = train(ds, TrainConfig(hidden_widths=(2,), epochs=4, seed=0))
-        assert history.epochs == 4
+        assert len(history.losses) == 4
         assert len(history.accuracies) == 4
 
 
