@@ -263,6 +263,49 @@ class TestJacobianCheck:
         jacobian = json.loads((out / "verify.json").read_text())["jacobian"]
         assert (jacobian["checked"], jacobian["skipped"]) == (int(not skipped), int(skipped))
 
+    @pytest.mark.parametrize(
+        "weight2, skipped",
+        [
+            # The 1000 comes in through the inactive unit, so g = 1 and r = 0.005;
+            # a slope taken without the first layer's mask, 1 - 1000, would skip.
+            ([[1.0, 1000.0]], False),
+            # The 1000 comes in through the active unit: g = 1000, r = 5e-6 < h.
+            ([[1000.0, 0.0]], True),
+        ],
+        ids=["through-inactive", "through-active"],
+    )
+    def test_deep_unit_radius_follows_earlier_masks(self, weight2, skipped):
+        """At u = 1 the first layer gives (1, -1); the second-layer unit sits at z = 0.005."""
+        first = Layer([[1.0], [-1.0]], [0.0, 0.0])
+        second = Layer(weight2, [0.005 - weight2[0][0]])
+        net = Network((first, second, Layer([[1.0]], [0.0])))
+        np.testing.assert_allclose(forward_trace(net, [1.0]).preactivations[1], [0.005])
+        report = jacobian_check(net, [1.0], h=1e-4)
+        assert report.skipped is skipped
+        if not skipped:
+            assert report.max_row_err <= 1e-8
+
+    def test_constant_unit_on_its_kink_is_left_out(self):
+        """A unit fed only by inactive units has g = 0: z = 0 does not end the region."""
+        first = Layer([[1.0], [-1.0]], [0.0, 0.0])
+        second = Layer([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+        net = Network((first, second, Layer([[1.0, 1.0]], [0.0])))
+        np.testing.assert_array_equal(forward_trace(net, [1.0]).preactivations[1], [1.0, 0.0])
+        report = jacobian_check(net, [1.0], h=1e-4)
+        assert not report.skipped
+        assert report.max_row_err <= 1e-8
+
+    @pytest.mark.parametrize(
+        "z, skipped", [(4.5e-4, True), (5.5e-4, False)], ids=["inside-h", "outside-h"]
+    )
+    def test_radius_divides_by_the_euclidean_norm(self, z, skipped):
+        """g = (3, 4), so r = z / 5: 9e-5 and 1.1e-4 either side of h = 1e-4."""
+        net = Network((Layer([[3.0, 4.0]], [z - 7.0]), Layer([[1.0]], [0.0])))
+        report = jacobian_check(net, [1.0, 1.0], h=1e-4)
+        assert report.skipped is skipped
+        if not skipped:
+            assert report.max_row_err <= 1e-8
+
     def test_linear_net_checks_anywhere(self, rng):
         net = Network((Layer([[3.0, -2.0]], [1.0]),))
         for u in ([0.0, 0.0], [1e-9, 0.0], [5.0, -5.0]):
