@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 
@@ -293,6 +294,68 @@ class TestSplit:
             split(self.make(10), 0.01, seed=0)
 
 
+def csv_writer_text(ds: Dataset) -> str:
+    """What ``csv.writer`` makes of the header and of the rows as Python floats and ints."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([*ds.feature_names, "target"])
+    writer.writerows(x + [t] for x, t in zip(ds.features.tolist(), ds.targets.tolist()))
+    return buf.getvalue()
+
+
+def digit_table(rows: int, cols: int, seed: int, high: int = 10) -> Dataset:
+    """Random integer codes 0 .. high - 1 as floats, random 0/1 targets."""
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.integers(0, high, (rows, cols)).astype(np.float64),
+                   rng.integers(0, 2, rows), tuple(f"f{j}" for j in range(cols)))
+
+
+def with_value(ds: Dataset, value: float) -> Dataset:
+    """``ds`` with ``value`` in one cell of its second write block."""
+    X = ds.features.copy()
+    X[data._CSV_BLOCK_ROWS + 5, 1] = value
+    return Dataset(X, ds.targets, ds.feature_names)
+
+
+def stacked(first: Dataset, second: Dataset) -> Dataset:
+    return Dataset(np.vstack([first.features, second.features]),
+                   np.concatenate([first.targets, second.targets]), first.feature_names)
+
+
+def gaussian_table(rows: int, cols: int, seed: int) -> Dataset:
+    rng = np.random.default_rng(seed)
+    return Dataset(rng.normal(size=(rows, cols)), rng.integers(0, 2, rows),
+                   tuple(f"f{j}" for j in range(cols)))
+
+
+_B = data._CSV_BLOCK_ROWS
+
+# The two kinds of discrete table the program writes: the simulation's {0,1}
+# rows, over three write blocks, and Titanic-style ordinal codes 0-5.
+DIGIT_TABLES = {
+    "boolean": lambda: gen_boolean(3000, 7),
+    "titanic-codes": lambda: Dataset(
+        np.random.default_rng(8).integers(0, 6, (891, 7)).astype(np.float64),
+        np.random.default_rng(9).integers(0, 2, 891), TITANIC_FEATURE_NAMES),
+}
+
+# Tables whose write blocks hold only the values 0.0 .. 9.0, beside tables
+# with one block, or one cell, outside them.
+MIXED_TABLES = {
+    "digits-then-gaussian": lambda: stacked(digit_table(_B, 3, 1), gaussian_table(_B + 9, 3, 2)),
+    "gaussian-then-digits": lambda: stacked(gaussian_table(_B, 3, 3), digit_table(_B + 9, 3, 4)),
+    **{
+        f"one-cell-{value!r}": (lambda value=value: with_value(digit_table(3 * _B, 3, 5), value))
+        for value in (10.0, 0.5, -1.0, -0.0)
+    },
+    "all-nines": lambda: Dataset(np.full((_B + 3, 4), 9.0), np.arange(_B + 3) % 2,
+                                 ("a", "b", "c", "d")),
+    "one-feature-column": lambda: digit_table(_B + 1, 1, 6),
+    "no-feature-column": lambda: Dataset(np.empty((_B + 1, 0)), np.arange(_B + 1) % 2, ()),
+    "one-row": lambda: digit_table(1, 3, 7),
+}
+
+
 class TestCsvRoundTrip:
     def test_header_layout(self):
         rng = np.random.default_rng(3)
@@ -330,11 +393,7 @@ class TestCsvRoundTrip:
         X = special_floats(rng, (2500, len(names)))
         X[:7, 0] = [-0.0, 5e-324, 1e16, 1e-7, 3.0, -12.0, 2.0**53]
         ds = Dataset(X, rng.integers(0, 2, 2500), names)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([*names, "target"])
-        writer.writerows(x + [t] for x, t in zip(X.tolist(), ds.targets.tolist()))
-        assert dataset_to_csv(ds) == buf.getvalue()
+        assert dataset_to_csv(ds) == csv_writer_text(ds)
         assert dataset_to_csv(ds).startswith('"a,b","say ""hi""",Größe,,x,target\n-0.0,')
 
     @pytest.mark.parametrize(
@@ -347,11 +406,23 @@ class TestCsvRoundTrip:
         names = tuple(f"f{j}" for j in range(features))
         X = special_floats(rng, (rows, features))
         ds = Dataset(X, rng.integers(0, 2, rows), names)
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([*names, "target"])
-        writer.writerows(x + [t] for x, t in zip(X.tolist(), ds.targets.tolist()))
-        assert dataset_to_csv(ds) == buf.getvalue()
+        assert dataset_to_csv(ds) == csv_writer_text(ds)
+
+    # Recorded from the writer that formats every value with repr.
+    DIGIT_TABLE_SHA256 = {
+        "boolean": "6dbe752d2bdf0c06e0032a97c4e943f87425a77badf1b462bf01694a4678e611",
+        "titanic-codes": "4a4f85592cda514f00c915fdf519d65d1c802a55bd9e3417b671492e96794467",
+    }
+
+    @pytest.mark.parametrize("name", list(DIGIT_TABLE_SHA256))
+    def test_digit_tables_are_pinned(self, name):
+        text = dataset_to_csv(DIGIT_TABLES[name]())
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGIT_TABLE_SHA256[name]
+
+    @pytest.mark.parametrize("name", list(MIXED_TABLES))
+    def test_mixed_tables_match_csv_writer(self, name):
+        ds = MIXED_TABLES[name]()
+        assert dataset_to_csv(ds) == csv_writer_text(ds)
 
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -441,6 +512,25 @@ class TestCsvBulkPath:
         bulk = parse_outcome(raw)
         assert bulk == line_parser_outcome(raw, monkeypatch)
         assert bulk[0] == ds.features.tobytes() and bulk[2] == ds.targets.tobytes()
+
+    # Every table the writer tests use that has a feature column: the reader
+    # refuses a file without one, whichever path it takes.
+    WRITTEN = {
+        **DIGIT_TABLES,
+        **{k: f for k, f in MIXED_TABLES.items() if k != "no-feature-column"},
+        "gaussian": lambda: gaussian_table(2500, 10, 12),
+    }
+
+    @pytest.mark.parametrize("name", list(WRITTEN))
+    def test_written_tables_take_the_bulk_path(self, name):
+        ds = self.WRITTEN[name]()
+        parsed = data._parse_canonical_csv(dataset_to_csv(ds).encode())
+        assert parsed is not None
+        names, features, targets = parsed
+        assert names == ds.feature_names
+        assert features.shape == ds.features.shape
+        assert features.tobytes() == ds.features.tobytes()
+        assert targets.tobytes() == ds.targets.tobytes()
 
     BASE = "a,b,target\n1.5,-2.0,1\n0.25,3.0,0\n-0.0,1e-07,1\n"
 
