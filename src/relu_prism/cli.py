@@ -518,7 +518,10 @@ _FRACTION = ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1)
 _PATH = ("a string", lambda v: type(v) is str)
 _PATH_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)
 _COUNTS = _list_of("positive integers", _COUNT[1])
-_SEEDS = _list_of("non-negative integers", _is_seed)
+_SEEDS = (
+    "a non-empty list of distinct non-negative integers",
+    lambda v: type(v) is list and bool(v) and all(map(_is_seed, v)) and len(set(v)) == len(v),
+)
 
 # The one contract for each command's arguments, on the command line and in
 # a manifest: the keys they carry and what each value must be.

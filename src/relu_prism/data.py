@@ -50,14 +50,17 @@ _AGE_BINS, _FARE_BINS = 5, 4
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A named-feature matrix with binary targets."""
+    """A named-feature matrix with binary targets.
+
+    The features are kept as a read-only, C-ordered float64 copy.
+    """
 
     features: np.ndarray
     targets: np.ndarray
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        X = np.array(self.features, dtype=np.float64)
+        X = np.array(self.features, dtype=np.float64, order="C")
         # Checked before the int64 copy, which would truncate 0.7 to 0 and parse "1".
         t = np.asarray(self.targets)
         if X.ndim != 2 or X.shape[0] < 1:
@@ -323,6 +326,8 @@ def dataset_to_csv(dataset: Dataset) -> str:
     # Each block of rows is one % format of one flat tuple: the features and
     # the 0/1 target side by side as floats, which "%d" writes as 0 or 1.
     # No Python list is made per row, and the one large string is the join.
+    # A block of one-digit features, as both experiments' tables are, is
+    # written as a digit table instead, with the same bytes.
     n, d = dataset.features.shape
     row = "%r," * d + "%d\n"
     block = np.empty((_CSV_BLOCK_ROWS, d + 1))
@@ -331,8 +336,37 @@ def dataset_to_csv(dataset: Dataset) -> str:
         rows = min(_CSV_BLOCK_ROWS, n - start)
         block[:rows, :d] = dataset.features[start : start + rows]
         block[:rows, d] = dataset.targets[start : start + rows]
-        blocks.append(row * rows % tuple(block[:rows].ravel().tolist()))
+        if _all_digits(block[:rows, :d]):
+            blocks.append(_digit_rows(block[:rows]))
+        else:
+            blocks.append(row * rows % tuple(block[:rows].ravel().tolist()))
     return "".join(blocks)
+
+
+def _all_digits(values: np.ndarray) -> bool:
+    """Whether every value is one of 0.0 .. 9.0, whose ``repr`` is "k.0".
+
+    -0.0 equals 0.0, but its ``repr`` is "-0.0": its sign bit rules it out.
+    """
+    return bool(
+        ((values >= 0.0) & (values <= 9.0)).all()
+        and (values == np.trunc(values)).all()
+        and not np.signbit(values).any()
+    )
+
+
+def _digit_rows(block: np.ndarray) -> str:
+    """The csv rows of ``block``, features then the target, each value one digit.
+
+    A row is "k.0," per feature and "t\\n": one row template, repeated in a
+    uint8 table with each row's digits added in, then decoded once.
+    """
+    rows, cols = block.shape
+    width = 4 * cols - 2
+    table = np.empty((rows, width), dtype=np.uint8)
+    table[:] = np.frombuffer(b"0.0," * (cols - 1) + b"0\n", dtype=np.uint8)
+    table[:, 0:width:4] += block.astype(np.uint8)
+    return table.tobytes().decode("ascii")
 
 
 def read_dataset_csv(path) -> Dataset:

@@ -278,6 +278,25 @@ def forward_batch(net: Network, inputs) -> tuple[np.ndarray, list[np.ndarray]]:
     return next(pres), bits
 
 
+def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of the C-contiguous (n, w) uint8 matrix ``keys`` by their bytes.
+
+    Returns the row order and the start of each group in it: group g owns
+    ``order[starts[g] : starts[g + 1]]``, the last group running to n. Each
+    row is viewed as one ``np.void`` scalar. Voids compare as unsigned bytes,
+    so one stable sort orders the groups by their bytes, as
+    ``np.unique(..., axis=0)`` orders a uint8 matrix, and keeps each group's
+    rows in increasing order.
+    """
+    n, width = keys.shape
+    voids = np.ndarray(n, np.dtype((np.void, width)), keys)  # 0 bytes wide too
+    order = np.argsort(voids, kind="stable")
+    ordered = voids[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(first)
+
+
 def group_by_pattern(
     net: Network, inputs
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -289,28 +308,19 @@ def group_by_pattern(
     ``order[s : s + counts[g]]`` with ``s = counts[:g].sum()``, a strictly
     increasing run of row indices.
 
-    Each row's key is its packed bits plus one zero byte, viewed as one
-    ``np.void`` scalar; the byte gives a net without hidden layers a key too.
-    Voids compare as unsigned bytes, so one stable sort of the keys orders
-    the patterns by bitstring, as ``np.unique(..., axis=0)`` over the packed
-    bits does, and keeps each pattern's rows in increasing order.
+    Each row's key is its packed bits plus one zero byte, which gives a net
+    without hidden layers a key too; `_group_rows` orders the patterns by
+    bitstring.
     """
     logits, bits = forward_batch(net, inputs)
     n = logits.shape[0]
     width = sum(b.shape[1] for b in bits)
-    key_bytes = (width + 7) // 8 + 1
-    keys = np.zeros((n, key_bytes), dtype=np.uint8)
+    keys = np.zeros((n, (width + 7) // 8 + 1), dtype=np.uint8)
     if bits:
         keys[:, :-1] = np.packbits(np.hstack(bits), axis=1)
-    keys = keys.view(np.dtype((np.void, key_bytes)))[:, 0]
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(first)
+    order, starts = _group_rows(keys)
     counts = np.diff(starts, append=n)
-    packed = ordered[starts].view(np.uint8).reshape(-1, key_bytes)[:, :-1]
-    masks = np.unpackbits(packed, axis=1, count=width).view(bool)
+    masks = np.unpackbits(keys[order[starts], :-1], axis=1, count=width).view(bool)
     return logits, masks, order, counts
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InputError, ShapeError, TrainingDivergedError
-from .network import Layer, Network, _preactivations, predict_batch
+from .network import Layer, Network, _group_rows, _preactivations, predict_batch
 
 __all__ = [
     "TrainConfig",
@@ -275,6 +275,13 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
     denom = np.empty_like(params)
 
     X_all, t_all = dataset.features, dataset.targets.astype(np.float64)
+    # The per-epoch accuracy runs over the distinct rows, equal in every
+    # byte, each with the counts of its 0 and 1 targets: the exact count of
+    # correct rows is that of a pass over all n rows.
+    order, starts = _group_rows(X_all.view(np.uint8))
+    X_distinct = X_all[order[starts]]
+    ones = np.add.reduceat(dataset.targets[order], starts)
+    zeros = np.diff(starts, append=n) - ones
     lr, batch = config.learning_rate, config.batch_size
     perms = np.empty((S, n), dtype=np.intp)
     reg = _reg_terms(config, Ws)
@@ -324,9 +331,9 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
             losses[epoch - 1] = epoch_loss / n
             for s in range(S):
                 layers = ((W[s], b[s]) for W, b in zip(seed_Ws, seed_bs))
-                for logits in _preactivations(layers, X_all):
+                for logits in _preactivations(layers, X_distinct):
                     pass  # to the last matrix, holding two layers' matrices at a time
-                accuracies[epoch - 1, s] = ((logits[:, 0] > 0.0) == t_all).mean()
+                accuracies[epoch - 1, s] = np.where(logits[:, 0] > 0.0, ones, zeros).sum() / n
     return seed_Ws, seed_bs, losses, accuracies, diverged
 
 
@@ -336,13 +343,16 @@ def train_seeds(dataset: Dataset, config: TrainConfig, seeds):
     ``config.seed`` is ignored: seed s runs as `train` with ``seed=s`` would,
     on its own ``default_rng(s)`` stream for Glorot and the epoch shuffles,
     and gets bit-identical weights and history. Every seed trains on the
-    first ``next``. Iteration stops with TrainingDivergedError at the first
-    seed, in ``seeds`` order, whose batch loss went non-finite, naming that
-    seed's 1-based epoch; the seeds before it are yielded first.
+    first ``next``, which raises InputError on an empty or repeated seed
+    list. Iteration stops with TrainingDivergedError at the first seed, in
+    ``seeds`` order, whose batch loss went non-finite, naming that seed's
+    1-based epoch; the seeds before it are yielded first.
     """
     seeds = tuple(seeds)
     if not seeds:
         raise InputError("train_seeds needs at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise InputError(f"train_seeds needs distinct seeds, got {list(seeds)}")
     Ws, bs, losses, accuracies, diverged = _train_lockstep(dataset, config, seeds)
     for s in range(len(seeds)):
         if s in diverged:

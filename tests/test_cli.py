@@ -333,6 +333,8 @@ class TestRerun:
             ("simulate", {"hidden": [4, 0]}, ["--hidden=4,0"], None),
             ("simulate", {"lr": -0.1}, ["--lr=-0.1"], None),
             ("simulate", {"reg": -1.0}, ["--reg=-1"], None),
+            ("simulate", {"seeds": [1, 1]}, ["--seeds=1,1"], None),
+            ("titanic", {"seeds": [2, 0, 2]}, ["--seeds=2,0,2"], None),
         ],
     )
     def test_out_of_range_arg_is_refused_alike_on_both_paths(

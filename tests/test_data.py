@@ -424,6 +424,24 @@ class TestCsvRoundTrip:
         ds = MIXED_TABLES[name]()
         assert dataset_to_csv(ds) == csv_writer_text(ds)
 
+    @pytest.mark.parametrize(
+        "ds, digit_blocks",
+        [(gen_boolean(3000, 7), 3), (gaussian_table(3000, 10, 13), 0)],
+        ids=["boolean", "gaussian"],
+    )
+    def test_digit_table_writes_every_boolean_block_and_no_gaussian_one(
+        self, ds, digit_blocks, monkeypatch
+    ):
+        calls, digit_rows = [], data._digit_rows
+
+        def counted(block):
+            calls.append(len(block))
+            return digit_rows(block)
+
+        monkeypatch.setattr(data, "_digit_rows", counted)
+        assert dataset_to_csv(ds) == csv_writer_text(ds)
+        assert len(calls) == digit_blocks and sum(calls) == 3000 * (digit_blocks > 0)
+
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         ds = Dataset(rng.normal(size=(25, 3)), rng.integers(0, 2, 25), ("a", "b", "c"))

@@ -310,6 +310,10 @@ class TestTrain:
         with pytest.raises(InputError):
             next(train_seeds(self.separable(20), TrainConfig(hidden_widths=(2,)), []))
 
+    def test_sweep_refuses_a_repeated_seed(self):
+        with pytest.raises(InputError, match=r"distinct seeds, got \[1, 2, 1\]"):
+            next(train_seeds(self.separable(20), TrainConfig(hidden_widths=(2,)), [1, 2, 1]))
+
     def test_history_lengths_match_epochs(self):
         ds = self.separable(60)
         _, history = train(ds, TrainConfig(hidden_widths=(2,), epochs=4, seed=0))
@@ -378,7 +382,36 @@ class TestPinnedWeights:
             assert text == network_text(net) + history_to_csv(history), seed
 
 
+def _signed_zero_dataset() -> Dataset:
+    """Boolean rows holding both a 0.0 and a -0.0 version of one row."""
+    ds = gen_boolean(600, seed=4)
+    X = ds.features.copy()
+    X[::3, 0] = np.where(X[::3, 0] == 0.0, -0.0, X[::3, 0])
+    return Dataset(X, ds.targets, ds.feature_names)
+
+
 class TestAccuracy:
+    @pytest.mark.parametrize("epochs", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gen_boolean(600, seed=4), lambda: _gaussian_dataset(600), _signed_zero_dataset],
+        ids=["boolean", "gaussian", "signed-zero"],
+    )
+    def test_history_accuracy_is_the_full_pass(self, make, epochs):
+        """The per-epoch accuracy, counted over distinct rows, is that of every row."""
+        ds = make()
+        net, history = train(ds, TrainConfig(epochs=epochs, seed=epochs, batch_size=50))
+        assert history.accuracies[-1] == accuracy(net, ds)
+
+    def test_signed_zero_table_repeats_rows_in_both_signs(self):
+        X = _signed_zero_dataset().features
+        signed = np.signbit(X[:, 0]) & (X[:, 0] == 0.0)
+        assert signed.any() and (~np.signbit(X[:, 0]) & (X[:, 0] == 0.0)).any()
+        # Some row appears with both a 0.0 and a -0.0 first feature.
+        assert {tuple(np.abs(r)) for r in X[signed]} & {
+            tuple(r) for r in X[~signed & (X[:, 0] == 0.0)]
+        }
+
     def test_constant_predictions(self):
         always_one = Network((Layer([[0.0]], [5.0]),))
         ones = Dataset([[0.0], [1.0]], [1, 1], ("x",))
