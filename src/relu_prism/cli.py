@@ -106,7 +106,10 @@ def _sha256(data: bytes) -> str:
 
 
 def _dataset_hash(dataset: Dataset) -> str:
-    return _sha256(dataset.features.tobytes() + dataset.targets.tobytes())
+    """SHA-256 of the feature bytes, then the target bytes, read in place."""
+    digest = hashlib.sha256(dataset.features.data)
+    digest.update(dataset.targets.data)
+    return digest.hexdigest()
 
 
 def _write_json(path: Path, doc, sort_keys: bool = False) -> None:
