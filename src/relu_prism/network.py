@@ -320,7 +320,8 @@ def group_by_pattern(
         keys[:, :-1] = np.packbits(np.hstack(bits), axis=1)
     order, starts = _group_rows(keys)
     counts = np.diff(starts, append=n)
-    masks = np.unpackbits(keys[order[starts], :-1], axis=1, count=width).view(bool)
+    packed = np.take(keys, order[starts], axis=0)[:, :-1]
+    masks = np.unpackbits(packed, axis=1, count=width).view(bool)
     return logits, masks, order, counts
 
 

@@ -279,7 +279,7 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
     # byte, each with the counts of its 0 and 1 targets: the exact count of
     # correct rows is that of a pass over all n rows.
     order, starts = _group_rows(X_all.view(np.uint8))
-    X_distinct = X_all[order[starts]]
+    X_distinct = np.take(X_all, order[starts], axis=0)
     ones = np.add.reduceat(dataset.targets[order], starts)
     zeros = np.diff(starts, append=n) - ones
     lr, batch = config.learning_rate, config.batch_size
