@@ -347,9 +347,12 @@ def _all_digits(values: np.ndarray) -> bool:
     """Whether every value is one of 0.0 .. 9.0, whose ``repr`` is "k.0".
 
     -0.0 equals 0.0, but its ``repr`` is "-0.0": its sign bit rules it out.
+    The range is tested first, by two reductions that make no array, so a
+    block of other values costs no temporaries.
     """
     return bool(
-        ((values >= 0.0) & (values <= 9.0)).all()
+        values.min(initial=0.0) >= 0.0
+        and values.max(initial=0.0) <= 9.0
         and (values == np.trunc(values)).all()
         and not np.signbit(values).any()
     )

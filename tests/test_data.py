@@ -303,10 +303,10 @@ def csv_writer_text(ds: Dataset) -> str:
     return buf.getvalue()
 
 
-def digit_table(rows: int, cols: int, seed: int, high: int = 10) -> Dataset:
-    """Random integer codes 0 .. high - 1 as floats, random 0/1 targets."""
+def digit_table(rows: int, cols: int, seed: int) -> Dataset:
+    """Random codes 0 .. 9 as floats, random 0/1 targets."""
     rng = np.random.default_rng(seed)
-    return Dataset(rng.integers(0, high, (rows, cols)).astype(np.float64),
+    return Dataset(rng.integers(0, 10, (rows, cols)).astype(np.float64),
                    rng.integers(0, 2, rows), tuple(f"f{j}" for j in range(cols)))
 
 
