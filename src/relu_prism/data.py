@@ -52,7 +52,8 @@ _AGE_BINS, _FARE_BINS = 5, 4
 class Dataset:
     """A named-feature matrix with binary targets.
 
-    The features are kept as a read-only, C-ordered float64 copy.
+    The features are kept as a read-only, C-ordered float64 copy. A matrix
+    without rows or without feature columns is refused.
     """
 
     features: np.ndarray
@@ -63,8 +64,10 @@ class Dataset:
         X = np.array(self.features, dtype=np.float64, order="C")
         # Checked before the int64 copy, which would truncate 0.7 to 0 and parse "1".
         t = np.asarray(self.targets)
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise InputError(f"features must be a non-empty matrix, got shape {X.shape}")
+        if X.ndim != 2 or 0 in X.shape:
+            raise InputError(
+                f"features must be a matrix of at least one row and one column, got shape {X.shape}"
+            )
         if t.shape != (X.shape[0],):
             raise InputError(f"targets shape {t.shape} does not match {X.shape[0]} rows")
         if not np.all(np.isfinite(X)):

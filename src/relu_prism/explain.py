@@ -24,18 +24,24 @@ __all__ = ["NORMALIZATIONS", "ImportanceReport", "feature_importance", "render_r
 NORMALIZATIONS = ("raw", "max_abs")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ImportanceReport:
-    """Named feature weights of one cluster's affine map."""
+    """One cluster's weight row, read against the feature names.
+
+    ``weights`` is the read-only float64 row ``omega[0]`` of the cluster's
+    affine map: a view of it under raw, a scaled copy under max_abs. Reports
+    compare by identity.
+    """
 
     cluster_id: int
-    feature_importances: tuple[tuple[str, float], ...]
+    feature_names: tuple[str, ...]
+    weights: np.ndarray
     bias: float
     normalization: str
 
     @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.feature_importances])
+    def feature_importances(self) -> tuple[tuple[str, float], ...]:
+        return tuple(zip(self.feature_names, self.weights.tolist()))
 
 
 def feature_importance(
@@ -46,7 +52,9 @@ def feature_importance(
 ) -> ImportanceReport:
     """Attach feature names to a cluster's weight row.
 
-    max_abs divides by the largest |weight| so the dominant feature gets
+    A tuple of exact ``str`` names is kept as given, so every report of one
+    call site shares it; other names are converted with ``str``. max_abs
+    divides by the largest |weight| so the dominant feature gets
     magnitude 1; an all-zero row is left untouched. Rescaling by a positive
     constant preserves signs, zeros and the magnitude ranking.
     """
@@ -56,7 +64,9 @@ def feature_importance(
         raise ShapeError(
             f"importance reports require a scalar output, got {omega.shape[0]} rows"
         )
-    names = tuple(map(str, feature_names))
+    names = feature_names
+    if type(names) is not tuple or not all(type(name) is str for name in names):
+        names = tuple(map(str, names))
     if len(names) != omega.shape[1]:
         raise ShapeError(
             f"{len(names)} feature names for {omega.shape[1]} weights"
@@ -70,9 +80,8 @@ def feature_importance(
         peak = np.abs(row).max()
         if peak > 0.0:
             row = row / peak
-    return ImportanceReport(
-        cluster_id, tuple(zip(names, row.tolist())), affine.bias.item(0), normalization
-    )
+            row.setflags(write=False)
+    return ImportanceReport(cluster_id, names, row, affine.bias.item(0), normalization)
 
 
 class _CsvFields(dict):
@@ -112,6 +121,6 @@ def render_report(clusters, reports, format: str = "csv") -> str:
         # object for every row of the document until the final join.
         lines.append("".join([
             f"{head}{names[name]},{weight!r}{tail}"
-            for name, weight in report.feature_importances
+            for name, weight in zip(report.feature_names, report.weights.tolist())
         ]))
     return "".join(lines)

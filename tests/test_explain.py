@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from relu_prism import (
     Layer,
     Network,
     ShapeError,
+    TrainConfig,
     feature_importance,
+    init_network,
     partition,
     render_report,
 )
@@ -99,6 +102,84 @@ class TestFeatureImportance:
             feature_importance(cluster, ("x",))
         with pytest.raises(InputError):
             feature_importance(cluster, ("x", "y"), normalization="l2")
+
+
+class TestReportLayout:
+    """A report holds the caller's names and the cluster's own weight row."""
+
+    def test_raw_weights_are_a_read_only_view_of_omega(self, rng):
+        net = make_random_network(rng, d=3, widths=(4, 3))
+        ds = Dataset(rng.normal(size=(100, 3)), rng.integers(0, 2, 100), ("a", "b", "c"))
+        for cluster in partition(net, ds):
+            report = feature_importance(cluster, ds.feature_names)
+            assert np.shares_memory(report.weights, cluster.affine.omega)
+            assert not report.weights.flags.writeable
+            assert report.weights.dtype == np.float64
+            assert report.weights.tobytes() == cluster.affine.omega[0].tobytes()
+            assert report.feature_names is ds.feature_names
+
+    def test_max_abs_weights_are_read_only_and_peak_at_one(self, rng):
+        row = rng.normal(size=5)
+        cluster = cluster_with_map([row], [0.0], ((True,),))
+        report = feature_importance(cluster, tuple("abcde"), "max_abs")
+        assert not report.weights.flags.writeable
+        assert np.abs(report.weights).max() == 1.0
+        assert not np.shares_memory(report.weights, cluster.affine.omega)
+        assert cluster.affine.omega[0].tolist() == row.tolist()
+
+    def test_max_abs_keeps_an_all_zero_row_zero(self):
+        cluster = cluster_with_map([[0.0, -0.0, 0.0]], [1.0], ((False,),))
+        report = feature_importance(cluster, ("a", "b", "c"), "max_abs")
+        assert not report.weights.flags.writeable
+        assert [repr(w) for w in report.weights.tolist()] == ["0.0", "-0.0", "0.0"]
+
+    @pytest.mark.parametrize(
+        "names", [["a", "b"], (np.str_("a"), np.str_("b")), np.array(["a", "b"])],
+        ids=["list", "np.str_-tuple", "array"],
+    )
+    def test_other_names_come_out_as_a_tuple_of_plain_str(self, names):
+        report = feature_importance(cluster_with_map([[1.0, 2.0]], [0.0]), names)
+        assert type(report.feature_names) is tuple
+        assert [type(name) for name in report.feature_names] == [str, str]
+        assert report.feature_names == ("a", "b")
+
+    @pytest.mark.parametrize("normalization", ["raw", "max_abs"])
+    def test_feature_importances_zip_names_with_the_row(self, normalization):
+        row = (-0.0, 5e-324, 2.0**-1074 * 3, -1e-310, 1.0, 0.0)
+        names = tuple(f"f{i}" for i in range(len(row)))
+        report = feature_importance(cluster_with_map([row], [0.0]), names, normalization)
+        pairs = report.feature_importances
+        assert pairs == tuple(zip(names, report.weights.tolist()))
+        assert [type(w) for _, w in pairs] == [float] * len(row)
+        if normalization == "raw":
+            assert [repr(w) for _, w in pairs] == [repr(w) for w in row]
+
+    def test_reports_compare_by_identity(self):
+        cluster = cluster_with_map([[1.0, 2.0]], [0.0])
+        report = feature_importance(cluster, ("a", "b"))
+        assert report == report
+        assert report != feature_importance(cluster, ("a", "b"))
+
+
+def test_reports_hold_no_python_object_per_weight():
+    """A regions-style chain at reduced size: each report costs a few small objects."""
+    net = init_network(10, TrainConfig(hidden_widths=(16, 8), seed=5))
+    X = np.random.default_rng(5).standard_normal((5000, 10))
+    ds = Dataset(X, (X.sum(axis=1) > 0.0).astype(np.int64), tuple(f"x{i}" for i in range(10)))
+    clusters = partition(net, ds)
+    assert len(clusters) > 1000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reports = [
+            feature_importance(c, ds.feature_names, cluster_id=i)
+            for i, c in enumerate(clusters)
+        ]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # About 1,044 B a report when each held a (name, float) pair per weight.
+    assert held / len(reports) < 400
 
 
 class TestRenderReport:

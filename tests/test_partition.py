@@ -237,6 +237,17 @@ class TestSlottedTypes:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
+    def test_report_pickles(self, cluster):
+        report = self.objects(cluster)[3]
+        back = pickle.loads(pickle.dumps(report))
+        assert type(back) is ImportanceReport and back is not report
+        assert (back.cluster_id, back.feature_names, back.bias, back.normalization) == (
+            report.cluster_id, report.feature_names, report.bias, report.normalization
+        )
+        assert back.weights.dtype == report.weights.dtype
+        assert back.weights.tobytes() == report.weights.tobytes()
+        assert back.feature_importances == report.feature_importances
+
     def test_replace(self, cluster):
         stats = dataclasses.replace(cluster.stats, size=7)
         assert type(stats) is ClusterStats and stats.size == 7
@@ -244,6 +255,8 @@ class TestSlottedTypes:
         report = self.objects(cluster)[3]
         renamed = dataclasses.replace(report, cluster_id=9)
         assert type(renamed) is ImportanceReport and renamed.cluster_id == 9
+        assert renamed.feature_names is report.feature_names
+        assert renamed.weights is report.weights
         assert renamed.feature_importances == report.feature_importances
         assert renamed.bias == report.bias and renamed.normalization == "max_abs"
 
