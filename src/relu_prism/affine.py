@@ -64,6 +64,10 @@ class AffineMap:
         object.__setattr__(affine, "bias", bias)
         return affine
 
+    def __reduce__(self):
+        # Unpickled arrays are writeable; the constructor's copies are read-only.
+        return AffineMap, (self.omega, self.bias)
+
     def apply(self, u) -> np.ndarray:
         """Evaluate the map on one vector or on rows of a matrix."""
         u = np.asarray(u, dtype=np.float64)
@@ -145,6 +149,40 @@ def collapse_batch(net: Network, masks) -> tuple[np.ndarray, np.ndarray]:
     return omegas, biases
 
 
+# Rows per stacked product in ``verify_affine``: bounds the rows it gathers at once.
+_VERIFY_BLOCK = 1024
+
+
+def _row_errors(X, logits, omegas, biases, order, counts) -> np.ndarray:
+    """Each row's largest |affine - logit| gap, at its place in ``order``.
+
+    Pattern g owns rows ``order[s : s + counts[g]]`` and the map
+    ``(omegas[g], biases[g])``. Groups of one size are stacked in products
+    of at most a block of rows, per group the same as ``AffineMap.apply``. A
+    group larger than a block is cut into slices of a block of rows, and a
+    last row left alone joins the slice before it, so every row keeps the
+    bits of its group's whole product. The sizes come from a bincount:
+    np.unique would import numpy.ma.
+    """
+    starts = np.cumsum(counts) - counts
+    err = np.empty(X.shape[0])
+    for size in np.flatnonzero(np.bincount(counts)).tolist():
+        groups = np.flatnonzero(counts == size)
+        # A lone row would take another BLAS kernel than the slice before it.
+        cuts = [*range(0, max(size - 1, 1), _VERIFY_BLOCK), size]
+        stack = max(1, _VERIFY_BLOCK // size)
+        for g in range(0, len(groups), stack):
+            chunk = groups[g : g + stack]
+            omega_t = omegas[chunk].transpose(0, 2, 1)
+            bias = biases[chunk][:, None, :]
+            for lo, hi in zip(cuts, cuts[1:]):
+                at = starts[chunk][:, None] + np.arange(lo, hi)
+                rows = order[at]
+                fit = X[rows] @ omega_t + bias
+                err[at] = np.abs(fit - logits[rows]).max(axis=2)
+    return err
+
+
 @dataclass(frozen=True)
 class VerifyReport:
     """Worst-case gap between the per-pattern affine maps and the real forward pass."""
@@ -188,18 +226,8 @@ def verify_affine(net: Network, inputs, tol: float = 1e-6) -> VerifyReport:
     bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
     if bad.size:
         raise InputError(f"the network's logit on input row {bad[0]} is not finite")
-    starts = np.cumsum(counts) - counts
     omegas, biases = collapse_batch(net, masks)
-    # Each row's error, at its place in ``order``. The groups of one size are
-    # one stacked product, per group the same as ``AffineMap.apply``. The
-    # sizes come from a bincount: np.unique would import numpy.ma.
-    err = np.empty(X.shape[0])
-    for size in np.flatnonzero(np.bincount(counts)):
-        groups = np.flatnonzero(counts == size)
-        at = starts[groups][:, None] + np.arange(size)
-        rows = order[at]
-        fit = X[rows] @ omegas[groups].transpose(0, 2, 1) + biases[groups][:, None, :]
-        err[at] = np.abs(fit - logits[rows]).max(axis=2)
+    err = _row_errors(X, logits, omegas, biases, order, counts)
     # The first maximum in ``order`` lies in the first pattern, in bitstring
     # order, that attains it, and is that pattern's lowest such row.
     first = int(np.argmax(err))

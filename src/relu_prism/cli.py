@@ -33,7 +33,7 @@ from .data import (
     Dataset,
     _parse_dataset_table,
     _table_dataset,
-    dataset_to_csv,
+    _write_dataset_csv,
     gen_boolean,
     parse_titanic_csv,
     split,
@@ -118,7 +118,10 @@ def _write_json(path: Path, doc, sort_keys: bool = False) -> None:
         text = json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=False)
     except ValueError as exc:
         raise InputError(f"{path.name} would hold a non-finite number: {exc}") from exc
-    path.write_text(text + "\n")
+    # Written in two pieces: ``text + "\n"`` would copy the whole document.
+    with path.open("w") as out:
+        out.write(text)
+        out.write("\n")
 
 
 def _check_inputs(recorded: dict | None, hashes: dict) -> None:
@@ -184,7 +187,7 @@ def _run_experiment(command: str, params: dict, out: Path, train_set: Dataset,
     ]
     report = verify_affine(net, target.features, tol=params["tol"])
     out.mkdir(parents=True, exist_ok=True)
-    (out / "dataset.csv").write_text(dataset_to_csv(target))
+    _write_dataset_csv(target, out / "dataset.csv")
     save_network(net, out / "network.json")
     (out / "history.csv").write_text(history_to_csv(history))
     _write_json(out / "clusters.json", clusters_to_json(clusters))
@@ -429,12 +432,9 @@ def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
     raw = data_path.read_bytes()
     hashes["data"] = _sha256(raw)
     _check_inputs(recorded, hashes)
-    table = _parse_dataset_table(raw, data_path)
-    # The bytes are dropped before the Dataset copies the parsed table, so
-    # the three are never alive at once.
+    # The dataset holds the parsed table itself, compacted to its features.
+    dataset = _table_dataset(_parse_dataset_table(raw, data_path))
     del raw
-    dataset = _table_dataset(table)
-    del table
     affine_report = verify_affine(net, dataset.features, tol=params["tol"])
 
     n = dataset.n_rows

@@ -46,14 +46,17 @@ _TITLE_CODES = {"Mr": 1, "Miss": 2, "Mrs": 3, "Master": 4}
 _RARE_TITLE_CODE = 5
 _EMBARKED_CODES = {"S": 0, "C": 1, "Q": 2}
 _AGE_BINS, _FARE_BINS = 5, 4
+# Rows per block where rows are generated, written or compacted a block at a time.
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A named-feature matrix with binary targets.
 
-    The features are kept as a read-only, C-ordered float64 copy. A matrix
-    without rows or without feature columns is refused.
+    The features are kept as a read-only, C-ordered float64 copy, and the
+    targets as a read-only int64 copy. A matrix without rows or without
+    feature columns is refused. A pickled dataset comes back read-only.
     """
 
     features: np.ndarray
@@ -61,21 +64,44 @@ class Dataset:
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
-        X = np.array(self.features, dtype=np.float64, order="C")
-        # Checked before the int64 copy, which would truncate 0.7 to 0 and parse "1".
-        t = np.asarray(self.targets)
+        # The targets are copied as given: their dtype is checked before the
+        # int64 conversion, which would truncate 0.7 to 0 and parse "1".
+        self._hold(
+            np.array(self.features, dtype=np.float64, order="C"),
+            np.array(self.targets),
+            self.feature_names,
+        )
+
+    @classmethod
+    def _adopt(cls, features: np.ndarray, targets: np.ndarray, feature_names) -> "Dataset":
+        """A dataset that holds the arrays it is given, uncopied.
+
+        For arrays that the caller has just built and does not keep: a
+        C-ordered float64 matrix and a vector of targets. They are checked as
+        the public constructor checks its copies, and made read-only.
+        """
+        dataset = object.__new__(cls)
+        dataset._hold(features, targets, feature_names)
+        return dataset
+
+    def _hold(self, X: np.ndarray, t: np.ndarray, feature_names) -> None:
+        """Check ``X``, ``t`` and the names as one dataset, then keep them read-only.
+
+        ``X`` is a C-ordered float64 array. A non-finite value is found by
+        ``min`` and ``max``, which propagate NaN and make no temporary array.
+        """
         if X.ndim != 2 or 0 in X.shape:
             raise InputError(
                 f"features must be a matrix of at least one row and one column, got shape {X.shape}"
             )
         if t.shape != (X.shape[0],):
             raise InputError(f"targets shape {t.shape} does not match {X.shape[0]} rows")
-        if not np.all(np.isfinite(X)):
+        if not (math.isfinite(X.min()) and math.isfinite(X.max())):
             raise InputError("features must be finite")
         if t.dtype.kind not in "biuf" or not np.all((t == 0) | (t == 1)):
             raise InputError("targets must be 0 or 1")
-        t = np.array(t, dtype=np.int64)
-        names = tuple(str(n) for n in self.feature_names)
+        t = t.astype(np.int64, copy=False)
+        names = tuple(str(n) for n in feature_names)
         if len(names) != X.shape[1]:
             raise InputError(
                 f"{len(names)} feature names for {X.shape[1]} feature columns"
@@ -85,6 +111,10 @@ class Dataset:
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "targets", t)
         object.__setattr__(self, "feature_names", names)
+
+    def __reduce__(self):
+        # Unpickled arrays are new and writeable; adopting them makes them read-only.
+        return Dataset._adopt, (self.features, self.targets, self.feature_names)
 
     @property
     def n_rows(self) -> int:
@@ -116,13 +146,15 @@ def gen_boolean(n: int = 100_000, seed: int = 0) -> Dataset:
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    X = rng.integers(0, 2, size=(n, 10)).astype(np.float64)
+    # Drawn a block of rows at a time into the float matrix: the generator
+    # fills in row order, so the draws are those of one (n, 10) call, and
+    # only a block of them is held as int64.
+    X = np.empty((n, 10))
+    for start in range(0, n, _CSV_BLOCK_ROWS):
+        rows = min(_CSV_BLOCK_ROWS, n - start)
+        X[start : start + rows] = rng.integers(0, 2, size=(rows, 10))
     t = boolean_target(X[:, 0], X[:, 1], X[:, 2])
-    return Dataset(
-        features=X,
-        targets=t,
-        feature_names=BOOLEAN_FEATURE_NAMES,
-    )
+    return Dataset._adopt(X, t, BOOLEAN_FEATURE_NAMES)
 
 
 def _parse_optional_float(text: str, column: str, line_num: int) -> float | None:
@@ -314,36 +346,43 @@ def split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Datase
     return first, second
 
 
-_CSV_BLOCK_ROWS = 1024
-
-
 def dataset_to_csv(dataset: Dataset) -> str:
     """Comma-separated export: feature columns then a final ``target`` column.
 
     The bytes are those of ``csv.writer``: the header through it, and each
     row as the ``repr`` of its floats and its 0/1 target, which never need
-    quoting.
+    quoting. The text is the join of ``_csv_blocks``.
     """
+    return "".join(_csv_blocks(dataset))
+
+
+def _write_dataset_csv(dataset: Dataset, path) -> None:
+    """Write ``dataset_to_csv(dataset)`` to ``path`` a block at a time, as ``write_text`` would."""
+    with Path(path).open("w") as out:
+        out.writelines(_csv_blocks(dataset))
+
+
+def _csv_blocks(dataset: Dataset):
+    """The text of ``dataset_to_csv`` in pieces: the header, then each block of rows."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([*dataset.feature_names, "target"])
+    yield buf.getvalue()
     # Each block of rows is one % format of one flat tuple: the features and
     # the 0/1 target side by side as floats, which "%d" writes as 0 or 1.
-    # No Python list is made per row, and the one large string is the join.
-    # A block of one-digit features, as both experiments' tables are, is
-    # written as a digit table instead, with the same bytes.
+    # No Python list is made per row. A block of one-digit features, as both
+    # experiments' tables are, is written as a digit table instead, with the
+    # same bytes.
     n, d = dataset.features.shape
     row = "%r," * d + "%d\n"
     block = np.empty((_CSV_BLOCK_ROWS, d + 1))
-    blocks = [buf.getvalue()]
     for start in range(0, n, _CSV_BLOCK_ROWS):
         rows = min(_CSV_BLOCK_ROWS, n - start)
         block[:rows, :d] = dataset.features[start : start + rows]
         block[:rows, d] = dataset.targets[start : start + rows]
         if _all_digits(block[:rows, :d]):
-            blocks.append(_digit_rows(block[:rows]))
+            yield _digit_rows(block[:rows])
         else:
-            blocks.append(row * rows % tuple(block[:rows].ravel().tolist()))
-    return "".join(blocks)
+            yield row * rows % tuple(block[:rows].ravel().tolist())
 
 
 def _all_digits(values: np.ndarray) -> bool:
@@ -399,13 +438,9 @@ def _parse_dataset_table(raw: bytes, path: Path):
 
 
 def _table_dataset(table) -> Dataset:
-    """The checked ``Dataset`` copy of a parsed ``(names, features, targets)``."""
+    """The checked ``Dataset`` of a parsed ``(names, features, targets)``, which holds its arrays."""
     names, features, targets = table
-    return Dataset(
-        features=features,
-        targets=targets,
-        feature_names=names,
-    )
+    return Dataset._adopt(features, targets, names)
 
 
 # Every byte ``dataset_to_csv`` writes below its header: the reprs of finite
@@ -448,7 +483,19 @@ def _parse_canonical_csv(raw: bytes):
         return None
     if table.shape != (rows, len(names)):
         return None
-    return names[:-1], table[:, :-1], table[:, -1].astype(np.int64)
+    targets = table[:, -1].astype(np.int64)
+    # Each row's features move over the target column of the row before, a
+    # block at a time (numpy buffers a block whose source and destination
+    # overlap), so the table's first rows * d floats become the C-ordered
+    # (rows, d) features and the buffer shrinks to them.
+    d = len(names) - 1
+    flat = table.reshape(-1)
+    for start in range(0, rows, _CSV_BLOCK_ROWS):
+        stop = min(start + _CSV_BLOCK_ROWS, rows)
+        flat[start * d : stop * d].reshape(stop - start, d)[...] = table[start:stop, :d]
+    del flat
+    table.resize((rows, d), refcheck=False)
+    return names[:-1], table, targets
 
 
 def _parse_csv_lines(raw: bytes, path: Path):

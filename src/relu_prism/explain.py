@@ -43,6 +43,17 @@ class ImportanceReport:
     def feature_importances(self) -> tuple[tuple[str, float], ...]:
         return tuple(zip(self.feature_names, self.weights.tolist()))
 
+    def __reduce__(self):
+        return _read_only_report, (
+            self.cluster_id, self.feature_names, self.weights, self.bias, self.normalization
+        )
+
+
+def _read_only_report(cluster_id, feature_names, weights, bias, normalization) -> ImportanceReport:
+    """A report whose ``weights`` are made read-only: an unpickled array is writeable."""
+    weights.setflags(write=False)
+    return ImportanceReport(cluster_id, feature_names, weights, bias, normalization)
+
 
 def feature_importance(
     cluster: Cluster,

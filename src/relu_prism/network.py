@@ -278,6 +278,10 @@ def forward_batch(net: Network, inputs) -> tuple[np.ndarray, list[np.ndarray]]:
     return next(pres), bits
 
 
+# Rows whose sorted keys ``_group_rows`` gathers at a time.
+_GROUP_BLOCK = 4096
+
+
 def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group the rows of the C-contiguous (n, w) uint8 matrix ``keys`` by their bytes.
 
@@ -286,14 +290,17 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row is viewed as one ``np.void`` scalar. Voids compare as unsigned bytes,
     so one stable sort orders the groups by their bytes, as
     ``np.unique(..., axis=0)`` orders a uint8 matrix, and keeps each group's
-    rows in increasing order.
+    rows in increasing order. Neighbouring keys in that order are compared
+    a block of rows at a time, so no sorted copy of the keys is made.
     """
     n, width = keys.shape
     voids = np.ndarray(n, np.dtype((np.void, width)), keys)  # 0 bytes wide too
     order = np.argsort(voids, kind="stable")
-    ordered = voids[order]
     first = np.ones(n, dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
+    for start in range(1, n, _GROUP_BLOCK):
+        stop = min(start + _GROUP_BLOCK, n)
+        ordered = voids[order[start - 1 : stop]]
+        first[start:stop] = ordered[1:] != ordered[:-1]
     return order, np.flatnonzero(first)
 
 

@@ -66,6 +66,10 @@ class Cluster:
         object.__setattr__(cluster, "stats", stats)
         return cluster
 
+    def __reduce__(self):
+        # Unpickled arrays are writeable; the constructor's copy is read-only.
+        return Cluster, (self.pattern, self.member_indices, self.affine, self.stats)
+
 
 def partition(net: Network, dataset: Dataset) -> list[Cluster]:
     """Group dataset rows by shared activation pattern.

@@ -282,6 +282,8 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
     X_distinct = np.take(X_all, order[starts], axis=0)
     ones = np.add.reduceat(dataset.targets[order], starts)
     zeros = np.diff(starts, append=n) - ones
+    # Only the distinct rows and their counts are kept through training.
+    del order, starts
     lr, batch = config.learning_rate, config.batch_size
     perms = np.empty((S, n), dtype=np.intp)
     reg = _reg_terms(config, Ws)

@@ -20,9 +20,10 @@ from relu_prism import (
     save_network,
     verify_affine,
 )
-from relu_prism.affine import _COLLAPSE_CHUNK, collapse_batch
+from relu_prism.affine import _COLLAPSE_CHUNK, _row_errors, collapse_batch
 from relu_prism.cli import main
 from relu_prism.data import dataset_to_csv
+from relu_prism.network import group_by_pattern
 from conftest import make_random_network
 
 
@@ -178,6 +179,39 @@ class TestVerifyAffine:
         report = verify_affine(net, X)
         assert report.max_abs_err == 0.0
         assert report.worst_index == X.shape[0] - in_first.sum() > 0
+        assert (report.max_abs_err, report.worst_index) == reference_verify(net, X)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("sizes", [(1025, 7, 1), (1030, 1027, 2), (1151, 1, 1026)])
+    def test_groups_over_a_block_keep_the_bits_of_the_whole_product(self, seed, sizes):
+        """A pattern with more rows than ``_VERIFY_BLOCK`` is checked a slice at a time.
+
+        Every row's error has the bits of ``AffineMap.apply`` on all of its
+        group's rows: the slices start at multiples of the block, and a last
+        row left alone joins the slice before it. (At 8 features and at most
+        1,152 rows a group's product runs on one BLAS thread.)
+        """
+        rng = np.random.default_rng(seed)
+        net = make_random_network(rng, d=8, widths=(3, 2))
+        pool = rng.uniform(-3, 3, (20_000, 8))
+        bits = np.packbits(np.hstack(forward_batch(net, pool)[1]), axis=1)
+        _, inverse, counts = np.unique(bits, axis=0, return_inverse=True, return_counts=True)
+        common = np.argsort(-counts, kind="stable")[: len(sizes)]
+        X = np.concatenate([
+            pool[rng.choice(np.flatnonzero(inverse.reshape(-1) == g), size)]
+            for g, size in zip(common, sizes)
+        ])[rng.permutation(sum(sizes))]
+        logits, masks, order, counts = group_by_pattern(net, X)
+        omegas, biases = collapse_batch(net, masks)
+        err = _row_errors(X, logits, omegas, biases, order, counts)
+        assert sorted(counts.tolist()) == sorted(sizes)
+        start = 0
+        for omega, bias, size in zip(omegas, biases, counts.tolist()):
+            rows = order[start : start + size]
+            whole = np.abs(AffineMap(omega, bias).apply(X[rows]) - logits[rows]).max(axis=1)
+            assert err[start : start + size].tobytes() == whole.tobytes()
+            start += size
+        report = verify_affine(net, X)
         assert (report.max_abs_err, report.worst_index) == reference_verify(net, X)
 
     def test_random_net_passes_tight_tolerance(self, rng):

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -73,6 +74,77 @@ class TestDatasetType:
         np.testing.assert_array_equal(sub.features[:, 0], [3.0, 1.0])
         np.testing.assert_array_equal(sub.targets, [0, 0])
 
+    def test_pickle_keeps_arrays_read_only(self):
+        ds = gen_boolean(50, 3)
+        back = pickle.loads(pickle.dumps(ds))
+        assert type(back) is Dataset and back.feature_names == ds.feature_names
+        for got, want in ((back.features, ds.features), (back.targets, ds.targets)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+
+def refusal(make, features, targets, names):
+    """The InputError message of ``make(features, targets, names)``, or None if it accepts them."""
+    try:
+        make(features, targets, names)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+class TestAdoptedDataset:
+    """``Dataset._adopt`` holds the arrays it is given, checked as ``Dataset`` checks its copies."""
+
+    @staticmethod
+    def table(rows=5, cols=3):
+        rng = np.random.default_rng(rows + cols)
+        return rng.normal(size=(rows, cols)), rng.integers(0, 2, rows)
+
+    @pytest.mark.parametrize("cell", [(0, 0), (4, 2), (2, 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_features_alike(self, cell, value):
+        X, t = self.table()
+        X[cell] = value
+        want = refusal(Dataset, X.copy(), t.copy(), ("a", "b", "c"))
+        assert want == "features must be finite"
+        assert refusal(Dataset._adopt, X, t, ("a", "b", "c")) == want
+
+    @pytest.mark.parametrize(
+        "targets",
+        [[0, 1, 2, 0, 1], [0.0, 1.0, 0.5, 0.0, 1.0], [-1, 1, 0, 0, 1], np.array(list("10101")),
+         [0.0, 1.0, np.nan, 0.0, 1.0]],
+    )
+    def test_refuses_targets_that_are_not_0_or_1_alike(self, targets):
+        X, _ = self.table()
+        want = refusal(Dataset, X.copy(), targets, ("a", "b", "c"))
+        assert want == "targets must be 0 or 1"
+        assert refusal(Dataset._adopt, X, np.asarray(targets), ("a", "b", "c")) == want
+
+    @pytest.mark.parametrize("names", [("a", "b"), ("a", "b", "c", "d"), ()])
+    def test_refuses_a_wrong_count_of_names_alike(self, names):
+        X, t = self.table()
+        want = refusal(Dataset, X.copy(), t.copy(), names)
+        assert want == f"{len(names)} feature names for 3 feature columns"
+        assert refusal(Dataset._adopt, X, t, names) == want
+
+    def test_holds_its_arrays_read_only(self):
+        X, t = self.table(1030, 4)
+        ds = Dataset._adopt(X, t, ("a", "b", "c", "d"))
+        assert ds.features is X and ds.targets is t
+        assert not X.flags.writeable and not t.flags.writeable
+        public = Dataset(X, t, ("a", "b", "c", "d"))
+        assert public.features is not X
+        assert public.features.tobytes() == ds.features.tobytes()
+        assert public.targets.tobytes() == ds.targets.tobytes()
+        assert public.feature_names == ds.feature_names
+
+    @pytest.mark.parametrize("targets", [[0, 1], [False, True], [0.0, 1.0]])
+    def test_targets_become_int64(self, targets):
+        ds = Dataset._adopt(np.array([[1.0], [2.0]]), np.array(targets), ("a",))
+        assert ds.targets.dtype == np.int64 and not ds.targets.flags.writeable
+        np.testing.assert_array_equal(ds.targets, [0, 1])
+
 
 class TestBooleanSimulation:
     def test_full_truth_table(self):
@@ -102,6 +174,14 @@ class TestBooleanSimulation:
         assert ds.features.shape == (100, 10)
         assert ds.feature_names == tuple(f"v{i}" for i in range(1, 11))
         assert set(np.unique(ds.features)) <= {0.0, 1.0}
+
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 3000])
+    def test_draws_are_those_of_one_call(self, n):
+        """The rows are drawn a block at a time, as one (n, 10) draw makes them."""
+        ds = gen_boolean(n, 11)
+        want = np.random.default_rng(11).integers(0, 2, size=(n, 10)).astype(np.float64)
+        assert ds.features.tobytes() == want.tobytes()
+        assert not ds.features.flags.writeable and not ds.targets.flags.writeable
 
     def test_deterministic(self):
         a = gen_boolean(200, seed=7)
@@ -447,6 +527,24 @@ class TestCsvRoundTrip:
         assert dataset_to_csv(ds) == csv_writer_text(ds)
         assert len(calls) == digit_blocks and sum(calls) == 3000 * (digit_blocks > 0)
 
+    @pytest.mark.parametrize("rows", [1, _B, _B + 1, 2 * _B])
+    @pytest.mark.parametrize("kind", ["digits", "gaussian", "mixed"])
+    def test_streamed_file_holds_dataset_to_csv(self, tmp_path, rows, kind):
+        """The file the CLI streams a block at a time has the bytes of the joined text."""
+        if kind == "digits":
+            ds = digit_table(rows, 3, rows)
+        elif kind == "gaussian":
+            ds = gaussian_table(rows, 3, rows)
+        else:
+            # Digit blocks and Gaussian blocks in turn; one block mixes both.
+            digits, gauss = digit_table(rows, 3, rows), gaussian_table(rows, 3, rows)
+            X = np.where((np.arange(rows) // (_B // 2) % 2 == 0)[:, None],
+                         digits.features, gauss.features)
+            ds = Dataset(X, digits.targets, digits.feature_names)
+        path = tmp_path / "dataset.csv"
+        data._write_dataset_csv(ds, path)
+        assert path.read_bytes() == dataset_to_csv(ds).encode()
+
     def test_file_round_trip(self, tmp_path):
         rng = np.random.default_rng(4)
         ds = Dataset(rng.normal(size=(25, 3)), rng.integers(0, 2, 25), ("a", "b", "c"))
@@ -552,6 +650,9 @@ class TestCsvBulkPath:
         assert names == ds.feature_names
         assert features.shape == ds.features.shape
         assert features.tobytes() == ds.features.tobytes()
+        # The parsed table itself, compacted to the features and shrunk.
+        assert features.flags.c_contiguous and features.flags.owndata
+        assert features.nbytes == ds.features.nbytes
         assert targets.tobytes() == ds.targets.tobytes()
 
     BASE = "a,b,target\n1.5,-2.0,1\n0.25,3.0,0\n-0.0,1e-07,1\n"

@@ -231,11 +231,13 @@ class TestSlottedTypes:
         back = pickle.loads(pickle.dumps(cluster))
         assert type(back) is Cluster and back.pattern == cluster.pattern
         assert back.stats == cluster.stats
+        assert type(back.affine) is AffineMap
         for got, want in ((back.member_indices, cluster.member_indices),
                           (back.affine.omega, cluster.affine.omega),
                           (back.affine.bias, cluster.affine.bias)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
 
     def test_report_pickles(self, cluster):
         report = self.objects(cluster)[3]
@@ -246,6 +248,7 @@ class TestSlottedTypes:
         )
         assert back.weights.dtype == report.weights.dtype
         assert back.weights.tobytes() == report.weights.tobytes()
+        assert not back.weights.flags.writeable
         assert back.feature_importances == report.feature_importances
 
     def test_replace(self, cluster):
