@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .network import (
-    ActivationPattern,
-    Network,
-    forward_batch,
-    forward_trace,
-    group_by_pattern,
-)
+from .network import ActivationPattern, Network, _group_rows, forward_batch, forward_trace
 
 __all__ = [
     "AffineMap",
@@ -149,6 +143,36 @@ def collapse_batch(net: Network, masks) -> tuple[np.ndarray, np.ndarray]:
     return omegas, biases
 
 
+def _pattern_table(net: Network, X: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The one pass over rows X: their logits, grouped by pattern, and each pattern's map.
+
+    Returns the logits (n, output_dim), the (k, total_bits) masks of the k
+    distinct patterns with hidden layers side by side, the row order
+    ``order``, the row count of each pattern, and the omegas and biases of
+    one ``collapse_batch`` over the masks. Pattern g owns
+    ``order[s : s + counts[g]]`` with ``s = counts[:g].sum()``, a strictly
+    increasing run of row indices.
+
+    Each row's key is its packed bits plus one zero byte, which gives a net
+    without hidden layers a key too; ``_group_rows`` orders the patterns by
+    bitstring. Finite weights can still overflow, in the forward pass or in
+    the collapse; the values are kept without a warning, and
+    ``_verify_table`` refuses a non-finite logit by its row.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits, bits = forward_batch(net, X)
+        n = logits.shape[0]
+        width = sum(b.shape[1] for b in bits)
+        keys = np.zeros((n, (width + 7) // 8 + 1), dtype=np.uint8)
+        if bits:
+            keys[:, :-1] = np.packbits(np.hstack(bits), axis=1)
+        order, starts = _group_rows(keys)
+        counts = np.diff(starts, append=n)
+        packed = np.take(keys, order[starts], axis=0)[:, :-1]
+        masks = np.unpackbits(packed, axis=1, count=width).view(bool)
+        return logits, masks, order, counts, *collapse_batch(net, masks)
+
+
 # Rows per stacked product in ``verify_affine``: bounds the rows it gathers at once.
 _VERIFY_BLOCK = 1024
 
@@ -220,13 +244,15 @@ def verify_affine(net: Network, inputs, tol: float = 1e-6) -> VerifyReport:
         X = X[None, :]
     if X.shape[0] == 0:
         raise InputError("verify_affine needs at least one input")
-    # Finite weights can still overflow; such a row is refused by name below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        logits, masks, order, counts = group_by_pattern(net, X)
+    return _verify_table(X, _pattern_table(net, X), tol)
+
+
+def _verify_table(X: np.ndarray, table: tuple, tol: float) -> VerifyReport:
+    """The ``VerifyReport`` of rows X from their ``_pattern_table``."""
+    logits, _, order, counts, omegas, biases = table
     bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
     if bad.size:
         raise InputError(f"the network's logit on input row {bad[0]} is not finite")
-    omegas, biases = collapse_batch(net, masks)
     err = _row_errors(X, logits, omegas, biases, order, counts)
     # The first maximum in ``order`` lies in the first pattern, in bitstring
     # order, that attains it, and is that pattern's lowest such row.

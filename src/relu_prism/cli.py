@@ -28,13 +28,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .affine import collapse_batch, jacobian_check, verify_affine
+from .affine import _pattern_table, _verify_table, collapse_batch, jacobian_check, verify_affine
 from .data import (
     Dataset,
-    _parse_dataset_table,
-    _table_dataset,
     _write_dataset_csv,
     gen_boolean,
+    parse_dataset_csv,
     parse_titanic_csv,
     split,
 )
@@ -43,7 +42,7 @@ from .explain import NORMALIZATIONS, feature_importance, render_report
 from .network import (
     _leaf_types, _numeric_array, bitstrings_to_masks, parse_network_json, save_network,
 )
-from .partition import clusters_to_json, partition
+from .partition import _clusters, clusters_to_json
 from .train import TrainConfig, accuracy, history_to_csv, train_seeds
 
 EXIT_OK = 0
@@ -180,12 +179,15 @@ def _run_experiment(command: str, params: dict, out: Path, train_set: Dataset,
     best_seed, net, history = max(runs, key=lambda run: (run[2].accuracies[-1], -run[0]))
     print(f"best seed {best_seed}: train_accuracy={history.accuracies[-1]:.4f}")
 
-    clusters = partition(net, target)
+    # One forward pass, grouping and collapse over the target rows serves
+    # both the clusters and the exactness check.
+    table = _pattern_table(net, target.features)
+    clusters = _clusters(net, table, target)
     reports = [
         feature_importance(c, target.feature_names, params["normalization"], cluster_id=i)
         for i, c in enumerate(clusters)
     ]
-    report = verify_affine(net, target.features, tol=params["tol"])
+    report = _verify_table(target.features, table, params["tol"])
     out.mkdir(parents=True, exist_ok=True)
     _write_dataset_csv(target, out / "dataset.csv")
     save_network(net, out / "network.json")
@@ -433,7 +435,7 @@ def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
     hashes["data"] = _sha256(raw)
     _check_inputs(recorded, hashes)
     # The dataset holds the parsed table itself, compacted to its features.
-    dataset = _table_dataset(_parse_dataset_table(raw, data_path))
+    dataset = parse_dataset_csv(raw, data_path)
     del raw
     affine_report = verify_affine(net, dataset.features, tol=params["tol"])
 

@@ -428,18 +428,8 @@ def parse_dataset_csv(raw: bytes, path) -> Dataset:
     line, so both give the same dataset or the same refusal.
     """
     path = Path(path)
-    return _table_dataset(_parse_dataset_table(raw, path))
-
-
-def _parse_dataset_table(raw: bytes, path: Path):
-    """``(names, features, targets)`` of the csv bytes ``raw``, as ``parse_dataset_csv`` reads them."""
     parsed = _parse_canonical_csv(raw)
-    return _parse_csv_lines(raw, path) if parsed is None else parsed
-
-
-def _table_dataset(table) -> Dataset:
-    """The checked ``Dataset`` of a parsed ``(names, features, targets)``, which holds its arrays."""
-    names, features, targets = table
+    names, features, targets = _parse_csv_lines(raw, path) if parsed is None else parsed
     return Dataset._adopt(features, targets, names)
 
 

@@ -304,34 +304,6 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(first)
 
 
-def group_by_pattern(
-    net: Network, inputs
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward pass plus grouping of the rows by activation pattern.
-
-    Returns the logits (n, output_dim), the (k, total_bits) masks of the k
-    distinct patterns with hidden layers side by side, the row order
-    ``order`` and the row count of each pattern. Pattern g owns
-    ``order[s : s + counts[g]]`` with ``s = counts[:g].sum()``, a strictly
-    increasing run of row indices.
-
-    Each row's key is its packed bits plus one zero byte, which gives a net
-    without hidden layers a key too; `_group_rows` orders the patterns by
-    bitstring.
-    """
-    logits, bits = forward_batch(net, inputs)
-    n = logits.shape[0]
-    width = sum(b.shape[1] for b in bits)
-    keys = np.zeros((n, (width + 7) // 8 + 1), dtype=np.uint8)
-    if bits:
-        keys[:, :-1] = np.packbits(np.hstack(bits), axis=1)
-    order, starts = _group_rows(keys)
-    counts = np.diff(starts, append=n)
-    packed = np.take(keys, order[starts], axis=0)[:, :-1]
-    masks = np.unpackbits(packed, axis=1, count=width).view(bool)
-    return logits, masks, order, counts
-
-
 def predict_batch(net: Network, inputs) -> np.ndarray:
     """Class labels of a scalar-output network for rows of an input matrix.
 

@@ -12,15 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affine import AffineMap, collapse_batch
+from .affine import AffineMap, _pattern_table
 from .data import Dataset
 from .errors import ShapeError
-from .network import (
-    ActivationPattern,
-    Network,
-    group_by_pattern,
-    masks_to_bitstrings,
-)
+from .network import ActivationPattern, Network, masks_to_bitstrings
 
 __all__ = ["ClusterStats", "Cluster", "partition", "clusters_to_json"]
 
@@ -86,10 +81,13 @@ def partition(net: Network, dataset: Dataset) -> list[Cluster]:
         raise ShapeError(
             f"partition statistics require a scalar output, got output_dim={net.output_dim}"
         )
-    n = dataset.n_rows
-    logits, masks, order, counts = group_by_pattern(net, dataset.features)
+    return _clusters(net, _pattern_table(net, dataset.features), dataset)
+
+
+def _clusters(net: Network, table: tuple, dataset: Dataset) -> list[Cluster]:
+    """The clusters of ``dataset`` from the ``_pattern_table`` of its features."""
+    logits, masks, order, counts, omegas, biases = table
     starts = np.cumsum(counts) - counts
-    omegas, biases = collapse_batch(net, masks)
     # Each cluster's invariants, checked once over the whole table: every
     # group has rows, and its rows increase (the step into a group's first
     # row is not within a group), and its map has one consistent shape.
@@ -128,7 +126,7 @@ def partition(net: Network, dataset: Dataset) -> list[Cluster]:
             biases,
             starts[rank].tolist(),
             sizes.tolist(),
-            (sizes / n).tolist(),
+            (sizes / dataset.n_rows).tolist(),
             predicted_rates[rank].tolist(),
             target_rates[rank].tolist(),
         )

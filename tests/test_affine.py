@@ -20,10 +20,9 @@ from relu_prism import (
     save_network,
     verify_affine,
 )
-from relu_prism.affine import _COLLAPSE_CHUNK, _row_errors, collapse_batch
+from relu_prism.affine import _COLLAPSE_CHUNK, _pattern_table, _row_errors, collapse_batch
 from relu_prism.cli import main
 from relu_prism.data import dataset_to_csv
-from relu_prism.network import group_by_pattern
 from conftest import make_random_network
 
 
@@ -201,8 +200,7 @@ class TestVerifyAffine:
             pool[rng.choice(np.flatnonzero(inverse.reshape(-1) == g), size)]
             for g, size in zip(common, sizes)
         ])[rng.permutation(sum(sizes))]
-        logits, masks, order, counts = group_by_pattern(net, X)
-        omegas, biases = collapse_batch(net, masks)
+        logits, masks, order, counts, omegas, biases = _pattern_table(net, X)
         err = _row_errors(X, logits, omegas, biases, order, counts)
         assert sorted(counts.tolist()) == sorted(sizes)
         start = 0
@@ -250,6 +248,12 @@ class TestVerifyAffine:
         X = [[0.0, 1.0], [0.5, 0.5], [1.0, 1.0], [2.0, 0.0]]
         with pytest.raises(InputError, match="row 2 "):
             verify_affine(net, X)
+
+    def test_an_overflowing_map_is_refused_by_its_row_without_a_warning(self):
+        """The rows' maps are built before their logits are checked: inf, not a warning."""
+        net = Network((Layer([[1e308, 1e308]], [0.0]), Layer([[10.0]], [0.0])))
+        with pytest.raises(InputError, match="row 1 "):
+            verify_affine(net, [[-1.0, -1.0], [1.0, 1.0]])
 
     def test_report_dict_uses_pass_key(self, rng):
         net = hand_net()

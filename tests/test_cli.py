@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import builtins
+import functools
 import hashlib
 import json
 import os
@@ -29,6 +30,7 @@ from relu_prism import (
     verify_affine,
 )
 from relu_prism import cli
+from relu_prism.affine import collapse_batch
 from relu_prism.cli import _PARAM_KEYS, build_parser, main, parse_hidden, parse_seeds
 from relu_prism.data import dataset_to_csv, read_dataset_csv
 from relu_prism.partition import clusters_to_json
@@ -1143,6 +1145,47 @@ def test_simulate_and_verify_do_not_import_numpy_ma(tmp_path):
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert proc.stderr == "[0, 0] False\n"
 
+
+
+def count_calls(monkeypatch, *functions) -> dict:
+    """Counts the calls of each function, by name, at every relu_prism module binding.
+
+    The package imports with ``from .x import f``, so one function can be
+    bound in several modules; every binding that is the original is wrapped.
+    """
+    calls = dict.fromkeys((fn.__name__ for fn in functions), 0)
+    modules = [module for name, module in list(sys.modules.items())
+               if name == "relu_prism" or name.startswith("relu_prism.")]
+
+    def counted(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in functions:
+        wrapper = counted(fn)
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["simulate", "titanic"])
+def test_one_forward_pass_and_one_collapse_over_the_target_rows(
+    command, synthetic_titanic_csv, tmp_path, monkeypatch
+):
+    """The clusters and the exactness check read one pattern table of the rows."""
+    out = tmp_path / "run"
+    argv = simulate_args(out) if command == "simulate" else [
+        "titanic", "--csv", str(synthetic_titanic_csv), "--epochs", "1",
+        "--test-fraction", "0", "--out", str(out),
+    ]
+    calls = count_calls(monkeypatch, forward_batch, collapse_batch)
+    assert main(argv) == 0
+    assert calls == {"forward_batch": 1, "collapse_batch": 1}
 
 # SHA-256 of stdout and of each artifact of two small runs, as recorded on
 # x86-64 Linux, numpy 2.x with OpenBLAS 0.3.31 (Haswell kernels). They hold

@@ -4,7 +4,9 @@ A name that is retired from a module but left in its ``__all__`` breaks
 ``from relu_prism import *`` only when someone runs it; this checks the
 package and each of its modules that declares ``__all__``. A public name
 also needs a caller outside the unit tests: the package's own modules, the
-benchmark, the acceptance checks or the README's library tour.
+benchmark, the acceptance checks or the README's library tour. A name a
+module defines but does not export needs a use in the package itself, so a
+helper that is folded into another is not left behind.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import ast
 import importlib
 import pkgutil
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -79,3 +82,52 @@ def test_star_import_of_the_package():
     namespace: dict = {}
     exec("from relu_prism import *", namespace)
     assert set(relu_prism.__all__) <= namespace.keys()
+
+
+def _defined_names(statement) -> list:
+    """The names a module-level statement defines: a def, a class or an assignment."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
+
+
+def _referenced_names(node) -> set:
+    """Names loaded, attributes read and names imported under ``node``; strings do not count."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_unexported_name_has_a_use_in_the_package():
+    """A module-level name outside ``__all__`` is used in ``src`` beyond its own definition."""
+    statements = []  # (module, statement)
+    for path in sorted((ROOT / "src" / "relu_prism").glob("*.py")):
+        statements += [(path.stem, s) for s in ast.parse(path.read_text()).body]
+    # Who refers to each name: the (module, statement index) of every use.
+    users = defaultdict(set)
+    for at, (_, statement) in enumerate(statements):
+        for name in _referenced_names(statement):
+            users[name].add(at)
+    exported = {
+        module: set(getattr(importlib.import_module(
+            "relu_prism" if module == "__init__" else f"relu_prism.{module}"), "__all__", ()))
+        for module, _ in statements
+    }
+    unused = sorted(
+        f"{module}.{name}"
+        for at, (module, statement) in enumerate(statements)
+        for name in _defined_names(statement)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in exported[module]
+        and not users[name] - {at}
+    )
+    assert not unused, f"defined but used nowhere else in the package: {unused}"

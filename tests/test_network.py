@@ -25,7 +25,8 @@ from relu_prism import (
     save_network,
     verify_affine,
 )
-from relu_prism.network import group_by_pattern, parse_network_json
+from relu_prism.affine import _pattern_table
+from relu_prism.network import parse_network_json
 from conftest import make_random_network
 
 
@@ -320,7 +321,7 @@ class TestGroupByPattern:
         X = rng.normal(size=(300, 6))
         # Repeated rows, scattered: each pattern then owns rows far apart.
         X = X[rng.integers(0, 300, size=600)]
-        got = group_by_pattern(net, X)
+        got = _pattern_table(net, X)[:4]
         expected = unique_grouping(net, X)
         assert [a.dtype for a in got] == [a.dtype for a in expected]
         for a, b in zip(got, expected):
