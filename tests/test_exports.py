@@ -109,19 +109,16 @@ def _referenced_names(node) -> set:
 
 def test_every_unexported_name_has_a_use_in_the_package():
     """A module-level name outside ``__all__`` is used in ``src`` beyond its own definition."""
-    statements = []  # (module, statement)
+    statements, exported = [], {}  # [(module, statement)], module -> its __all__
     for path in sorted((ROOT / "src" / "relu_prism").glob("*.py")):
+        name = "relu_prism" if path.stem == "__init__" else f"relu_prism.{path.stem}"
+        exported[path.stem] = set(getattr(importlib.import_module(name), "__all__", ()))
         statements += [(path.stem, s) for s in ast.parse(path.read_text()).body]
-    # Who refers to each name: the (module, statement index) of every use.
+    # The index of every statement that refers to each name.
     users = defaultdict(set)
     for at, (_, statement) in enumerate(statements):
         for name in _referenced_names(statement):
             users[name].add(at)
-    exported = {
-        module: set(getattr(importlib.import_module(
-            "relu_prism" if module == "__init__" else f"relu_prism.{module}"), "__all__", ()))
-        for module, _ in statements
-    }
     unused = sorted(
         f"{module}.{name}"
         for at, (module, statement) in enumerate(statements)
