@@ -210,11 +210,12 @@ def _run_experiment(command: str, params: dict, out: Path, train_set: Dataset,
     _write_json(out / "summary.json", summary, sort_keys=True)
     _write_manifest(out, command, params, hashes, _RUN_OUTPUTS)
     for i, c in enumerate(clusters):
+        stats = c.stats
         constant = " constant" if not c.affine.omega.any() else ""
         print(
-            f"cluster {i}: pattern={c.pattern.bitstring or '-'} size={c.stats.size} "
-            f"fraction={c.stats.fraction:.4f} predicted_rate={c.stats.predicted_positive_rate:.3f} "
-            f"target_rate={c.stats.target_positive_rate:.3f}{constant}"
+            f"cluster {i}: pattern={c.pattern.bitstring or '-'} size={stats.size} "
+            f"fraction={stats.fraction:.4f} predicted_rate={stats.predicted_positive_rate:.3f} "
+            f"target_rate={stats.target_positive_rate:.3f}{constant}"
         )
     print(f"verify: max_abs_err={report.max_abs_err:.3e} pass={report.passed}")
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -251,23 +252,24 @@ def run_titanic(params: dict, out: Path, recorded: dict | None = None) -> int:
     def note(net, history):
         return "" if test_set is None else f" test_accuracy={accuracy(net, test_set):.4f}"
 
+    def entry(cluster):
+        stats = cluster.stats
+        return {
+            "pattern": cluster.pattern.bitstring,
+            "fraction": stats.fraction,
+            "predicted_positive_rate": stats.predicted_positive_rate,
+            "target_positive_rate": stats.target_positive_rate,
+            "predicted_purity": max(
+                stats.predicted_positive_rate, 1.0 - stats.predicted_positive_rate
+            ),
+        }
+
     def fields(net, clusters):
         return {
             "n_rows": full.n_rows,
             "survival_rate": float(full.targets.mean()),
             "test_accuracy": None if test_set is None else accuracy(net, test_set),
-            "clusters": [
-                {
-                    "pattern": c.pattern.bitstring,
-                    "fraction": c.stats.fraction,
-                    "predicted_positive_rate": c.stats.predicted_positive_rate,
-                    "target_positive_rate": c.stats.target_positive_rate,
-                    "predicted_purity": max(
-                        c.stats.predicted_positive_rate, 1.0 - c.stats.predicted_positive_rate
-                    ),
-                }
-                for c in clusters
-            ],
+            "clusters": [entry(c) for c in clusters],
         }
 
     return _run_experiment("titanic", params, out, train_set, target, hashes, note, fields)

@@ -126,8 +126,9 @@ def render_report(clusters, reports, format: str = "csv") -> str:
     names = _CsvFields()
     lines = ["cluster_id,feature,weight,bias,size,fraction\n"]
     for cluster, report in zip(clusters, reports):
+        stats = cluster.stats
         head = f"{report.cluster_id},"
-        tail = f",{report.bias!r},{cluster.stats.size},{cluster.stats.fraction!r}\n"
+        tail = f",{report.bias!r},{stats.size},{stats.fraction!r}\n"
         # One string per cluster: a string per row would hold a Python
         # object for every row of the document until the final join.
         lines.append("".join([

@@ -30,39 +30,95 @@ class ClusterStats:
     target_positive_rate: float
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Cluster:
-    """One equivalence class of dataset rows together with its affine map."""
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class _Table:
+    """A partition's clusters as rows of shared read-only tables.
 
-    pattern: ActivationPattern
-    member_indices: np.ndarray
-    affine: AffineMap
-    stats: ClusterStats
+    Row r is one cluster: the pattern ``bitstrings[r]`` over the hidden
+    ``widths``, the member rows ``order[starts[r] : stops[r]]``, the map
+    ``(omegas[r], biases[r])`` and the stats ``sizes[r]``, ``fractions[r]``,
+    ``predicted_rates[r]`` and ``target_rates[r]``. The strings, sizes and
+    rates are Python objects, so each read, and each ``clusters_to_json``
+    doc, shares them instead of making its own.
+    """
+
+    widths: tuple[int, ...]
+    bitstrings: tuple[str, ...]
+    order: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
+    omegas: np.ndarray
+    biases: np.ndarray
+    sizes: tuple
+    fractions: tuple
+    predicted_rates: tuple
+    target_rates: tuple
 
     def __post_init__(self):
-        idx = np.array(self.member_indices, dtype=np.int64)
+        for array in (self.order, self.starts, self.stops, self.omegas, self.biases):
+            array.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False, init=False, repr=False, slots=True)
+class Cluster:
+    """One equivalence class of dataset rows together with its affine map.
+
+    A cluster is one row of its partition's shared read-only tables.
+    ``pattern``, ``member_indices``, ``affine`` and ``stats`` are built from
+    that row on each read, so compare them by value and clusters by identity.
+    """
+
+    _table: _Table
+    _row: int
+
+    def __init__(
+        self, pattern: ActivationPattern, member_indices, affine: AffineMap, stats: ClusterStats,
+    ):
+        idx = np.array(member_indices, dtype=np.int64)
         if idx.ndim != 1 or idx.shape[0] == 0:
             raise ShapeError("a cluster needs a non-empty index vector")
         if (idx[1:] <= idx[:-1]).any():
             raise ShapeError("member indices must be strictly increasing")
-        idx.setflags(write=False)
-        object.__setattr__(self, "member_indices", idx)
+        table = _Table(
+            pattern.widths, (pattern.bitstring,), idx, np.zeros(1, dtype=np.int64),
+            np.array([idx.shape[0]]), affine.omega[None], affine.bias[None],
+            (stats.size,), (stats.fraction,), (stats.predicted_positive_rate,),
+            (stats.target_positive_rate,),
+        )
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_row", 0)
 
-    @classmethod
-    def _from_frozen(
-        cls, pattern: ActivationPattern, member_indices: np.ndarray, affine: AffineMap,
-        stats: ClusterStats,
-    ) -> "Cluster":
-        """Wrap a read-only, non-empty, strictly increasing int64 vector, uncopied and unchecked."""
-        cluster = object.__new__(cls)
-        object.__setattr__(cluster, "pattern", pattern)
-        object.__setattr__(cluster, "member_indices", member_indices)
-        object.__setattr__(cluster, "affine", affine)
-        object.__setattr__(cluster, "stats", stats)
-        return cluster
+    @property
+    def pattern(self) -> ActivationPattern:
+        table = self._table
+        return ActivationPattern._from_bitstring(table.bitstrings[self._row], table.widths)
+
+    @property
+    def member_indices(self) -> np.ndarray:
+        table, row = self._table, self._row
+        return table.order[table.starts[row] : table.stops[row]]
+
+    @property
+    def affine(self) -> AffineMap:
+        table, row = self._table, self._row
+        return AffineMap._from_frozen(table.omegas[row], table.biases[row])
+
+    @property
+    def stats(self) -> ClusterStats:
+        table, row = self._table, self._row
+        return ClusterStats(
+            table.sizes[row], table.fractions[row], table.predicted_rates[row],
+            table.target_rates[row],
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Cluster(pattern={self.pattern!r}, member_indices={self.member_indices!r}, "
+            f"affine={self.affine!r}, stats={self.stats!r})"
+        )
 
     def __reduce__(self):
-        # Unpickled arrays are writeable; the constructor's copy is read-only.
+        # One row: the public constructor copies it out of the shared tables.
         return Cluster, (self.pattern, self.member_indices, self.affine, self.stats)
 
 
@@ -107,44 +163,43 @@ def _clusters(net: Network, table: tuple, dataset: Dataset) -> list[Cluster]:
     target_rates = np.bincount(label, weights=dataset.targets[order]) / counts
     # Groups come in bitstring order, so a stable sort on size descending
     # gives the canonical order. The tables are ranked once, and each
-    # cluster wraps one row of each.
+    # cluster is one row of them.
     rank = np.argsort(-counts, kind="stable")
-    sizes, omegas, biases = counts[rank], omegas[rank], biases[rank]
-    for table in (order, omegas, biases):
-        table.setflags(write=False)
-    widths = net.hidden_widths
-    return [
-        Cluster._from_frozen(
-            ActivationPattern._from_bitstring(bitstring, widths),
-            order[start : start + size],
-            AffineMap._from_frozen(omega, bias),
-            ClusterStats(size, fraction, predicted_rate, target_rate),
-        )
-        for bitstring, omega, bias, start, size, fraction, predicted_rate, target_rate in zip(
-            masks_to_bitstrings(masks[rank]),
-            omegas,
-            biases,
-            starts[rank].tolist(),
-            sizes.tolist(),
-            (sizes / dataset.n_rows).tolist(),
-            predicted_rates[rank].tolist(),
-            target_rates[rank].tolist(),
-        )
-    ]
+    sizes = counts[rank]
+    table = _Table(
+        net.hidden_widths,
+        tuple(masks_to_bitstrings(masks[rank])),
+        order,
+        starts[rank],
+        starts[rank] + sizes,
+        omegas[rank],
+        biases[rank],
+        tuple(sizes.tolist()),
+        tuple((sizes / dataset.n_rows).tolist()),
+        tuple(predicted_rates[rank].tolist()),
+        tuple(target_rates[rank].tolist()),
+    )
+    clusters = []
+    for row in range(len(sizes)):
+        cluster = object.__new__(Cluster)
+        object.__setattr__(cluster, "_table", table)
+        object.__setattr__(cluster, "_row", row)
+        clusters.append(cluster)
+    return clusters
 
 
 def clusters_to_json(clusters: list[Cluster]) -> list[dict]:
     """Export clusters in canonical order as plain JSON objects."""
     docs = []
     for c in clusters:
-        stats, affine = c.stats, c.affine
+        table, row = c._table, c._row
         docs.append({
-            "pattern": c.pattern.bitstring,
-            "size": stats.size,
-            "fraction": stats.fraction,
-            "predicted_positive_rate": stats.predicted_positive_rate,
-            "target_positive_rate": stats.target_positive_rate,
-            "omega": affine.omega.tolist(),
-            "bias": affine.bias.tolist(),
+            "pattern": table.bitstrings[row],
+            "size": table.sizes[row],
+            "fraction": table.fractions[row],
+            "predicted_positive_rate": table.predicted_rates[row],
+            "target_positive_rate": table.target_rates[row],
+            "omega": table.omegas[row].tolist(),
+            "bias": table.biases[row].tolist(),
         })
     return docs

@@ -1,8 +1,10 @@
-"""Memory guards: each stage of simulate and verify holds one copy of the rows.
+"""Memory guards: each stage of simulate and verify holds one copy of the rows,
+and a partition holds its clusters as rows of shared tables.
 
-Each test measures, under ``tracemalloc``, how far a stage's peak rises above
-what was allocated when it began, in multiples of the ``nbytes`` of the
-features it works on (50k rows of 10 features, 4 MB). numpy reports its
+Each stage test measures, under ``tracemalloc``, how far a stage's peak rises
+above what was allocated when it began, in multiples of the ``nbytes`` of the
+features it works on (50k rows of 10 features, 4 MB). The partition test
+measures what its result holds, in bytes per cluster. numpy reports its
 array buffers to ``tracemalloc``, so the measure is exact and does not
 depend on the host.
 """
@@ -14,7 +16,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relu_prism import Dataset, Layer, Network, data, gen_boolean, verify_affine
+from relu_prism import (
+    Dataset,
+    Layer,
+    Network,
+    TrainConfig,
+    data,
+    gen_boolean,
+    init_network,
+    partition,
+    verify_affine,
+)
 from relu_prism.network import _group_rows
 
 N = 50_000
@@ -31,15 +43,25 @@ def peak_above_start(stage) -> int:
         tracemalloc.stop()
 
 
+def gaussian(n: int) -> Dataset:
+    """The regions rows: n standard normal rows of 10 features at seed 5."""
+    X = np.random.default_rng(5).standard_normal((n, 10))
+    return Dataset(X, (X.sum(axis=1) > 0.0).astype(np.int64), tuple(f"x{i}" for i in range(10)))
+
+
 @pytest.fixture(scope="module")
 def boolean_rows() -> Dataset:
     return gen_boolean(N, 5)
 
 
-def test_writing_dataset_csv_holds_a_block_of_text(tmp_path):
+@pytest.fixture(scope="module")
+def gaussian_rows() -> Dataset:
+    return gaussian(N)
+
+
+def test_writing_dataset_csv_holds_a_block_of_text(tmp_path, gaussian_rows):
     """The text of 50k Gaussian rows is 2.5 times their features, and its bytes as many again."""
-    X = np.random.default_rng(5).standard_normal((N, 10))
-    ds = Dataset(X, (X.sum(axis=1) > 0.0).astype(np.int64), tuple(f"x{i}" for i in range(10)))
+    ds = gaussian_rows
     peak = peak_above_start(lambda: data._write_dataset_csv(ds, tmp_path / "dataset.csv"))
     # 4.98 when the whole text was built, then encoded by write_text; 0.19 a block at a time.
     assert peak / ds.features.nbytes < 0.5
@@ -65,6 +87,15 @@ def test_parsing_a_written_table_holds_one_table(boolean_rows):
     # The (n, d + 1) table is 1.1. 2.33 when the Dataset copied its features
     # out of it; 1.22 with the table compacted in place.
     assert peak / boolean_rows.features.nbytes < 1.5
+
+
+def test_parsing_a_written_gaussian_table_holds_one_table(gaussian_rows):
+    """The regions dataset.csv, 9.9 MB of text, as verify parses it."""
+    raw = data.dataset_to_csv(gaussian_rows).encode()
+    peak = peak_above_start(lambda: data.parse_dataset_csv(raw, "dataset.csv"))
+    # 2.48 when the check of the row bytes translated a copy of the whole
+    # file; 1.22 with a 64 KiB slice at a time, where the table sets it.
+    assert peak / gaussian_rows.features.nbytes < 1.5
 
 
 def test_grouping_the_training_rows_gathers_a_block_of_keys(boolean_rows):
@@ -103,3 +134,20 @@ def test_verify_affine_gathers_a_block_of_rows(boolean_rows):
     # 0.98 with each pattern's rows gathered whole (a quarter to a half of
     # them); 0.68 now, where the forward pass's 4- and 2-wide layers set it.
     assert peak / boolean_rows.features.nbytes < 0.85
+
+
+def test_partition_holds_its_clusters_as_rows_of_tables():
+    """The regions net over 5,000 of its rows: 4,012 clusters, most of one row."""
+    net = init_network(10, TrainConfig(hidden_widths=(16, 8), seed=5))
+    ds = gaussian(5000)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        clusters = partition(net, ds)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(clusters) == 4012
+    # 827 B a cluster when each held a Cluster, an ActivationPattern, an
+    # AffineMap, a ClusterStats and three array views; 386 B as a table row.
+    assert held / len(clusters) < 500

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -180,10 +181,15 @@ class TestClusterType:
         ds = random_dataset(rng, net, 500)
         clusters = partition(net, ds)
         assert len(clusters) > 10
+        # Every cluster is a row of one set of tables, and reads views of them.
+        table = clusters[0]._table
         for c in clusters:
             idx = c.member_indices
             assert idx.dtype == np.int64 and idx.ndim == 1 and idx.shape[0] > 0
             assert (np.diff(idx) > 0).all()
+            assert c._table is table
+            assert np.shares_memory(idx, table.order)
+            assert np.shares_memory(c.affine.omega, table.omegas)
             for arr in (idx, c.affine.omega, c.affine.bias):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
@@ -226,18 +232,32 @@ class TestSlottedTypes:
             # Python 3.11 raises TypeError for it, not FrozenInstanceError.
             with pytest.raises((AttributeError, TypeError)):
                 obj.extra = 1
+        # A cluster's four values are read from its row and cannot be set.
+        for name in ("pattern", "member_indices", "affine", "stats"):
+            with pytest.raises((AttributeError, TypeError)):
+                setattr(cluster, name, getattr(cluster, name))
+
+    def test_each_read_builds_equal_values(self, cluster):
+        assert cluster.pattern == cluster.pattern
+        assert cluster.stats == cluster.stats
+        assert cluster.affine is not cluster.affine
+        assert cluster.affine.omega.tobytes() == cluster.affine.omega.tobytes()
+        assert cluster.member_indices.tolist() == cluster.member_indices.tolist()
 
     def test_cluster_pickles(self, cluster):
-        back = pickle.loads(pickle.dumps(cluster))
-        assert type(back) is Cluster and back.pattern == cluster.pattern
-        assert back.stats == cluster.stats
-        assert type(back.affine) is AffineMap
-        for got, want in ((back.member_indices, cluster.member_indices),
-                          (back.affine.omega, cluster.affine.omega),
-                          (back.affine.bias, cluster.affine.bias)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-            assert not got.flags.writeable
+        # A pickle holds the cluster's row alone, not its partition's tables.
+        alone = Cluster(cluster.pattern, cluster.member_indices, cluster.affine, cluster.stats)
+        assert len(pickle.dumps(cluster)) == len(pickle.dumps(alone))
+        for back in (pickle.loads(pickle.dumps(cluster)), copy.deepcopy(cluster)):
+            assert type(back) is Cluster and back.pattern == cluster.pattern
+            assert back.stats == cluster.stats
+            assert type(back.affine) is AffineMap
+            for got, want in ((back.member_indices, cluster.member_indices),
+                              (back.affine.omega, cluster.affine.omega),
+                              (back.affine.bias, cluster.affine.bias)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
 
     def test_report_pickles(self, cluster):
         report = self.objects(cluster)[3]
