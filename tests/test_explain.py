@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from relu_prism import (
     AffineMap,
     Cluster,
     Dataset,
+    ImportanceReport,
     InputError,
     Layer,
     Network,
@@ -296,3 +298,85 @@ class TestReportMatchesCsvWriter:
 
     def test_zero_clusters(self):
         assert render_report([], []) == reference_report_csv([], [])
+
+
+class TestReportTemplates:
+    """Each tuple of names is one % template; the bytes stay csv.writer's."""
+
+    def test_names_holding_percent_signs(self):
+        names = ("50%", "%r", "%%", "%s", "a,%d")
+        cluster = cluster_with_map([[1.0, -0.0, 2.5, 1e16, 5e-324]], [0.5])
+        reports = [feature_importance(cluster, names, cluster_id=3)]
+        text = render_report([cluster], reports)
+        assert text == reference_report_csv([cluster], reports)
+        assert [row[1] for row in csv.reader(io.StringIO(text))][1:] == list(names)
+
+    def test_clusters_of_two_partitions_a_constructed_and_an_unpickled_one(self, rng):
+        net = make_random_network(rng, d=3, widths=(4, 3))
+        names = ("a", "b%", "c")
+        first = partition(net, Dataset(rng.normal(size=(50, 3)), rng.integers(0, 2, 50), names))
+        second = partition(
+            net, Dataset(3.0 * rng.normal(size=(40, 3)), rng.integers(0, 2, 40), names)
+        )
+        built = cluster_with_map([[1.0, 2.0, 3.0]], [-1.0])
+        unpickled = pickle.loads(pickle.dumps(second[1]))
+        clusters = [first[0], second[0], built, first[-1], unpickled, second[-1], first[1]]
+        reports = [feature_importance(c, names, cluster_id=i) for i, c in enumerate(clusters)]
+        assert render_report(clusters, reports) == reference_report_csv(clusters, reports)
+
+    def test_reports_with_two_name_tuples(self):
+        clusters = [cluster_with_map([[1.0, -2.0]], [0.25]), cluster_with_map([[0.5, 3.0]], [-1.0])]
+        # Two tuples, and a third equal to the first but not the same object.
+        tuples = [("a", "b"), ('"q"', "%r"), ("a", "b")]
+        reports = [
+            feature_importance(clusters[i % 2], names, cluster_id=i)
+            for i, names in enumerate(tuples + tuples[::-1])
+        ]
+        clusters = [clusters[i % 2] for i in range(len(reports))]
+        text = render_report(clusters, reports)
+        assert text == reference_report_csv(clusters, reports)
+        assert [row[1] for row in csv.reader(io.StringIO(text))][1:5] == ["a", "b", '"q"', "%r"]
+
+    def test_one_cluster_listed_twice(self):
+        cluster = cluster_with_map([[4.0, -2.0, 0.1]], [1e-7])
+        names = ("x", "y", "z")
+        reports = [
+            feature_importance(cluster, names, cluster_id=0),
+            feature_importance(cluster, names, "max_abs", cluster_id=0),
+        ]
+        clusters = [cluster, cluster]
+        assert render_report(clusters, reports) == reference_report_csv(clusters, reports)
+
+    @pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], []])
+    def test_hand_built_report_pairs_names_and_weights_as_zip(self, weights):
+        names = ("a", "b%", "c")
+        cluster = cluster_with_map([[1.0, 2.0, 3.0]], [0.0])
+        reports = [
+            feature_importance(cluster, names, cluster_id=8),
+            ImportanceReport(7, names, np.array(weights), 0.25, "raw"),
+            feature_importance(cluster, names, cluster_id=9),
+        ]
+        clusters = [cluster] * 3
+        assert render_report(clusters, reports) == reference_report_csv(clusters, reports)
+
+
+@pytest.mark.parametrize("normalization", ["raw", "max_abs"])
+def test_reports_build_no_map_and_no_stats_per_cluster(monkeypatch, rng, normalization):
+    """feature_importance and render_report read each cluster's table row."""
+    net = make_random_network(rng, d=3, widths=(4, 3))
+    ds = Dataset(rng.normal(size=(200, 3)), rng.integers(0, 2, 200), ("a", "b", "c"))
+    clusters = partition(net, ds) + [cluster_with_map([[1.0, 2.0, 3.0]], [-1.0])]
+    assert len(clusters) > 5
+
+    def built(self):
+        raise AssertionError("an AffineMap or a ClusterStats was built for a report")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Cluster, "affine", property(built))
+        patch.setattr(Cluster, "stats", property(built))
+        reports = [
+            feature_importance(c, ds.feature_names, normalization, cluster_id=i)
+            for i, c in enumerate(clusters)
+        ]
+        text = render_report(clusters, reports)
+    assert text == reference_report_csv(clusters, reports)
