@@ -200,52 +200,8 @@ def _equal_width_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
 
 def _quantile_bins(values: np.ndarray, n_bins: int) -> np.ndarray:
     """Ordinal codes 0..n_bins-1 by quantile bands (right-closed)."""
-    qs = _quantiles(values, np.linspace(0, 1, n_bins + 1)[1:-1].tolist())
+    qs = np.quantile(values, np.linspace(0, 1, n_bins + 1)[1:-1])
     return np.searchsorted(qs, values, side="left").astype(np.int64)
-
-
-# np.median and np.quantile import numpy.ma, about 15 ms of every process
-# that parses a passenger file. These two give the same floats, bit for bit.
-def _median(values: np.ndarray) -> float:
-    """``np.median`` of a non-empty float array: the mean of its one or two middle values.
-
-    numpy's sum starts from +0.0, so a middle -0.0 comes out as 0.0, and
-    equal values of any other kind have equal bits: the order of the ties
-    does not matter.
-    """
-    ordered = np.sort(values)
-    half = ordered.shape[0] // 2
-    if ordered.shape[0] % 2:
-        return 0.0 + ordered.item(half)
-    return (0.0 + ordered.item(half - 1) + ordered.item(half)) / 2
-
-
-def _quantiles(values: np.ndarray, qs) -> list[float]:
-    """``np.quantile(values, qs)`` of a non-empty float array, by numpy's ``linear`` method.
-
-    Each virtual index is (n - 1) q; at or past the last index both
-    neighbours are the last value. numpy partitions a copy at both ends and
-    at every neighbour, and so does this, so that even 0.0 and -0.0, which
-    tie, sit where numpy puts them. The lerp is numpy's ``_lerp``, which
-    works back from the upper neighbour when the weight is at least one half.
-    """
-    n = values.shape[0]
-    neighbours = []
-    for q in qs:
-        virtual = (n - 1) * q
-        below = above = -1
-        if virtual < n - 1:
-            below = math.floor(virtual)
-            above = below + 1
-        neighbours.append((below, above, virtual - below))
-    kth = sorted({0, -1, *(i for below, above, _ in neighbours for i in (below, above))})
-    part = np.partition(values, kth)
-    out = []
-    for below, above, t in neighbours:
-        a, b = part.item(below), part.item(above)
-        diff = b - a
-        out.append(b - diff * (1 - t) if t >= 0.5 else a + diff * t)
-    return out
 
 
 @contextmanager
@@ -332,22 +288,21 @@ def parse_titanic_csv(raw: bytes, path) -> Dataset:
     observed = ~np.isnan(ages)
     if not observed.any():
         raise SchemaError("Age column has no observed values to impute from")
-    overall_age = _median(ages[observed])
+    overall_age = float(np.median(ages[observed]))
     imputed_age = ages.copy()
-    # The cells are disjoint, so only the pairs that occur need a fill, in
-    # any order. Pclass is not range-checked, so no table is indexed by it.
-    for g, c in set(zip(gender.tolist(), pclass.tolist())):
-        cell = (gender == g) & (pclass == c)
-        seen = cell & observed
-        fill = _median(ages[seen]) if seen.any() else overall_age
-        imputed_age[cell & ~observed] = fill
+    for g in np.unique(gender):
+        for c in np.unique(pclass):
+            cell = (gender == g) & (pclass == c)
+            seen = cell & observed
+            fill = float(np.median(ages[seen])) if seen.any() else overall_age
+            imputed_age[cell & ~observed] = fill
     age_code = _equal_width_bins(imputed_age, _AGE_BINS)
 
     fares = np.array([np.nan if r["fare"] is None else r["fare"] for r in rows])
     fare_seen = ~np.isnan(fares)
     if not fare_seen.any():
         raise SchemaError("Fare column has no observed values to impute from")
-    fares[~fare_seen] = _median(fares[fare_seen])
+    fares[~fare_seen] = float(np.median(fares[fare_seen]))
     fare_code = _quantile_bins(fares, _FARE_BINS)
 
     ports = [r["embarked"] for r in rows]

@@ -22,8 +22,6 @@ from .partition import Cluster
 __all__ = ["NORMALIZATIONS", "ImportanceReport", "feature_importance", "render_report"]
 
 NORMALIZATIONS = ("raw", "max_abs")
-# Clusters whose csv rows render_report joins into one string at a time.
-_REPORT_BLOCK = 256
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -72,30 +70,29 @@ def feature_importance(
     magnitude 1; an all-zero row is left untouched. Rescaling by a positive
     constant preserves signs, zeros and the magnitude ranking.
     """
-    table, index = cluster._table, cluster._row
-    omegas = table.omegas
-    if omegas.shape[1] != 1:
+    omega, bias = cluster._map_views()
+    if omega.shape[0] != 1:
         raise ShapeError(
-            f"importance reports require a scalar output, got {omegas.shape[1]} rows"
+            f"importance reports require a scalar output, got {omega.shape[0]} rows"
         )
     names = feature_names
     if type(names) is not tuple or set(map(type, names)) - {str}:
         names = tuple(map(str, names))
-    if len(names) != omegas.shape[2]:
+    if len(names) != omega.shape[1]:
         raise ShapeError(
-            f"{len(names)} feature names for {omegas.shape[2]} weights"
+            f"{len(names)} feature names for {omega.shape[1]} weights"
         )
     if normalization not in NORMALIZATIONS:
         raise InputError(
             f"normalization must be one of {NORMALIZATIONS}, got {normalization!r}"
         )
-    row = omegas[index, 0]
+    row = omega[0]
     if normalization == "max_abs":
         peak = np.abs(row).max()
         if peak > 0.0:
             row = row / peak
             row.setflags(write=False)
-    return ImportanceReport(cluster_id, names, row, table.biases.item(index, 0), normalization)
+    return ImportanceReport(cluster_id, names, row, bias.item(0), normalization)
 
 
 class _CsvFields(dict):
@@ -109,11 +106,6 @@ class _CsvFields(dict):
         return field
 
 
-def _rows_template(names, fields: _CsvFields) -> str:
-    """One cluster's csv rows as a ``%`` template: per name, head, name, weight, tail."""
-    return "".join(["%s" + fields[name].replace("%", "%%") + ",%r%s" for name in names])
-
-
 def render_report(clusters, reports, format: str = "csv") -> str:
     """Serialize aligned clusters and reports into one document.
 
@@ -122,8 +114,8 @@ def render_report(clusters, reports, format: str = "csv") -> str:
     weight, bias, size, fraction: the bytes ``csv.writer`` writes for the
     ``repr`` of each weight, bias and fraction. Each cluster's size and
     fraction are read from its table row, so no ``ClusterStats`` is built.
-    Each distinct tuple of feature names is quoted once into one ``%``
-    template, and each cluster's rows are one fill of it.
+    Each cluster's closing fields are formatted once, and each feature name
+    is quoted once.
     """
     clusters = list(clusters)
     reports = list(reports)
@@ -133,38 +125,16 @@ def render_report(clusters, reports, format: str = "csv") -> str:
         )
     if format != "csv":
         raise InputError(f"format must be 'csv', got {format!r}")
-    fields = _CsvFields()
-    templates = {}
-    names = template = None
-    blocks = ["cluster_id,feature,weight,bias,size,fraction\n"]
-    lines = []
+    names = _CsvFields()
+    lines = ["cluster_id,feature,weight,bias,size,fraction\n"]
     for cluster, report in zip(clusters, reports):
-        table, row = cluster._table, cluster._row
+        size, fraction = cluster._size_fraction()
         head = f"{report.cluster_id},"
-        tail = f",{report.bias!r},{table.sizes[row]},{table.fractions[row]!r}\n"
-        weights = report.weights.tolist()
-        if report.feature_names is not names:
-            names = report.feature_names
-            key = tuple(names)
-            template = templates.get(key)
-            if template is None:
-                template = templates[key] = _rows_template(key, fields)
-        if len(weights) != len(names):
-            # A hand-built report: its names and weights pair as zip pairs them.
-            pairs = min(len(names), len(weights))
-            weights = weights[:pairs]
-            fill = _rows_template(names[:pairs], fields)
-        else:
-            fill = template
-        args = [head, None, tail] * len(weights)
-        args[1::3] = weights
-        lines.append(fill % tuple(args))
-        # A % fill is over-allocated while it is built, so each cluster's
-        # string comes from malloc, not from Python's small-object arenas.
-        # Joined a block at a time, they reuse the same few chunks; held to
-        # the end, they left 1.7 MB more resident on 22,442 clusters.
-        if len(lines) == _REPORT_BLOCK:
-            blocks.append("".join(lines))
-            lines.clear()
-    blocks.append("".join(lines))
-    return "".join(blocks)
+        tail = f",{report.bias!r},{size},{fraction!r}\n"
+        # One string per cluster: a string per row would hold a Python
+        # object for every row of the document until the final join.
+        lines.append("".join([
+            f"{head}{names[name]},{weight!r}{tail}"
+            for name, weight in zip(report.feature_names, report.weights.tolist())
+        ]))
+    return "".join(lines)

@@ -111,6 +111,16 @@ class Cluster:
             table.target_rates[row],
         )
 
+    def _map_views(self) -> tuple[np.ndarray, np.ndarray]:
+        """``affine.omega`` and ``affine.bias`` as read-only views of the table row."""
+        table, row = self._table, self._row
+        return table.omegas[row], table.biases[row]
+
+    def _size_fraction(self) -> tuple[int, float]:
+        """``stats.size`` and ``stats.fraction``, from the table row."""
+        table, row = self._table, self._row
+        return table.sizes[row], table.fractions[row]
+
     def __repr__(self) -> str:
         return (
             f"Cluster(pattern={self.pattern!r}, member_indices={self.member_indices!r}, "

@@ -1126,26 +1126,24 @@ def test_closed_stdout_exits_141_with_a_whole_run_or_none(tmp_path, unbuffered):
         assert sorted(os.listdir(out)) == sorted(RUN_FILES)
 
 
-def test_simulate_and_verify_do_not_import_numpy_ma(tmp_path, synthetic_titanic_csv):
-    """numpy.ma costs each fresh process about 15 ms; np.unique, np.median and
-    np.quantile import it. titanic runs too."""
+def test_simulate_and_verify_do_not_import_numpy_ma(tmp_path):
+    """numpy.ma costs each fresh process about 15 ms; np.unique imports it."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run, checked, titanic = tmp_path / "run", tmp_path / "v", tmp_path / "titanic"
+    run, checked = tmp_path / "run", tmp_path / "v"
     script = (
         "import sys\n"
         "from relu_prism.cli import main\n"
-        "at, tt = sys.argv.index('verify'), sys.argv.index('titanic')\n"
-        "codes = [main(sys.argv[1:at]), main(sys.argv[at:tt]), main(sys.argv[tt:])]\n"
+        "at = sys.argv.index('verify')\n"
+        "codes = [main(sys.argv[1:at]), main(sys.argv[at:])]\n"
         "print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
     )
     argv = [sys.executable, "-c", script,
             "simulate", "--n", "300", "--epochs", "1", "--seeds", "1..2", "--out", str(run),
             "verify", "--net", str(run / "network.json"), "--data", str(run / "dataset.csv"),
-            "--clusters", str(run / "clusters.json"), "--out", str(checked),
-            "titanic", "--csv", str(synthetic_titanic_csv), "--epochs", "1", "--out", str(titanic)]
+            "--clusters", str(run / "clusters.json"), "--out", str(checked)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
-    assert proc.stderr == "[0, 0, 0] False\n"
+    assert proc.stderr == "[0, 0] False\n"
 
 
 

@@ -270,20 +270,6 @@ class TestTitanicPipeline:
         # fills in; bands over [10, 30] have edges 14/18/22/26, putting 20 in band 2
         np.testing.assert_array_equal(ds.features[:, 0], [0.0, 4.0, 2.0])
 
-    def test_groups_impute_for_any_pclass_value(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text(
-            "Survived,Pclass,Name,Sex,Age,SibSp,Parch,Fare,Embarked\n"
-            '0,-1,"A, Mr. B",male,10,0,0,5,S\n'
-            '0,-1,"C, Mr. D",male,,0,0,6,S\n'
-            '1,1000000000000,"E, Miss. F",female,30,0,0,7,S\n'
-            '1,1000000000000,"G, Miss. H",female,,0,0,8,S\n'
-        )
-        ds = load_titanic(path)
-        # each missing age takes its own group's median: 10 and 30
-        np.testing.assert_array_equal(ds.features[:, 0], [0.0, 0.0, 4.0, 4.0])
-        np.testing.assert_array_equal(ds.features[:, 2], [-1.0, -1.0, 1e12, 1e12])
-
     def test_constant_age_collapses_to_band_zero(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(
@@ -360,45 +346,6 @@ class TestTitanicPipeline:
         a = load_titanic(synthetic_titanic_csv)
         b = load_titanic(synthetic_titanic_csv)
         np.testing.assert_array_equal(a.features, b.features)
-
-
-MEDIAN_CASES = {
-    "n=1": [7.25],
-    "n=1, -0.0": [-0.0],
-    "n=2": [8.05, 7.25],
-    "n=2, zeros": [-0.0, 0.0],
-    "odd": [3.0, 0.1, 512.3292, 0.2, 7.925],
-    "even": [0.1, 0.7, 0.2, 13.0, 1e-300, 26.55],
-    "ties": [7.25, 7.25, 8.05, 7.25, 0.0, 7.25, -0.0, 8.05],
-    "zero ties": [-0.0, 0.0, 1.0, -0.0, 0.0, -0.0, 2.0, 0.0, -0.0],
-}
-
-
-class TestOrderStatistics:
-    """The titanic parser's median and quantiles are numpy's, bit for bit."""
-
-    @pytest.mark.parametrize("values", MEDIAN_CASES.values(), ids=MEDIAN_CASES.keys())
-    def test_median_is_np_median(self, values):
-        values = np.array(values)
-        assert np.float64(data._median(values)).tobytes() == np.median(values).tobytes()
-
-    @pytest.mark.parametrize("values", MEDIAN_CASES.values(), ids=MEDIAN_CASES.keys())
-    @pytest.mark.parametrize(
-        "qs", [[0.25, 0.5, 0.75], [0.0, 1.0], [0.1, 0.9], [1 / 3]], ids=str
-    )
-    def test_quantiles_are_np_quantile(self, values, qs):
-        values = np.array(values)
-        got = np.array(data._quantiles(values, qs))
-        assert got.tobytes() == np.quantile(values, qs).tobytes()
-
-    def test_random_fares(self):
-        rng = np.random.default_rng(0)
-        qs = np.linspace(0, 1, 5)[1:-1].tolist()
-        for n in range(1, 80):
-            values = rng.choice([0.0, -0.0, 7.25, 7.925, 8.05, 13.0, 512.3292], size=n)
-            values[: n // 2] = rng.exponential(30.0, size=n // 2)
-            assert np.float64(data._median(values)).tobytes() == np.median(values).tobytes()
-            assert np.array(data._quantiles(values, qs)).tobytes() == np.quantile(values, qs).tobytes()
 
 
 class TestSplit:

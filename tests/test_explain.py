@@ -300,8 +300,8 @@ class TestReportMatchesCsvWriter:
         assert render_report([], []) == reference_report_csv([], [])
 
 
-class TestReportTemplates:
-    """Each tuple of names is one % template; the bytes stay csv.writer's."""
+class TestReportEdgeCases:
+    """Names, tuples and clusters that a cache or template keyed on them could get wrong."""
 
     def test_names_holding_percent_signs(self):
         names = ("50%", "%r", "%%", "%s", "a,%d")
@@ -358,6 +358,12 @@ class TestReportTemplates:
         ]
         clusters = [cluster] * 3
         assert render_report(clusters, reports) == reference_report_csv(clusters, reports)
+
+
+def test_zero_output_map_is_refused_before_its_bias_is_read():
+    cluster = cluster_with_map(np.zeros((0, 2)), np.zeros(0))
+    with pytest.raises(ShapeError, match="scalar output, got 0 rows"):
+        feature_importance(cluster, ("a", "b"))
 
 
 @pytest.mark.parametrize("normalization", ["raw", "max_abs"])

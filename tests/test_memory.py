@@ -170,7 +170,6 @@ def test_rendering_the_report_holds_its_text_twice():
         text = render_report(clusters, reports)
 
     peak = peak_above_start(stage)
-    # 2.18 with one string per cluster, all joined at the end; 2.09 with a
-    # block of clusters joined at a time. 3.49 when every cluster's values
-    # went into one argument tuple for one fill.
+    # 2.18: one string per cluster, all joined at the end. One % fill over
+    # every cluster's values in a single argument tuple reads 3.49.
     assert peak / len(text) < 2.5
