@@ -93,9 +93,10 @@ class TestFeatureImportance:
             )
             np.testing.assert_array_equal(np.sign(raw), np.sign(scaled))
 
-    def test_rejects_multi_output_map(self):
-        cluster = cluster_with_map([[1.0], [2.0]], [0.0, 0.0], ((True,),))
-        with pytest.raises(ShapeError):
+    @pytest.mark.parametrize("outputs", [2, 0])
+    def test_rejects_non_scalar_map(self, outputs):
+        cluster = cluster_with_map(np.ones((outputs, 1)), np.zeros(outputs), ((True,),))
+        with pytest.raises(ShapeError, match=f"scalar output, got {outputs} rows"):
             feature_importance(cluster, ("x",))
 
     def test_rejects_wrong_name_count_and_bad_mode(self):
@@ -301,7 +302,7 @@ class TestReportMatchesCsvWriter:
 
 
 class TestReportEdgeCases:
-    """Names, tuples and clusters that a cache or template keyed on them could get wrong."""
+    """Inputs that a cache keyed on names, tuples or clusters could get wrong."""
 
     def test_names_holding_percent_signs(self):
         names = ("50%", "%r", "%%", "%s", "a,%d")
@@ -358,12 +359,6 @@ class TestReportEdgeCases:
         ]
         clusters = [cluster] * 3
         assert render_report(clusters, reports) == reference_report_csv(clusters, reports)
-
-
-def test_zero_output_map_is_refused_before_its_bias_is_read():
-    cluster = cluster_with_map(np.zeros((0, 2)), np.zeros(0))
-    with pytest.raises(ShapeError, match="scalar output, got 0 rows"):
-        feature_importance(cluster, ("a", "b"))
 
 
 @pytest.mark.parametrize("normalization", ["raw", "max_abs"])
