@@ -285,6 +285,7 @@ def jacobian_check(net: Network, u, h: float = 1e-4) -> JacobianReport:
     partial collapse through unit i's layer, taken before unit i's own mask.
     The distance from u to the region's boundary is r = min |z_i| / ||g_i||
     over the units with g_i != 0, and the check is skipped exactly when h >= r.
+    Omega is the last layer times the sweep's final masked partial collapse.
     """
     if not 0.0 < h < np.inf:
         raise InputError(f"step h must be positive and finite, got {h}")
@@ -298,11 +299,11 @@ def jacobian_check(net: Network, u, h: float = 1e-4) -> JacobianReport:
         partial = g * (z > 0.0)[:, None]
     if h >= radius:
         return JacobianReport(max_row_err=None, skipped=True)
-    amap = effective_affine(net, trace.pattern)
+    omega = net.layers[-1].weight @ partial
     u = np.asarray(u, dtype=np.float64)
     d = net.input_dim
     steps = np.vstack([np.eye(d) * h, -np.eye(d) * h])
     logits, _ = forward_batch(net, u[None, :] + steps)
     fd = (logits[:d] - logits[d:]) / (2.0 * h)  # (d, q)
-    err = float(np.abs(fd.T - amap.omega).max())
+    err = float(np.abs(fd.T - omega).max())
     return JacobianReport(max_row_err=err, skipped=False)

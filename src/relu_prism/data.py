@@ -236,7 +236,7 @@ def parse_titanic_csv(raw: bytes, path) -> Dataset:
       Age      group-median imputation by (Gender, Pclass), then 5 equal-width
                bands coded 0-4
       Gender   1 if female else 0
-      Pclass   kept as-is (1, 2, 3)
+      Pclass   kept as-is; a value other than 1, 2 or 3 is refused
       Fare     overall-median imputation, then 4 quantile bands coded 0-3
       Embarked S->0, C->1, Q->2 with mode imputation
       Title    parsed from Name: Mr 1, Miss 2 (incl. Mlle/Ms), Mrs 3 (incl.
@@ -244,7 +244,8 @@ def parse_titanic_csv(raw: bytes, path) -> Dataset:
       IsAlone  1 iff SibSp + Parch == 0
     """
     path = Path(path)
-    rows: list[dict] = []
+    # One list per column, filled as rows are parsed; a missing Age or Fare is None (NaN).
+    survived, pclass, gender, ages, fares, ports, title, is_alone = ([] for _ in range(8))
     with _text(raw) as text, _decoding(path):
         reader = csv.DictReader(text)
         header = reader.fieldnames or []
@@ -255,79 +256,61 @@ def parse_titanic_csv(raw: bytes, path) -> Dataset:
             line = reader.line_num
             if any(rec.get(c) is None for c in _TITANIC_REQUIRED):
                 raise SchemaError(f"line {line}: truncated row")
-            survived = _parse_int(rec["Survived"], "Survived", line)
-            if survived not in (0, 1):
-                raise SchemaError(f"line {line}: Survived must be 0 or 1, got {survived}")
+            target = _parse_int(rec["Survived"], "Survived", line)
+            if target not in (0, 1):
+                raise SchemaError(f"line {line}: Survived must be 0 or 1, got {target}")
             sex = rec["Sex"].strip().lower()
             if sex not in ("male", "female"):
                 raise SchemaError(f"line {line}: unknown Sex value {rec['Sex']!r}")
-            embarked = rec["Embarked"].strip().upper()
-            if embarked not in ("", "S", "C", "Q"):
+            port = rec["Embarked"].strip().upper()
+            if port not in ("", "S", "C", "Q"):
                 raise SchemaError(f"line {line}: unknown Embarked value {rec['Embarked']!r}")
-            rows.append(
-                {
-                    "survived": survived,
-                    "pclass": _parse_int(rec["Pclass"], "Pclass", line),
-                    "gender": 1 if sex == "female" else 0,
-                    "age": _parse_optional_float(rec["Age"], "Age", line),
-                    "sibsp": _parse_int(rec["SibSp"], "SibSp", line),
-                    "parch": _parse_int(rec["Parch"], "Parch", line),
-                    "fare": _parse_optional_float(rec["Fare"], "Fare", line),
-                    "embarked": embarked or None,
-                    "title": _title_code(rec["Name"]),
-                }
-            )
-    if not rows:
+            klass = _parse_int(rec["Pclass"], "Pclass", line)
+            if klass not in (1, 2, 3):
+                raise SchemaError(f"line {line}: Pclass must be 1, 2 or 3, got {klass}")
+            ages.append(_parse_optional_float(rec["Age"], "Age", line))
+            sibsp = _parse_int(rec["SibSp"], "SibSp", line)
+            is_alone.append(sibsp + _parse_int(rec["Parch"], "Parch", line) == 0)
+            fares.append(_parse_optional_float(rec["Fare"], "Fare", line))
+            survived.append(target)
+            pclass.append(klass)
+            gender.append(sex == "female")
+            ports.append(port)
+            title.append(_title_code(rec["Name"]))
+    if not survived:
         raise SchemaError(f"{path} contains no data rows")
 
-    gender = np.array([r["gender"] for r in rows], dtype=np.int64)
-    pclass = np.array([r["pclass"] for r in rows], dtype=np.int64)
-
-    # Age: median within each (gender, pclass) group, overall median as fallback.
-    ages = np.array([np.nan if r["age"] is None else r["age"] for r in rows])
+    # Age: median within each (gender, pclass) cell, overall median as fallback.
+    gender = np.array(gender, dtype=np.int64)
+    pclass = np.array(pclass, dtype=np.int64)
+    ages = np.array(ages, dtype=np.float64)
     observed = ~np.isnan(ages)
     if not observed.any():
         raise SchemaError("Age column has no observed values to impute from")
     overall_age = float(np.median(ages[observed]))
-    imputed_age = ages.copy()
-    for g in np.unique(gender):
-        for c in np.unique(pclass):
+    for g in (0, 1):
+        for c in (1, 2, 3):
             cell = (gender == g) & (pclass == c)
             seen = cell & observed
-            fill = float(np.median(ages[seen])) if seen.any() else overall_age
-            imputed_age[cell & ~observed] = fill
-    age_code = _equal_width_bins(imputed_age, _AGE_BINS)
+            # Only missing ages are filled, so later medians read observed ones alone.
+            ages[cell & ~observed] = float(np.median(ages[seen])) if seen.any() else overall_age
 
-    fares = np.array([np.nan if r["fare"] is None else r["fare"] for r in rows])
+    fares = np.array(fares, dtype=np.float64)
     fare_seen = ~np.isnan(fares)
     if not fare_seen.any():
         raise SchemaError("Fare column has no observed values to impute from")
     fares[~fare_seen] = float(np.median(fares[fare_seen]))
-    fare_code = _quantile_bins(fares, _FARE_BINS)
 
-    ports = [r["embarked"] for r in rows]
-    known_ports = [p for p in ports if p is not None]
-    if not known_ports:
+    counts = Counter(filter(None, ports))
+    if not counts:
         raise SchemaError("Embarked column has no observed values to impute from")
-    counts = Counter(known_ports)
-    mode_port = sorted(counts, key=lambda p: (-counts[p], p))[0]
-    embarked_code = np.array(
-        [_EMBARKED_CODES[p if p is not None else mode_port] for p in ports], dtype=np.int64
-    )
+    mode_port = min(counts, key=lambda p: (-counts[p], p))
+    embarked = [_EMBARKED_CODES[p or mode_port] for p in ports]
 
-    title = np.array([r["title"] for r in rows], dtype=np.int64)
-    is_alone = np.array(
-        [1 if r["sibsp"] + r["parch"] == 0 else 0 for r in rows], dtype=np.int64
-    )
-    features = np.column_stack(
-        [age_code, gender, pclass, fare_code, embarked_code, title, is_alone]
-    ).astype(np.float64)
-    targets = np.array([r["survived"] for r in rows], dtype=np.int64)
-    return Dataset(
-        features=features,
-        targets=targets,
-        feature_names=TITANIC_FEATURE_NAMES,
-    )
+    columns = [_equal_width_bins(ages, _AGE_BINS), gender, pclass,
+               _quantile_bins(fares, _FARE_BINS), embarked, title, is_alone]
+    features = np.stack(columns, axis=1, dtype=np.float64)
+    return Dataset._adopt(features, np.array(survived, dtype=np.int64), TITANIC_FEATURE_NAMES)
 
 
 def split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:

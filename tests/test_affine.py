@@ -20,6 +20,7 @@ from relu_prism import (
     save_network,
     verify_affine,
 )
+from relu_prism import affine
 from relu_prism.affine import _COLLAPSE_CHUNK, _pattern_table, _row_errors, collapse_batch
 from relu_prism.cli import main
 from relu_prism.data import dataset_to_csv
@@ -355,4 +356,34 @@ class TestJacobianCheck:
         for h in (0.0, np.nan, np.inf):
             with pytest.raises(InputError):
                 jacobian_check(hand_net(), [1.0, 1.0], h=h)
+
+    def test_weights_come_from_the_radius_sweep(self, rng, monkeypatch):
+        """Omega is the last layer times the sweep's partial collapse, with no second collapse."""
+        net = make_random_network(rng, d=6, widths=(5, 3))
+
+        def refuse(*args):
+            raise AssertionError("jacobian_check collapsed the network a second time")
+
+        monkeypatch.setattr(affine, "effective_affine", refuse)
+        reports = [jacobian_check(net, u) for u in rng.standard_normal((20, 6))]
+        assert any(not r.skipped for r in reports)
+
+    @pytest.mark.parametrize(
+        "widths, q", [((), 1), ((4, 2), 1), ((16, 8), 1), ((6, 3, 2), 1), ((5,), 2)]
+    )
+    def test_error_matches_effective_affine_bit_for_bit(self, rng, widths, q):
+        """The sweep's omega is ``effective_affine``'s up to the sign of a zero, which |fd - omega| drops."""
+        d, h = 10, 1e-4
+        net = make_random_network(rng, d=d, widths=widths, q=q)
+        checked = 0
+        for u in rng.standard_normal((40, d)):
+            report = jacobian_check(net, u, h=h)
+            if report.skipped:
+                continue
+            omega = effective_affine(net, forward_trace(net, u).pattern).omega
+            logits, _ = forward_batch(net, u + np.vstack([np.eye(d) * h, -np.eye(d) * h]))
+            fd = (logits[:d] - logits[d:]) / (2.0 * h)
+            assert report.max_row_err == float(np.abs(fd.T - omega).max())
+            checked += 1
+        assert checked >= 20
 

@@ -1027,6 +1027,18 @@ class TestTitanic:
         assert code == 2
         assert "Embarked" in capsys.readouterr().err
 
+    def test_class_outside_the_grid_exits_two(self, synthetic_titanic_csv, tmp_path, capsys):
+        lines = synthetic_titanic_csv.read_text().splitlines(keepends=True)
+        assert lines[0].split(",")[2] == "Pclass"
+        fields = lines[4].split(",")
+        fields[2] = "-1"  # the Pclass of the row on line 5
+        lines[4] = ",".join(fields)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(lines))
+        out = tmp_path / "run"
+        err = assert_rejected(self.titanic_args(bad, out), out, capsys)
+        assert err == "error: line 5: Pclass must be 1, 2 or 3, got -1\n", err
+
     def test_missing_csv_exits_two(self, tmp_path):
         assert main(self.titanic_args(tmp_path / "none.csv", tmp_path / "run")) == 2
 

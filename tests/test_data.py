@@ -17,6 +17,18 @@ from relu_prism.data import (
     read_dataset_csv,
 )
 
+TITANIC_HEADER = "Survived,Pclass,Name,Sex,Age,SibSp,Parch,Fare,Embarked\n"
+# Each titanic feature's codes; their product is the 5*2*3*4*3*5*2 = 3,600-point grid.
+TITANIC_CODES = {
+    "Age": {0, 1, 2, 3, 4},
+    "Gender": {0, 1},
+    "Pclass": {1, 2, 3},
+    "Fare": {0, 1, 2, 3},
+    "Embarked": {0, 1, 2},
+    "Title": {1, 2, 3, 4, 5},
+    "IsAlone": {0, 1},
+}
+
 
 class TestDatasetType:
     def test_basic_construction(self):
@@ -230,6 +242,8 @@ class TestTitanicPipeline:
         assert np.all(lows >= [0, 0, 1, 0, 0, 1, 0])
         assert np.all(highs <= [4, 1, 3, 3, 2, 5, 1])
         assert np.array_equal(X, np.round(X))
+        for name, column in zip(ds.feature_names, X.T):
+            assert set(column.tolist()) <= TITANIC_CODES[name], name
 
     def test_title_synonyms_and_rare(self, synthetic_titanic_csv):
         ds = load_titanic(synthetic_titanic_csv)
@@ -303,6 +317,10 @@ class TestTitanicPipeline:
             '0,3,"A, Mr. B",robot,22,0,0,5,S',
             '0,3,"A, Mr. B",male,22,0,0,5,X',
             '0,3,"A, Mr. B",male,22,0,0',
+            '0,0,"A, Mr. B",male,22,0,0,5,S',
+            '0,4,"A, Mr. B",male,22,0,0,5,S',
+            '0,-1,"A, Mr. B",male,22,0,0,5,S',
+            '0,1000000000000,"A, Mr. B",male,22,0,0,5,S',
         ],
     )
     def test_invalid_rows_rejected(self, tmp_path, row):
@@ -312,6 +330,25 @@ class TestTitanicPipeline:
         )
         with pytest.raises(SchemaError):
             load_titanic(path)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ('0,3,"A, Mr. B",male,22,0,0,5,S\n1,-1,"C, Mrs. D",female,30,1,0,6,C',
+             "line 3: Pclass must be 1, 2 or 3, got -1"),
+            ('2,0,"A, Mr. B",male,22,0,0,5,S', "line 2: Survived must be 0 or 1, got 2"),
+            ('0,0,"A, Mr. B",male,22,0,0,5,X', "line 2: unknown Embarked value 'X'"),
+            ('0,0,"A, Mr. B",male,abc,0,0,5,S', "line 2: Pclass must be 1, 2 or 3, got 0"),
+        ],
+        ids=["class-outside-the-grid", "survived-before-class", "port-before-class",
+             "class-before-age"],
+    )
+    def test_first_fault_is_named_with_its_line(self, tmp_path, rows, message):
+        path = tmp_path / "t.csv"
+        path.write_text(TITANIC_HEADER + rows + "\n")
+        with pytest.raises(SchemaError) as info:
+            load_titanic(path)
+        assert str(info.value) == message
 
     def test_no_data_rows(self, tmp_path):
         path = tmp_path / "t.csv"
