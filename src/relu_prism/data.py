@@ -177,6 +177,13 @@ def _parse_int(text: str, column: str, line_num: int) -> int:
         raise SchemaError(f"line {line_num}: cannot parse {column}={text!r} as an integer")
 
 
+def _non_negative(value, column: str, line_num: int):
+    """``value``, a count or a measure, or None for a missing one; a negative one is refused."""
+    if value is not None and value < 0:
+        raise SchemaError(f"line {line_num}: {column} must be >= 0, got {value}")
+    return value
+
+
 def _title_code(name: str) -> int:
     m = _TITLE_RE.search(name)
     if not m:
@@ -268,10 +275,13 @@ def parse_titanic_csv(raw: bytes, path) -> Dataset:
             klass = _parse_int(rec["Pclass"], "Pclass", line)
             if klass not in (1, 2, 3):
                 raise SchemaError(f"line {line}: Pclass must be 1, 2 or 3, got {klass}")
-            ages.append(_parse_optional_float(rec["Age"], "Age", line))
-            sibsp = _parse_int(rec["SibSp"], "SibSp", line)
-            is_alone.append(sibsp + _parse_int(rec["Parch"], "Parch", line) == 0)
-            fares.append(_parse_optional_float(rec["Fare"], "Fare", line))
+            age = _parse_optional_float(rec["Age"], "Age", line)
+            ages.append(_non_negative(age, "Age", line))
+            sibsp = _non_negative(_parse_int(rec["SibSp"], "SibSp", line), "SibSp", line)
+            parch = _non_negative(_parse_int(rec["Parch"], "Parch", line), "Parch", line)
+            is_alone.append(sibsp + parch == 0)
+            fare = _parse_optional_float(rec["Fare"], "Fare", line)
+            fares.append(_non_negative(fare, "Fare", line))
             survived.append(target)
             pclass.append(klass)
             gender.append(sex == "female")

@@ -13,6 +13,11 @@ import csv
 import io
 import math
 import numbers
+import os
+import pickle
+import signal
+import threading
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,6 +344,82 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
     return seed_Ws, seed_bs, losses, accuracies, diverged
 
 
+def _cpus() -> int:
+    """How many CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _train_halves(dataset: Dataset, config: TrainConfig, seeds):
+    """`_train_lockstep` over ``seeds``, its later half in a forked child.
+
+    The calling process trains the first ceil(S/2) seeds and one child the
+    rest, both through `_train_lockstep`, and joins the halves along the
+    seed axis. Every seed's sums run along its own batch only, so each gets
+    the bits of one lockstep call. The child is killed, not waited for,
+    when a seed before its own diverged or the parent leaves on an error.
+    """
+    if not (len(seeds) > 1 and hasattr(os, "fork") and _cpus() > 1
+            and threading.active_count() == 1):
+        return _train_lockstep(dataset, config, seeds)
+    half = (len(seeds) + 1) // 2
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return _train_lockstep(dataset, config, seeds)
+    if pid == 0:
+        # The child leaves through os._exit on every path, so it runs no
+        # atexit handler and flushes no stdout buffer it inherited. It exits
+        # 0 only once its whole result, or its exception, is sent.
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                result = _train_lockstep(dataset, config, seeds[half:])
+            except BaseException as exc:
+                result = exc
+            with open(write_end, "wb") as pipe:
+                pickle.dump(result, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    status = None
+    try:
+        os.close(write_end)
+        first = _train_lockstep(dataset, config, seeds[:half])
+        if first[4]:
+            return first  # a seed before the child's diverged: it is killed below
+        with open(read_end, "rb", closefd=False) as pipe:
+            sent = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        os.close(read_end)
+        if status is None:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    if status != 0:
+        raise RuntimeError(
+            f"the training child {pid} ended without its result (wait status {status})"
+        )
+    second = pickle.loads(sent)
+    if isinstance(second, BaseException):
+        raise second
+    Ws, bs, losses, accuracies, diverged = first
+    return (
+        [np.concatenate(pair) for pair in zip(Ws, second[0])],
+        [np.concatenate(pair) for pair in zip(bs, second[1])],
+        np.concatenate((losses, second[2]), axis=1),
+        np.concatenate((accuracies, second[3]), axis=1),
+        diverged | {s + half: epoch for s, epoch in second[4].items()},
+    )
+
+
 def train_seeds(dataset: Dataset, config: TrainConfig, seeds):
     """Train one network per seed in lockstep; yield (net, history) in ``seeds`` order.
 
@@ -349,13 +430,19 @@ def train_seeds(dataset: Dataset, config: TrainConfig, seeds):
     list. Iteration stops with TrainingDivergedError at the first seed, in
     ``seeds`` order, whose batch loss went non-finite, naming that seed's
     1-based epoch; the seeds before it are yielded first.
+
+    Two or more seeds train as two lockstep halves in two processes, the
+    later half in a forked child (`_train_halves`). They stay in one
+    process where ``os.fork`` does not exist, the process may run on one
+    CPU only, or it has more than one thread. No setting chooses between
+    the two, and the bits are the same either way.
     """
     seeds = tuple(seeds)
     if not seeds:
         raise InputError("train_seeds needs at least one seed")
     if len(set(seeds)) != len(seeds):
         raise InputError(f"train_seeds needs distinct seeds, got {list(seeds)}")
-    Ws, bs, losses, accuracies, diverged = _train_lockstep(dataset, config, seeds)
+    Ws, bs, losses, accuracies, diverged = _train_halves(dataset, config, seeds)
     for s in range(len(seeds)):
         if s in diverged:
             raise TrainingDivergedError(diverged[s])

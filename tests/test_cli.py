@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import builtins
+import csv
 import functools
 import hashlib
 import json
@@ -1039,6 +1040,22 @@ class TestTitanic:
         err = assert_rejected(self.titanic_args(bad, out), out, capsys)
         assert err == "error: line 5: Pclass must be 1, 2 or 3, got -1\n", err
 
+    @pytest.mark.parametrize("column, value, shown", [
+        ("Age", "-1", "-1.0"), ("SibSp", "-1", "-1"), ("Parch", "-2", "-2"),
+        ("Fare", "-7.25", "-7.25"),
+    ])
+    def test_negative_value_exits_two(self, synthetic_titanic_csv, tmp_path, capsys,
+                                      column, value, shown):
+        with open(synthetic_titanic_csv, newline="") as f:
+            rows = list(csv.reader(f))
+        rows[4][rows[0].index(column)] = value  # the row on line 5
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(rows)
+        out = tmp_path / "run"
+        err = assert_rejected(self.titanic_args(bad, out), out, capsys)
+        assert err == f"error: line 5: {column} must be >= 0, got {shown}\n", err
+
     def test_missing_csv_exits_two(self, tmp_path):
         assert main(self.titanic_args(tmp_path / "none.csv", tmp_path / "run")) == 2
 
@@ -1136,6 +1153,40 @@ def test_closed_stdout_exits_141_with_a_whole_run_or_none(tmp_path, unbuffered):
         assert not out.exists()
     else:
         assert sorted(os.listdir(out)) == sorted(RUN_FILES)
+
+
+def test_split_sweep_prints_each_line_once_and_writes_the_serial_bytes(
+    tmp_path, capsys, monkeypatch
+):
+    """A four-seed sweep trains its later two seeds in a forked child.
+
+    Stdout sent to a file is block-buffered, so a child that flushed it or
+    ran on into the command would print lines twice. Stdout and files equal
+    a serial run's, made in process where ``os.fork`` does not exist.
+    """
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    split, serial, printed = tmp_path / "split", tmp_path / "serial", tmp_path / "stdout.txt"
+    size = ["--n", "2000", "--seeds", "1..4"]
+    with open(printed, "wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "relu_prism.cli", "simulate", *size, "--out", str(split)],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    lines = printed.read_text().splitlines()
+    n_clusters = json.loads((split / "summary.json").read_text())["n_clusters"]
+    heads = [f"seed {seed}:" for seed in (1, 2, 3, 4)]
+    heads += [f"cluster {i}:" for i in range(n_clusters)]
+    assert [sum(line.startswith(head) for line in lines) for head in heads] == [1] * len(heads)
+
+    monkeypatch.delattr(os, "fork")
+    capsys.readouterr()
+    assert main(["simulate", *size, "--out", str(serial)]) == 0
+    assert capsys.readouterr().out == printed.read_text()
+    for name in RUN_FILES:
+        assert (split / name).read_bytes() == (serial / name).read_bytes(), name
 
 
 def test_simulate_and_verify_do_not_import_numpy_ma(tmp_path):

@@ -339,9 +339,25 @@ class TestTitanicPipeline:
             ('2,0,"A, Mr. B",male,22,0,0,5,S', "line 2: Survived must be 0 or 1, got 2"),
             ('0,0,"A, Mr. B",male,22,0,0,5,X', "line 2: unknown Embarked value 'X'"),
             ('0,0,"A, Mr. B",male,abc,0,0,5,S', "line 2: Pclass must be 1, 2 or 3, got 0"),
+            ('0,3,"A, Mr. B",male,22,0,0,5,S\n0,3,"C, Mr. D",male,-20,0,0,5,S',
+             "line 3: Age must be >= 0, got -20.0"),
+            ('0,3,"A, Mr. B",male,20,-1,1,5,S', "line 2: SibSp must be >= 0, got -1"),
+            ('0,3,"A, Mr. B",male,20,0,-1,5,S', "line 2: Parch must be >= 0, got -1"),
+            ('0,3,"A, Mr. B",male,20,0,0,-0.5,S', "line 2: Fare must be >= 0, got -0.5"),
+            ('0,0,"A, Mr. B",male,-20,0,0,5,S', "line 2: Pclass must be 1, 2 or 3, got 0"),
+            ('0,3,"A, Mr. B",male,-20,-1,-1,-5,S', "line 2: Age must be >= 0, got -20.0"),
+            ('0,3,"A, Mr. B",male,abc,-1,0,5,S', "line 2: cannot parse Age='abc' as a number"),
+            ('0,3,"A, Mr. B",male,-20,x,0,5,S', "line 2: Age must be >= 0, got -20.0"),
+            ('0,3,"A, Mr. B",male,20,-1,x,5,S', "line 2: SibSp must be >= 0, got -1"),
+            ('0,3,"A, Mr. B",male,20,0,-1,inf,S', "line 2: Parch must be >= 0, got -1"),
+            ('0,3,"A, Mr. B",male,,0,0,-5,S', "line 2: Fare must be >= 0, got -5.0"),
         ],
         ids=["class-outside-the-grid", "survived-before-class", "port-before-class",
-             "class-before-age"],
+             "class-before-age", "negative-age", "negative-sibsp", "negative-parch",
+             "negative-fare", "class-before-negative-age", "negative-age-before-the-rest",
+             "unparsed-age-before-negative-sibsp", "negative-age-before-unparsed-sibsp",
+             "negative-sibsp-before-unparsed-parch", "negative-parch-before-infinite-fare",
+             "negative-fare-after-missing-age"],
     )
     def test_first_fault_is_named_with_its_line(self, tmp_path, rows, message):
         path = tmp_path / "t.csv"

@@ -1,7 +1,15 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,6 +389,195 @@ class TestPinnedWeights:
             net, history = train(ds, replace(config, seed=seed))
             assert text == network_text(net) + history_to_csv(history), seed
 
+
+trainer = importlib.import_module("relu_prism.train")
+
+
+class ChildFailure(Exception):
+    """Raised by a patched trainer in the forked child only."""
+
+
+def _separable(n=50) -> Dataset:
+    return TestTrain().separable(n)
+
+
+# At this learning rate seeds 3 and 15 of the separable rows train on and
+# every other seed below 20 diverges, seed 0 in epoch 1 and seed 12 in epoch 2.
+_EDGE = TrainConfig(hidden_widths=(2,), learning_rate=1e154, batch_size=10, epochs=5)
+
+
+class TestSplitSweep:
+    """A sweep of two or more seeds trains its later half in one forked child.
+
+    Each case runs the sweep split and serial; the serial path is the one
+    taken where ``os.fork`` does not exist.
+    """
+
+    @pytest.fixture(autouse=True)
+    def forks(self, monkeypatch):
+        """The pid of each child forked; two CPUs to run on, whatever the machine has."""
+        monkeypatch.setattr(trainer, "_cpus", lambda: 2)
+        pids, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
+
+    @staticmethod
+    def outcome(ds, config, seeds):
+        """The text of each seed yielded, then the divergence epoch or None."""
+        texts = []
+        try:
+            for net, history in train_seeds(ds, config, seeds):
+                texts.append(network_text(net) + history_to_csv(history))
+        except TrainingDivergedError as exc:
+            return texts, exc.epoch
+        return texts, None
+
+    def serial(self, monkeypatch, ds, config, seeds):
+        with monkeypatch.context() as m:
+            m.delattr(os, "fork")
+            return self.outcome(ds, config, seeds)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def in_child(parent: int, act):
+        """`_train_lockstep`, with ``act()`` run first in the child only."""
+        lockstep = trainer._train_lockstep
+
+        def patched(*args):
+            if os.getpid() != parent:
+                act()
+            return lockstep(*args)
+
+        return patched
+
+    @pytest.mark.parametrize("seeds", [(1, 2, 3, 4, 5), (1, 2)], ids=["5-seeds", "2-seeds"])
+    def test_split_sweep_has_the_serial_bits(self, monkeypatch, forks, seeds):
+        ds, config = gen_boolean(530, seed=3), TrainConfig(epochs=3)
+        split = self.outcome(ds, config, seeds)
+        assert len(forks) == 1
+        assert split == self.serial(monkeypatch, ds, config, seeds)
+        assert len(split[0]) == len(seeds) and split[1] is None
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "make, seeds, yielded, epoch",
+        [(_separable, (3, 15, 12), 2, 2), (lambda: gen_boolean(300, seed=3), (5, 7, 11, 0), 3, 1)],
+        ids=["lone-child-seed", "child-second-seed"],
+    )
+    def test_divergence_in_the_child_half(self, monkeypatch, forks, make, seeds, yielded, epoch):
+        split = self.outcome(make(), _EDGE, seeds)
+        assert len(forks) == 1
+        assert split == self.serial(monkeypatch, make(), _EDGE, seeds)
+        assert (len(split[0]), split[1]) == (yielded, epoch)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("seeds", [(0, 3, 15), (3, 0, 15, 12)], ids=["first", "second"])
+    def test_divergence_in_the_parent_half_kills_the_child(self, monkeypatch, forks, seeds):
+        """No seed of the child's is yielded, so the child is killed, not waited for."""
+        monkeypatch.setattr(trainer, "_train_lockstep",
+                            self.in_child(os.getpid(), lambda: time.sleep(60)))
+        statuses, waitpid = [], os.waitpid
+
+        def recorded_waitpid(*args):
+            statuses.append(waitpid(*args))
+            return statuses[-1]
+
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        start = time.monotonic()
+        split = self.outcome(_separable(), _EDGE, seeds)
+        assert time.monotonic() - start < 30
+        assert [pid for pid, _ in statuses] == forks and len(forks) == 1
+        status = statuses[0][1]
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        monkeypatch.undo()
+        assert split == self.serial(monkeypatch, _separable(), _EDGE, seeds)
+        assert split[1] == 1
+        self.assert_no_child_left()
+
+    def test_an_exception_in_the_child_is_raised_in_the_parent(self, monkeypatch, forks):
+        def fail():
+            raise ChildFailure("the child's half failed")
+
+        monkeypatch.setattr(trainer, "_train_lockstep", self.in_child(os.getpid(), fail))
+        with pytest.raises(ChildFailure, match="the child's half failed"):
+            self.outcome(gen_boolean(530, seed=3), TrainConfig(epochs=1), (1, 2, 3))
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
+    def test_a_child_that_ends_without_its_result_is_an_error(self, monkeypatch, forks):
+        monkeypatch.setattr(trainer, "_train_lockstep",
+                            self.in_child(os.getpid(), lambda: os._exit(3)))
+        with pytest.raises(RuntimeError, match=r"without its result \(wait status 768\)"):
+            self.outcome(gen_boolean(530, seed=3), TrainConfig(epochs=1), (1, 2))
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
+    def test_an_interrupt_in_the_parent_kills_the_child(self, monkeypatch, forks):
+        parent, lockstep = os.getpid(), trainer._train_lockstep
+
+        def patched(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return lockstep(*args)
+
+        monkeypatch.setattr(trainer, "_train_lockstep", patched)
+        with pytest.raises(KeyboardInterrupt):
+            self.outcome(gen_boolean(530, seed=3), TrainConfig(epochs=1), (1, 2))
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
+    def test_the_child_runs_no_exit_handler_and_flushes_no_stdout(self, tmp_path):
+        """A line held in the stdout buffer at the fork, and an atexit line, print once."""
+        script = (
+            "import atexit\n"
+            "from relu_prism import TrainConfig, gen_boolean, train_seeds\n"
+            "atexit.register(print, 'exit')\n"
+            "print('before')\n"
+            "nets = list(train_seeds(gen_boolean(530, seed=3), TrainConfig(epochs=1), (1, 2)))\n"
+            "print(len(nets))\n"
+        )
+        src = str(Path(trainer.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        env.pop("PYTHONUNBUFFERED", None)
+        printed = tmp_path / "stdout.txt"
+        with open(printed, "wb") as stdout:
+            proc = subprocess.run([sys.executable, "-c", script], stdout=stdout,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert printed.read_text() == "before\n2\nexit\n"
+
+    @pytest.mark.parametrize("case", ["one-seed", "one-cpu", "two-threads"])
+    def test_stays_in_one_process(self, monkeypatch, forks, case):
+        ds, config = gen_boolean(530, seed=3), TrainConfig(epochs=1)
+        seeds = (1,) if case == "one-seed" else (1, 2)
+        if case == "one-cpu":
+            monkeypatch.setattr(trainer, "_cpus", lambda: 1)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        if case == "two-threads":
+            thread.start()
+        try:
+            got = self.outcome(ds, config, seeds)
+        finally:
+            done.set()
+            if case == "two-threads":
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert got == self.serial(monkeypatch, ds, config, seeds)
 
 def _signed_zero_dataset() -> Dataset:
     """Boolean rows in pairs: each odd row is the row before it with -0.0 for 0.0."""
