@@ -285,7 +285,10 @@ def jacobian_check(net: Network, u, h: float = 1e-4) -> JacobianReport:
     partial collapse through unit i's layer, taken before unit i's own mask.
     The distance from u to the region's boundary is r = min |z_i| / ||g_i||
     over the units with g_i != 0, and the check is skipped exactly when h >= r.
-    Omega is the last layer times the sweep's final masked partial collapse.
+    Each ||g_i|| is taken scaled, as m ||g_i / m|| with m = max |g_ij|, so no
+    square overflows; a norm beyond the float range is infinite, without a
+    warning. Omega is the last layer times the sweep's final masked partial
+    collapse.
     """
     if not 0.0 < h < np.inf:
         raise InputError(f"step h must be positive and finite, got {h}")
@@ -293,9 +296,11 @@ def jacobian_check(net: Network, u, h: float = 1e-4) -> JacobianReport:
     partial, radius = np.eye(net.input_dim), np.inf
     for layer, z in zip(net.layers[:-1], trace.preactivations):
         g = layer.weight @ partial
-        norms = np.linalg.norm(g, axis=1)
-        live = norms > 0.0
-        radius = min(radius, (np.abs(z[live]) / norms[live]).min(initial=np.inf))
+        scale = np.abs(g).max(axis=1, initial=0.0)
+        live = scale > 0.0
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(g[live] / scale[live, None], axis=1) * scale[live]
+        radius = min(radius, (np.abs(z[live]) / norms).min(initial=np.inf))
         partial = g * (z > 0.0)[:, None]
     if h >= radius:
         return JacobianReport(max_row_err=None, skipped=True)

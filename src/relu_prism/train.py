@@ -248,10 +248,10 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
 
     Returns each layer's weights (S, out, in) and biases (S, out), the
     per-epoch losses and accuracies (epochs, S), and, by position in
-    ``seeds``, the first epoch in which each diverged seed's batch loss went
-    non-finite. A diverged seed trains on with non-finite weights, which
-    touch no other seed; training stops early only when the first seed of
-    ``seeds`` diverges, as no other seed's result is then used.
+    ``seeds``, the first epoch in which each diverged seed's batch loss or
+    epoch loss went non-finite. A diverged seed trains on with non-finite
+    weights, which touch no other seed; training stops early only when the
+    first seed of ``seeds`` diverges, as no other seed's result is then used.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     S, n, d = len(rngs), dataset.n_rows, dataset.n_features
@@ -297,6 +297,17 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
     losses = np.empty((config.epochs, S))
     accuracies = np.empty((config.epochs, S))
     diverged: dict[int, int] = {}
+
+    def diverges(loss) -> bool:
+        """Record each seed whose ``loss`` is not finite; True once the first seed's is not."""
+        # A lone seed's loss is a scalar; the largest of several losses is
+        # non-finite exactly when one of them is.
+        if math.isfinite(loss if S == 1 else loss.max()):
+            return False
+        for s in np.flatnonzero(~np.isfinite(loss)).tolist():
+            diverged.setdefault(s, epoch)
+        return 0 in diverged
+
     # errstate: a diverged seed's weights overflow on every later step.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
@@ -309,13 +320,8 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
                     Ws, bs, np.take(X_all, index, axis=0), np.take(t_all, index),
                     config, reg, grads,
                 )
-                # A lone seed's loss is a scalar; the largest of several
-                # losses is non-finite exactly when one of them is.
-                if not math.isfinite(loss if S == 1 else loss.max()):
-                    for s in np.flatnonzero(~np.isfinite(loss)).tolist():
-                        diverged.setdefault(s, epoch)
-                    if 0 in diverged:
-                        return seed_Ws, seed_bs, losses, accuracies, diverged
+                if diverges(loss):
+                    return seed_Ws, seed_bs, losses, accuracies, diverged
                 epoch_loss = epoch_loss + loss * index.shape[-1]
                 step += 1
                 corr1 = 1.0 - beta1**step
@@ -336,6 +342,9 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
                 upd /= denom
                 params -= upd
             losses[epoch - 1] = epoch_loss / n
+            # Finite batch losses can still sum past the float range.
+            if diverges(epoch_loss / n):
+                return seed_Ws, seed_bs, losses, accuracies, diverged
             for s in range(S):
                 layers = ((W[s], b[s]) for W, b in zip(seed_Ws, seed_bs))
                 for logits in _preactivations(layers, X_distinct):

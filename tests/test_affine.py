@@ -345,6 +345,24 @@ class TestJacobianCheck:
         if not skipped:
             assert report.max_row_err <= 1e-8
 
+    def test_huge_weight_on_a_never_active_unit_keeps_the_region(self):
+        """Unit 0's g = (-1e308, 0) squares past the float range; taken scaled, r = 1.
+
+        At u = (1, 1) unit 0 sits at z = -1e308 - 1 and never fires; unit 1
+        sits at z = 1 with g = (0, 1). So r = 1 >> h, and the probe is made.
+        """
+        first = Layer([[-1e308, 0.0], [0.0, 1.0]], [-1.0, 0.0])
+        net = Network((first, Layer([[1.0, 1.0]], [0.0])))
+        report = jacobian_check(net, [1.0, 1.0], h=1e-4)
+        assert not report.skipped
+        assert report.max_row_err <= 1e-8
+
+    def test_norm_beyond_the_float_range_is_infinite(self):
+        """g = (1e308,) * 4 has ||g|| = 2e308 > the largest float: r = 0, without a warning."""
+        net = Network((Layer([[1e308] * 4], [1.0]), Layer([[1.0]], [0.0])))
+        report = jacobian_check(net, [0.0] * 4, h=1e-4)
+        assert report.skipped and report.max_row_err is None
+
     def test_linear_net_checks_anywhere(self, rng):
         net = Network((Layer([[3.0, -2.0]], [1.0]),))
         for u in ([0.0, 0.0], [1e-9, 0.0], [5.0, -5.0]):

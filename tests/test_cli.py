@@ -178,6 +178,17 @@ class TestSimulate:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
+    def test_epoch_loss_past_the_float_range_exits_three(self, tmp_path, capsys):
+        """Each batch loss is finite, but their sum over the epoch is not: no partial run."""
+        out = tmp_path / "run"
+        code = main(["simulate", "--n", "300", "--seeds", "1..2", "--epochs", "1",
+                     "--reg", "1e308", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert (captured.out, captured.err) == (
+            "", "error: training diverged with non-finite loss at epoch 1\n")
+        assert not out.exists()
+
     def test_negative_seed_flag_is_refused_by_its_name(self, tmp_path, capsys):
         out = tmp_path / "run"
         err = assert_rejected(
@@ -240,6 +251,17 @@ class TestRerun:
         path.write_text("{broken")
         assert main(["rerun", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", [["verify"], {"verify": 1}, 3])
+    def test_manifest_command_of_wrong_type_exits_two(self, tmp_path, capsys, command):
+        """A command that is not a string is refused by name, not hashed into a TypeError."""
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"version": __version__, "command": command, "args": {},
+                                    "input_hashes": {}}))
+        out = tmp_path / "again"
+        capsys.readouterr()
+        err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+        assert err == f"error: manifest names unknown command {command!r}\n", err
+
     def test_bad_seed_list_in_manifest_exits_two(self, tmp_path, capsys):
         run = tmp_path / "run"
         assert main(simulate_args(run)) == 0
@@ -281,8 +303,8 @@ class TestRerun:
             "simulate": {"n": "abc", "epochs": 1.5, "lr": "0.01", "data_seed": None,
                          "batch_size": True, "hidden": [4, "2"], "normalization": "none",
                          "tol": [1e-6]},
-            "verify": {"net": None, "clusters": 3, "jacobian_samples": 1.0,
-                       "jacobian_step": "1e-4", "seed": "0"},
+            "verify": {"net": None, "data": 7, "clusters": 3, "jacobian_step": "1e-4",
+                       "jacobian_tol": True},
             "titanic": {"csv": 1, "test_fraction": "0", "cluster_on": "everyone",
                         "split_seed": 0.5, "hidden": []},
         }
@@ -324,9 +346,9 @@ class TestRerun:
             ("titanic", {"test_fraction": 0.25, "split_seed": -1},
              ["--test-fraction=0.25", "--split-seed=-1"], None),
             ("titanic", {"seeds": [-1]}, ["--seeds=-1"], None),
-            ("verify", {"seed": -1}, ["--seed=-1"], None),
-            ("verify", {"seed": -2}, [], "-2"),
-            ("verify", {"jacobian_samples": -1}, ["--jacobian-samples=-1"], None),
+            ("verify", {"jacobian_step": -1e-4}, ["--jacobian-step=-1e-4"], None),
+            ("verify", {"tol": 0.0}, ["--tol=0"], None),
+            ("verify", {"jacobian_tol": 0.0}, ["--jacobian-tol=0"], None),
             ("verify", {"jacobian_step": 0.0}, ["--jacobian-step=0"], None),
             ("verify", {"tol": -1.0}, ["--tol=-1"], None),
             ("verify", {"jacobian_tol": -1.0}, ["--jacobian-tol=-1"], None),
@@ -368,7 +390,7 @@ class TestRerun:
         assert f"--{key.replace('_', '-')} ({key!r}) must be " in from_manifest, from_manifest
         if env is not None:
             assert from_flags == f"error: RELU_PRISM_SEED must be {cli._SEED[0]}, got {env!r}\n"
-        elif command != "verify" and flags[-1].startswith("--seed="):
+        elif flags[-1].startswith("--seed="):
             assert from_flags == f"error: --seed must be {cli._SEED[0]}, got {args['seeds'][0]}\n"
         else:
             assert from_flags == from_manifest
@@ -584,26 +606,28 @@ class TestVerify:
             assert not (tmp_path / "v").exists()
 
     def test_bad_jacobian_step_exits_two(self, run_dir, tmp_path, capsys):
-        # checked up front, even when no sample would use the step
+        (run_dir / "clusters.json").write_text("[")  # would be a schema error if parsed
         out = tmp_path / "v"
         for value in ("nan", "inf", "0", "-1e-4"):
             capsys.readouterr()
-            assert_rejected(
+            err = assert_rejected(
                 ["verify", "--net", str(run_dir / "network.json"),
-                 "--data", str(run_dir / "dataset.csv"), "--jacobian-samples", "0",
+                 "--data", str(run_dir / "dataset.csv"),
                  f"--jacobian-step={value}", "--out", str(out)],
                 out, capsys,
             )
+            assert "--jacobian-step" in err, err
 
-    def test_negative_jacobian_samples_exits_two(self, run_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [["--seed", "1"], ["--jacobian-samples", "5"]])
+    def test_retired_probe_flags_are_unrecognized(self, run_dir, tmp_path, capsys, flags):
+        """The probe rows are fixed: no seed or sample count chooses them."""
         capsys.readouterr()
-        out = tmp_path / "v"
-        assert_rejected(
-            ["verify", "--net", str(run_dir / "network.json"),
-             "--data", str(run_dir / "dataset.csv"),
-             "--jacobian-samples", "-1", "--out", str(out)],
-            out, capsys,
-        )
+        with pytest.raises(SystemExit) as exited:
+            main(["verify", "--net", str(run_dir / "network.json"),
+                  "--data", str(run_dir / "dataset.csv"), *flags, "--out", str(tmp_path / "v")])
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "v").exists()
 
     def assert_stored_map_rejected(self, run_dir, tmp_path, capsys, key, value):
         doc = json.loads((run_dir / "clusters.json").read_text())
@@ -693,6 +717,34 @@ class TestVerify:
             )
         assert f"row {bad[0]} " in err, err
 
+    def test_huge_weight_on_a_never_active_unit_is_probed_without_a_warning(
+        self, run_dir, tmp_path, capsys
+    ):
+        """A weight of -1e308 would overflow an unscaled ||g||, and every probe would skip.
+
+        Unit 0 never fires: its bias is -100. Where the huge weight's input is
+        0, the unit's boundary lies within 1e-306 of the row, and the probe is
+        skipped; where it is 1, the row lies 1e308 deep in the unit's region.
+        The stored clusters were made with the old weights, so verify fails.
+        """
+        net_doc = json.loads((run_dir / "network.json").read_text())
+        net_doc["layers"][0]["w"][0][0] = -1e308
+        net_doc["layers"][0]["b"][0] = -100.0
+        (run_dir / "network.json").write_text(json.dumps(net_doc))
+        X = read_dataset_csv(run_dir / "dataset.csv").features
+        probed = X[[i * len(X) // 100 for i in range(100)], 0]
+        out = tmp_path / "v"
+        capsys.readouterr()
+        assert main(["verify", "--net", str(run_dir / "network.json"),
+                     "--data", str(run_dir / "dataset.csv"), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        doc = json.loads((out / "verify.json").read_text())
+        assert doc["affine"]["pass"] and not doc["clusters"]["pass"]
+        jacobian = doc["jacobian"]
+        assert jacobian["pass"] and jacobian["max_row_err"] < 1e-6
+        assert (jacobian["checked"], jacobian["skipped"]) == (
+            int((probed == 1).sum()), int((probed == 0).sum()))
+
     def test_json_writer_refuses_non_finite_numbers(self, tmp_path):
         path = tmp_path / "doc.json"
         for value in (float("nan"), float("inf")):
@@ -726,6 +778,62 @@ class TestVerify:
             ["verify", "--net", str(tmp_path / "no.json"),
              "--data", str(tmp_path / "no.csv"), "--out", str(tmp_path / "v")]
         ) == 2
+
+
+class TestVerifyReadsOnlyItsFiles:
+    """verify draws nothing at random: its output follows from its files and flags."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("probed") / "run"
+        assert main(simulate_args(out, n=250)) == 0
+        return out
+
+    def verify_args(self, run_dir, out):
+        return ["verify", "--net", str(run_dir / "network.json"),
+                "--data", str(run_dir / "dataset.csv"), "--out", str(out)]
+
+    def test_output_does_not_follow_the_seed_variable(self, run_dir, tmp_path, capsys,
+                                                      monkeypatch):
+        printed = []
+        for seed in ("0", "7"):
+            monkeypatch.setenv("RELU_PRISM_SEED", seed)
+            capsys.readouterr()
+            assert main(self.verify_args(run_dir, tmp_path / seed)) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+        assert (tmp_path / "0" / "verify.json").read_bytes() == (
+            tmp_path / "7" / "verify.json").read_bytes()
+
+    def test_probes_rows_spread_evenly_from_the_first(self, run_dir, tmp_path, monkeypatch):
+        probed, real_check = [], cli.jacobian_check
+
+        def recording_check(net, u, h):
+            probed.append(np.array(u))
+            return real_check(net, u, h=h)
+
+        monkeypatch.setattr(cli, "jacobian_check", recording_check)
+        assert main(self.verify_args(run_dir, tmp_path / "v")) == 0
+        X = read_dataset_csv(run_dir / "dataset.csv").features
+        n, k = 250, 100
+        rows = [i * n // k for i in range(k)]
+        assert rows[:5] == [0, 2, 5, 7, 10] and rows == sorted(set(rows))
+        np.testing.assert_array_equal(np.array(probed), X[rows])
+        jacobian = json.loads((tmp_path / "v" / "verify.json").read_text())["jacobian"]
+        assert jacobian["samples"] == k == jacobian["checked"] + jacobian["skipped"]
+
+    def test_verify_does_not_import_numpy_random(self, run_dir, tmp_path):
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        script = (
+            "import sys\n"
+            "from relu_prism.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+        )
+        argv = [sys.executable, "-c", script, *self.verify_args(run_dir, tmp_path / "v")]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.stderr == "0 False\n"
 
 
 class TestStoredClustersInBulk:
@@ -1187,6 +1295,37 @@ def test_split_sweep_prints_each_line_once_and_writes_the_serial_bytes(
     assert capsys.readouterr().out == printed.read_text()
     for name in RUN_FILES:
         assert (split / name).read_bytes() == (serial / name).read_bytes(), name
+
+
+def test_run_bytes_do_not_follow_blas_threads_or_fork(tmp_path):
+    """simulate and its verify under one and two BLAS threads, and without os.fork.
+
+    Every artifact and stdout is byte-compared; the verify manifest is left
+    out, as it records the paths of its inputs.
+    """
+    src = str(Path(cli.__file__).parents[1])
+    script = (
+        "import os, sys\n"
+        "from relu_prism.cli import main\n"
+        "if sys.argv[1] == 'no-fork':\n"
+        "    del os.fork\n"
+        "run, checked = sys.argv[2:]\n"
+        "sys.exit(main(['simulate', '--n', '400', '--epochs', '3', '--seeds', '1..2',\n"
+        "               '--out', run])\n"
+        "         or main(['verify', '--net', os.path.join(run, 'network.json'),\n"
+        "                  '--data', os.path.join(run, 'dataset.csv'), '--out', checked]))\n"
+    )
+    seen = {}
+    for way, threads in (("one-thread", "1"), ("two-threads", "2"), ("no-fork", "2")):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run, checked = tmp_path / way / "run", tmp_path / way / "v"
+        proc = subprocess.run([sys.executable, "-c", script, way, str(run), str(checked)],
+                              capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b""), (way, proc.stderr)
+        seen[way] = {"stdout": proc.stdout, "verify.json": (checked / "verify.json").read_bytes(),
+                     **{name: (run / name).read_bytes() for name in RUN_FILES}}
+    assert seen["one-thread"] == seen["two-threads"] == seen["no-fork"]
 
 
 def test_simulate_and_verify_do_not_import_numpy_ma(tmp_path):
