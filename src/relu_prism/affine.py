@@ -286,29 +286,31 @@ def jacobian_check(net: Network, u, h: float = 1e-4) -> JacobianReport:
     The distance from u to the region's boundary is r = min |z_i| / ||g_i||
     over the units with g_i != 0, and the check is skipped exactly when h >= r.
     Each ||g_i|| is taken scaled, as m ||g_i / m|| with m = max |g_ij|, so no
-    square overflows; a norm beyond the float range is infinite, without a
-    warning. Omega is the last layer times the sweep's final masked partial
-    collapse.
+    square overflows. A row of g with a non-finite entry, or whose norm is
+    beyond the float range, gives its unit r = 0. Finite weights can still
+    overflow in the products; the check runs without a warning. Omega is the
+    last layer times the sweep's final masked partial collapse.
     """
     if not 0.0 < h < np.inf:
         raise InputError(f"step h must be positive and finite, got {h}")
-    trace = forward_trace(net, u)
-    partial, radius = np.eye(net.input_dim), np.inf
-    for layer, z in zip(net.layers[:-1], trace.preactivations):
-        g = layer.weight @ partial
-        scale = np.abs(g).max(axis=1, initial=0.0)
-        live = scale > 0.0
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = forward_trace(net, u)
+        partial, radius = np.eye(net.input_dim), np.inf
+        for layer, z in zip(net.layers[:-1], trace.preactivations):
+            g = layer.weight @ partial
+            scale = np.abs(g).max(axis=1, initial=0.0)
+            live = scale != 0.0  # a NaN entry makes a NaN scale, and its row live
             norms = np.linalg.norm(g[live] / scale[live, None], axis=1) * scale[live]
-        radius = min(radius, (np.abs(z[live]) / norms).min(initial=np.inf))
-        partial = g * (z > 0.0)[:, None]
-    if h >= radius:
-        return JacobianReport(max_row_err=None, skipped=True)
-    omega = net.layers[-1].weight @ partial
-    u = np.asarray(u, dtype=np.float64)
-    d = net.input_dim
-    steps = np.vstack([np.eye(d) * h, -np.eye(d) * h])
-    logits, _ = forward_batch(net, u[None, :] + steps)
-    fd = (logits[:d] - logits[d:]) / (2.0 * h)  # (d, q)
-    err = float(np.abs(fd.T - omega).max())
+            radii = np.where(np.isfinite(norms), np.abs(z[live]) / norms, 0.0)
+            radius = min(radius, radii.min(initial=np.inf))
+            partial = g * (z > 0.0)[:, None]
+        if h >= radius:
+            return JacobianReport(max_row_err=None, skipped=True)
+        omega = net.layers[-1].weight @ partial
+        u = np.asarray(u, dtype=np.float64)
+        d = net.input_dim
+        steps = np.vstack([np.eye(d) * h, -np.eye(d) * h])
+        logits, _ = forward_batch(net, u[None, :] + steps)
+        fd = (logits[:d] - logits[d:]) / (2.0 * h)  # (d, q)
+        err = float(np.abs(fd.T - omega).max())
     return JacobianReport(max_row_err=err, skipped=False)

@@ -18,6 +18,7 @@ stdout closed by its reader (the shell's status for SIGPIPE).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -51,27 +52,11 @@ EXIT_INPUT = 2
 EXIT_DIVERGED = 3
 EXIT_PIPE = 141
 
-SEED_ENV_VAR = "RELU_PRISM_SEED"
-
 # Which equally-good solution training lands in depends on the interaction of
 # the data draw with the shuffle stream. This dataset seed makes the default
 # sweep land in the canonical three-cluster solution: one all-inactive
 # constant cluster plus one cluster per conjunction of the target formula.
 DEFAULT_DATA_SEED = 5
-
-
-def _default_seed() -> int:
-    """$RELU_PRISM_SEED, or 0 if it is unset; a bad value is refused under its own name."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        seed = int(raw)
-    except ValueError:
-        seed = None
-    if not _is_seed(seed):
-        raise InputError(f"{SEED_ENV_VAR} must be {_SEED[0]}, got {raw!r}")
-    return seed
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -83,7 +68,7 @@ def parse_seeds(text: str) -> list[int]:
             seeds = list(range(int(lo_text), int(hi_text) + 1))
         else:
             seeds = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise InputError(f"cannot parse seeds {text!r}")
     if not seeds:
         raise InputError(f"no seeds in {text!r}")
@@ -496,10 +481,6 @@ def _is_int(value) -> bool:
     return type(value) is int
 
 
-def _is_seed(value) -> bool:
-    return _is_int(value) and value >= 0
-
-
 def _is_number(value) -> bool:
     return _is_int(value) or (type(value) is float and math.isfinite(value))
 
@@ -513,20 +494,25 @@ def _one_of(choices: tuple) -> tuple:
     return f"one of {', '.join(choices)}", lambda v: v in choices
 
 
+# The largest count of rows, epochs, batch rows or hidden units. A count
+# beyond it is refused before any work: numpy cannot shape an array of
+# 2**63 entries, and one of 2**31 rows of ten features would hold 160 GiB.
+_MAX_COUNT = 2**31 - 1
+
 # An argument kind: (description, predicate). ``type(v) is int``, not
 # isinstance, so that a JSON ``true`` is not taken for 1.
-_SEED = ("a non-negative integer", _is_seed)
-_COUNT = ("a positive integer", lambda v: _is_int(v) and v > 0)
+_SEED = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
+_COUNT = (f"an integer in [1, {_MAX_COUNT}]", lambda v: _is_int(v) and 0 < v <= _MAX_COUNT)
 _POSITIVE = ("a positive finite number", lambda v: _is_number(v) and v > 0)
 _NON_NEGATIVE = ("a non-negative finite number", lambda v: _is_number(v) and v >= 0)
 _FRACTION = ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1)
 # An input file's path; ``_params`` records it absolute.
 _PATH = ("a string", lambda v: type(v) is str)
 _PATH_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)
-_COUNTS = _list_of("positive integers", _COUNT[1])
+_COUNTS = _list_of(f"integers in [1, {_MAX_COUNT}]", _COUNT[1])
 _SEEDS = (
     "a non-empty list of distinct non-negative integers",
-    lambda v: type(v) is list and bool(v) and all(map(_is_seed, v)) and len(set(v)) == len(v),
+    lambda v: type(v) is list and bool(v) and all(map(_SEED[1], v)) and len(set(v)) == len(v),
 )
 
 # The one contract for each command's arguments, on the command line and in
@@ -605,9 +591,7 @@ def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--batch-size", type=int, default=100)
     sub.add_argument("--reg", type=float, default=0.02, help="activity regularizer coefficient")
     sub.add_argument("--hidden", default="4,2", help="hidden widths, e.g. 4,2")
-    seed_group = sub.add_mutually_exclusive_group()
-    seed_group.add_argument("--seed", type=int, help=f"single seed (default ${SEED_ENV_VAR} or 0)")
-    seed_group.add_argument("--seeds", help="sweep, e.g. 1..5 or 0,3,7; best run kept")
+    sub.add_argument("--seeds", default="0", help="seeds, e.g. 3, 1..5 or 0,3,7; best run kept")
     sub.add_argument(
         "--normalization", choices=NORMALIZATIONS, default="raw",
         help="importance weight scaling in reports",
@@ -623,15 +607,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    # Flags are matched whole: the retired --seed is not read as --seeds.
+    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    sim = subs.add_parser("simulate", help="Boolean simulation experiment")
+    sim = add_parser("simulate", help="Boolean simulation experiment")
     sim.add_argument("--n", type=int, default=100_000, help="sample count")
     sim.add_argument(
         "--data-seed", type=int, default=DEFAULT_DATA_SEED, help="dataset generation seed"
     )
     _add_train_flags(sim)
 
-    tit = subs.add_parser("titanic", help="Titanic tabular experiment")
+    tit = add_parser("titanic", help="Titanic tabular experiment")
     tit.add_argument("--csv", required=True, help="Kaggle-format train csv")
     tit.add_argument("--test-fraction", type=float, default=0.0,
                      help="held-out fraction; 0 trains on all rows")
@@ -639,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     tit.add_argument("--cluster-on", choices=_CLUSTER_ON, default="train")
     _add_train_flags(tit)
 
-    ver = subs.add_parser("verify", help="audit saved network/dataset artifacts")
+    ver = add_parser("verify", help="audit saved network/dataset artifacts")
     ver.add_argument("--net", required=True, help="network JSON path")
     ver.add_argument("--data", required=True, help="dataset csv path")
     ver.add_argument("--tol", type=float, default=1e-6)
@@ -649,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--jacobian-tol", type=float, default=1e-4)
     ver.add_argument("--out", required=True, help="artifact directory")
 
-    rer = subs.add_parser("rerun", help="re-execute a run from its manifest")
+    rer = add_parser("rerun", help="re-execute a run from its manifest")
     rer.add_argument("manifest", help="manifest.json of a previous run")
     rer.add_argument("--out", required=True, help="artifact directory")
     return parser
@@ -662,8 +648,7 @@ def _params(args) -> dict:
     paths are made absolute, so that a rerun from another directory reads the
     same files; only ``seeds`` and ``hidden``, or ``clusters`` for verify, are
     normalized otherwise. The values are checked by ``_check_params``, as a
-    manifest's are, but for a single seed from ``--seed`` or $RELU_PRISM_SEED:
-    it is checked as it is read, so that a refusal names where it came from.
+    manifest's are.
     """
     keys = _PARAM_KEYS[args.command]
     params = {key: getattr(args, key) for key in keys}
@@ -671,14 +656,7 @@ def _params(args) -> dict:
         if kind in (_PATH, _PATH_OR_NULL) and params[key] is not None:
             params[key] = str(Path(params[key]).absolute())
     if args.command != "verify":
-        if args.seeds:
-            params["seeds"] = parse_seeds(args.seeds)
-        elif args.seed is None:
-            params["seeds"] = [_default_seed()]
-        elif _is_seed(args.seed):
-            params["seeds"] = [args.seed]
-        else:
-            raise InputError(f"--seed must be {_SEED[0]}, got {args.seed!r}")
+        params["seeds"] = parse_seeds(args.seeds)
         params["hidden"] = parse_hidden(args.hidden)
         return params
     if args.no_clusters:
@@ -718,6 +696,10 @@ def main(argv=None) -> int:
         return EXIT_DIVERGED
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        # numpy's names the allocation that failed; a bare one says nothing.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -363,6 +363,22 @@ class TestJacobianCheck:
         report = jacobian_check(net, [0.0] * 4, h=1e-4)
         assert report.skipped and report.max_row_err is None
 
+    def test_partial_collapse_past_the_float_range_skips(self):
+        """Weights 1e200, 1e200, 1 at u = 1e-300: z stays finite, but g of unit 2 is 1e400.
+
+        That row of g is not finite, so its unit's r is 0 and the probe is
+        skipped, without a warning from the product or the norm.
+        """
+        net = Network(tuple(Layer([[w]], [0.0]) for w in (1e200, 1e200, 1.0)))
+        report = jacobian_check(net, [1e-300], h=1e-4)
+        assert report.skipped and report.max_row_err is None
+
+    def test_preactivation_past_the_float_range_is_probed_without_a_warning(self):
+        """At u = 1e200 unit 1 sits at z = -1e400, read as -inf: off, and the logit is 0."""
+        net = Network(tuple(Layer([[w]], [0.0]) for w in (-1e200, 1e200, 1.0)))
+        report = jacobian_check(net, [1e200], h=1e-4)
+        assert not report.skipped and report.max_row_err == 0.0
+
     def test_linear_net_checks_anywhere(self, rng):
         net = Network((Layer([[3.0, -2.0]], [1.0]),))
         for u in ([0.0, 0.0], [1e-9, 0.0], [5.0, -5.0]):

@@ -92,7 +92,7 @@ class TestArgParsing:
         """Every flag but --out, and those folded into another key, is a manifest arg."""
         (subs,) = [a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)]
-        folded = {"simulate": {"seed"}, "titanic": {"seed"}, "verify": {"no_clusters"}}
+        folded = {"simulate": set(), "titanic": set(), "verify": {"no_clusters"}}
         for command, keys in _PARAM_KEYS.items():
             dests = {a.dest for a in subs.choices[command]._actions
                      if not isinstance(a, argparse._HelpAction)}
@@ -135,12 +135,25 @@ class TestSimulate:
         assert manifest["args"]["hidden"] == [4, 2]
         assert "dataset" in manifest["input_hashes"]
 
-    def test_env_var_supplies_default_seed(self, tmp_path, monkeypatch):
+    def test_run_without_seeds_records_seed_zero(self, tmp_path, monkeypatch):
+        """--seeds is the one seed input: the retired variable is not read."""
         monkeypatch.setenv("RELU_PRISM_SEED", "7")
         out = tmp_path / "run"
-        main(["simulate", "--n", "200", "--epochs", "1", "--out", str(out)])
+        assert main(["simulate", "--n", "200", "--epochs", "1", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["args"]["seeds"] == [7]
+        assert manifest["args"]["seeds"] == [0]
+
+    @pytest.mark.parametrize("command", ["simulate", "titanic"])
+    def test_retired_seed_flag_is_unrecognized(self, command, synthetic_titanic_csv, tmp_path,
+                                               capsys):
+        head = {"simulate": ["simulate"],
+                "titanic": ["titanic", "--csv", str(synthetic_titanic_csv)]}[command]
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exited:
+            main([*head, "--epochs", "1", "--seed", "1", "--out", str(out)])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unparseable_seeds_exit_two(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -149,6 +162,12 @@ class TestSimulate:
     def test_empty_seed_list_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert_rejected(simulate_args(out, extra=("--seeds", ",")), out, capsys)
+
+    def test_seed_range_past_the_index_range_exits_two(self, tmp_path, capsys):
+        """A range of 2**70 seeds has no length Python can hold."""
+        out = tmp_path / "run"
+        err = assert_rejected(simulate_args(out, extra=("--seeds", f"0..{2**70}")), out, capsys)
+        assert err == f"error: cannot parse seeds '0..{2**70}'\n"
 
     def test_negative_n_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -172,11 +191,24 @@ class TestSimulate:
     def test_divergent_learning_rate_exits_three(self, tmp_path, capsys):
         # Several steps per epoch so a post-step batch loss observes the blowup.
         code = main(
-            ["simulate", "--n", "100", "--epochs", "1", "--seed", "1",
+            ["simulate", "--n", "100", "--epochs", "1", "--seeds", "1",
              "--lr", "1e300", "--batch-size", "10", "--out", str(tmp_path / "run")]
         )
         assert code == 3
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("message, line", [
+        ("", "error: out of memory\n"),
+        ("Unable to allocate 80.0 TiB", "error: Unable to allocate 80.0 TiB\n"),
+    ])
+    def test_memory_error_during_a_run_exits_two(self, tmp_path, capsys, monkeypatch,
+                                                 message, line):
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "train_seeds", out_of_memory)
+        out = tmp_path / "run"
+        assert assert_rejected(simulate_args(out), out, capsys) == line
 
     def test_epoch_loss_past_the_float_range_exits_three(self, tmp_path, capsys):
         """Each batch loss is finite, but their sum over the epoch is not: no partial run."""
@@ -188,22 +220,6 @@ class TestSimulate:
         assert (captured.out, captured.err) == (
             "", "error: training diverged with non-finite loss at epoch 1\n")
         assert not out.exists()
-
-    def test_negative_seed_flag_is_refused_by_its_name(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        err = assert_rejected(
-            ["simulate", "--n", "200", "--epochs", "1", "--seed", "-3", "--out", str(out)],
-            out, capsys,
-        )
-        assert err == "error: --seed must be a non-negative integer, got -3\n"
-
-    def test_negative_seed_env_var_is_refused_by_its_name(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("RELU_PRISM_SEED", "-2")
-        out = tmp_path / "run"
-        err = assert_rejected(
-            ["simulate", "--n", "200", "--epochs", "1", "--out", str(out)], out, capsys
-        )
-        assert err == "error: RELU_PRISM_SEED must be a non-negative integer, got '-2'\n"
 
     def test_divergence_reports_the_first_diverging_seed_in_sweep_order(
         self, tmp_path, capsys
@@ -334,43 +350,43 @@ class TestRerun:
                     assert repr(key) in err, (manifest["command"], key, err)
 
     @pytest.mark.parametrize(
-        "command, args, flags, env",
+        "command, args, flags",
         [
-            ("simulate", {"data_seed": -1}, ["--data-seed=-1"], None),
-            ("simulate", {"seeds": [-1]}, ["--seeds=-1"], None),
-            ("simulate", {"seeds": [0, -1]}, ["--seeds=0,-1"], None),
-            ("simulate", {"seeds": [-3]}, ["--seed=-3"], None),
-            ("simulate", {"seeds": [-2]}, [], "-2"),
-            ("simulate", {"tol": 0.0}, ["--tol=0"], None),
-            ("titanic", {"test_fraction": 1.0}, ["--test-fraction=1"], None),
+            ("simulate", {"data_seed": -1}, ["--data-seed=-1"]),
+            ("simulate", {"seeds": [-1]}, ["--seeds=-1"]),
+            ("simulate", {"seeds": [0, -1]}, ["--seeds=0,-1"]),
+            ("simulate", {"tol": 0.0}, ["--tol=0"]),
+            ("titanic", {"test_fraction": 1.0}, ["--test-fraction=1"]),
             ("titanic", {"test_fraction": 0.25, "split_seed": -1},
-             ["--test-fraction=0.25", "--split-seed=-1"], None),
-            ("titanic", {"seeds": [-1]}, ["--seeds=-1"], None),
-            ("verify", {"jacobian_step": -1e-4}, ["--jacobian-step=-1e-4"], None),
-            ("verify", {"tol": 0.0}, ["--tol=0"], None),
-            ("verify", {"jacobian_tol": 0.0}, ["--jacobian-tol=0"], None),
-            ("verify", {"jacobian_step": 0.0}, ["--jacobian-step=0"], None),
-            ("verify", {"tol": -1.0}, ["--tol=-1"], None),
-            ("verify", {"jacobian_tol": -1.0}, ["--jacobian-tol=-1"], None),
-            ("simulate", {"n": 0}, ["--n=0"], None),
-            ("simulate", {"epochs": 0}, ["--epochs=0"], None),
-            ("simulate", {"batch_size": 0}, ["--batch-size=0"], None),
-            ("simulate", {"hidden": [4, 0]}, ["--hidden=4,0"], None),
-            ("simulate", {"lr": -0.1}, ["--lr=-0.1"], None),
-            ("simulate", {"reg": -1.0}, ["--reg=-1"], None),
-            ("simulate", {"seeds": [1, 1]}, ["--seeds=1,1"], None),
-            ("titanic", {"seeds": [2, 0, 2]}, ["--seeds=2,0,2"], None),
+             ["--test-fraction=0.25", "--split-seed=-1"]),
+            ("titanic", {"seeds": [-1]}, ["--seeds=-1"]),
+            ("verify", {"jacobian_step": -1e-4}, ["--jacobian-step=-1e-4"]),
+            ("verify", {"tol": 0.0}, ["--tol=0"]),
+            ("verify", {"jacobian_tol": 0.0}, ["--jacobian-tol=0"]),
+            ("verify", {"jacobian_step": 0.0}, ["--jacobian-step=0"]),
+            ("verify", {"tol": -1.0}, ["--tol=-1"]),
+            ("verify", {"jacobian_tol": -1.0}, ["--jacobian-tol=-1"]),
+            ("simulate", {"n": 0}, ["--n=0"]),
+            ("simulate", {"epochs": 0}, ["--epochs=0"]),
+            ("simulate", {"batch_size": 0}, ["--batch-size=0"]),
+            ("simulate", {"hidden": [4, 0]}, ["--hidden=4,0"]),
+            ("simulate", {"lr": -0.1}, ["--lr=-0.1"]),
+            ("simulate", {"reg": -1.0}, ["--reg=-1"]),
+            ("simulate", {"seeds": [1, 1]}, ["--seeds=1,1"]),
+            ("titanic", {"seeds": [2, 0, 2]}, ["--seeds=2,0,2"]),
+            # Counts numpy cannot shape, or that no run could hold.
+            ("simulate", {"n": 2**70}, [f"--n={2**70}"]),
+            ("simulate", {"n": 2**62}, [f"--n={2**62}"]),
+            ("simulate", {"epochs": 2**63}, [f"--epochs={2**63}"]),
+            ("simulate", {"hidden": [4, 2**70]}, [f"--hidden=4,{2**70}"]),
+            ("titanic", {"batch_size": 2**70}, [f"--batch-size={2**70}"]),
+            ("titanic", {"hidden": [cli._MAX_COUNT + 1]}, [f"--hidden={cli._MAX_COUNT + 1}"]),
         ],
     )
     def test_out_of_range_arg_is_refused_alike_on_both_paths(
-        self, manifests, synthetic_titanic_csv, tmp_path, capsys, monkeypatch,
-        command, args, flags, env,
+        self, manifests, synthetic_titanic_csv, tmp_path, capsys, command, args, flags,
     ):
-        """One check, one message, whether the value comes from a flag or a manifest.
-
-        A lone seed from --seed or $RELU_PRISM_SEED folds into the seeds key,
-        so on the command line its message names the flag or the variable.
-        """
+        """One check, one message, whether the value comes from a flag or a manifest."""
         (manifest,) = [m for m in manifests if m["command"] == command]
         if command == "simulate":
             base = ["simulate", "--n", "400", "--epochs", "3"]
@@ -378,8 +394,6 @@ class TestRerun:
             base = ["titanic", "--csv", str(synthetic_titanic_csv), "--epochs", "1"]
         else:
             base = ["verify", "--net", manifest["args"]["net"], "--data", manifest["args"]["data"]]
-        if env is not None:
-            monkeypatch.setenv("RELU_PRISM_SEED", env)
         out = tmp_path / "again"
         capsys.readouterr()
         from_flags = assert_rejected([*base, *flags, "--out", str(out)], out, capsys)
@@ -388,12 +402,7 @@ class TestRerun:
         from_manifest = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
         key = [*args][-1]
         assert f"--{key.replace('_', '-')} ({key!r}) must be " in from_manifest, from_manifest
-        if env is not None:
-            assert from_flags == f"error: RELU_PRISM_SEED must be {cli._SEED[0]}, got {env!r}\n"
-        elif flags[-1].startswith("--seed="):
-            assert from_flags == f"error: --seed must be {cli._SEED[0]}, got {args['seeds'][0]}\n"
-        else:
-            assert from_flags == from_manifest
+        assert from_flags == from_manifest
 
     def test_bad_tol_in_manifest_is_refused_before_training(self, manifests, tmp_path, capsys):
         out = tmp_path / "again"
@@ -744,6 +753,25 @@ class TestVerify:
         assert jacobian["pass"] and jacobian["max_row_err"] < 1e-6
         assert (jacobian["checked"], jacobian["skipped"]) == (
             int((probed == 1).sum()), int((probed == 0).sum()))
+
+    def test_partial_collapse_past_the_float_range_is_skipped_without_a_warning(
+        self, tmp_path, capsys
+    ):
+        """1 -> 1 -> 1 -> 1 with weights 1e200, 1e200, 1: g of unit 2 is 1e400.
+
+        The forward pass at 1e-300 stays finite, but the collapse does not, so
+        the probe is skipped and the affine error, infinite, is refused.
+        """
+        net = Network(tuple(Layer([[w]], [0.0]) for w in (1e200, 1e200, 1.0)))
+        save_network(net, tmp_path / "network.json")
+        (tmp_path / "dataset.csv").write_text("x0,target\n1e-300,1\n")
+        capsys.readouterr()
+        assert main(["verify", "--net", str(tmp_path / "network.json"),
+                     "--data", str(tmp_path / "dataset.csv"), "--no-clusters",
+                     "--out", str(tmp_path / "v")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: verify.json would hold a non-finite number"), err
+        assert err.count("\n") == 1, err
 
     def test_json_writer_refuses_non_finite_numbers(self, tmp_path):
         path = tmp_path / "doc.json"
@@ -1420,6 +1448,52 @@ GOLDEN_SHA256 = {
 }
 
 
+# SHA-256 of verify.json and of stdout for verify on two runs, recorded on
+# the platform of GOLDEN_SHA256: a small simulate run, and a random 16,8 net
+# over Gaussian rows, with its clusters, whose probes are both checked and
+# skipped.
+VERIFY_SHA256 = {
+    "simulate": {
+        "verify.json": "a1b498fc671dd48e29b9830e7955e1470ac655bbb87e4fdc7f65bd2d602807d3",
+        "stdout": "c09d8c3287a0fbbb6f687741e4b7712aabd24f246a437fd984200dc2b98e0b53",
+    },
+    "regions": {
+        "verify.json": "9a9b14cf05038eb70b518adff69d93ae9879dcd65725a6ee1666c040af562c94",
+        "stdout": "272e3166ca4aae1ea40e36fada263e625d124f4cebada75ff30a25fd811cb54a",
+    },
+}
+
+
+@pytest.mark.parametrize("source", ["simulate", "regions"])
+def test_verify_bytes_are_pinned(source, tmp_path, capsys):
+    run = tmp_path / "run"
+    if source == "simulate":
+        assert main(simulate_args(run)) == 0
+        flags = []
+    else:
+        rng = np.random.default_rng(0)
+        rows = Dataset(rng.standard_normal((300, 10)), rng.integers(0, 2, 300),
+                       [f"x{i}" for i in range(10)])
+        net = init_network(10, TrainConfig(hidden_widths=(16, 8), seed=5))
+        run.mkdir()
+        save_network(net, run / "network.json")
+        (run / "dataset.csv").write_text(dataset_to_csv(rows))
+        (run / "clusters.json").write_text(
+            json.dumps(clusters_to_json(partition(net, rows)), indent=2) + "\n")
+        flags = ["--jacobian-step", "1e-2"]
+    out = tmp_path / "v"
+    capsys.readouterr()
+    assert main(["verify", "--net", str(run / "network.json"), "--data", str(run / "dataset.csv"),
+                 *flags, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    if source == "regions":
+        jacobian = json.loads((out / "verify.json").read_text())["jacobian"]
+        assert jacobian["checked"] and jacobian["skipped"]
+    got = {"verify.json": hashlib.sha256((out / "verify.json").read_bytes()).hexdigest(),
+           "stdout": hashlib.sha256(stdout.encode()).hexdigest()}
+    assert got == VERIFY_SHA256[source]
+
+
 def golden_argv(command, csv_path, out):
     if command == "simulate":
         head = ["simulate", "--n", "2000", "--data-seed", "101"]
@@ -1453,7 +1527,7 @@ class TestSweepAccuracy:
         assert max(per_seed.values()) < 1.0
         for seed, train_accuracy in per_seed.items():
             single = tmp_path / f"seed{seed}"
-            assert main(["simulate", *size, "--seed", str(seed), "--out", str(single)]) == 0
+            assert main(["simulate", *size, "--seeds", str(seed), "--out", str(single)]) == 0
             saved = load_network(single / "network.json"), read_dataset_csv(single / "dataset.csv")
             assert train_accuracy == accuracy(*saved), seed
         saved = load_network(sweep / "network.json"), read_dataset_csv(sweep / "dataset.csv")

@@ -1,4 +1,5 @@
-"""The package runs on numpy and the standard library alone.
+"""The package runs on numpy and the standard library alone, and reads no
+environment variable.
 
 Every import in ``src/relu_prism`` is read with ``ast``, so an import behind
 a branch or inside a function is caught too, and the declared runtime
@@ -43,3 +44,24 @@ def test_numpy_is_the_only_declared_dependency():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["dependencies"] == ["numpy>=2.0"]
+
+
+# The names through which ``os`` reads the environment.
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_package_reads_no_environment_variable():
+    """A run follows from its command line and its files: no module reads os.environ."""
+    reads = [
+        f"{path.name}:{node.lineno} reads {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        for name in (
+            [node.attr] if isinstance(node, ast.Attribute)
+            else [node.id] if isinstance(node, ast.Name)
+            else [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        if name in ENVIRONMENT_READERS
+    ]
+    assert not reads, reads
