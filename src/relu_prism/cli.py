@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +39,13 @@ from .data import (
     parse_titanic_csv,
     split,
 )
-from .errors import InputError, SchemaError, TrainingDivergedError
+from .errors import ChildLostError, InputError, SchemaError, TrainingDivergedError
 from .explain import NORMALIZATIONS, feature_importance, render_report
 from .network import (
     _leaf_types, _numeric_array, bitstrings_to_masks, parse_network_json, save_network,
 )
 from .partition import _clusters, clusters_to_json
-from .train import TrainConfig, accuracy, history_to_csv, train_seeds
+from .train import TrainConfig, _fork, accuracy, history_to_csv, train_seeds
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -96,12 +97,16 @@ def _dataset_hash(dataset: Dataset) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path: Path, doc, sort_keys: bool = False) -> None:
-    """Write ``doc`` as strict JSON; a NaN or infinity is refused, not written."""
+def _json_text(name: str, doc, sort_keys: bool = False) -> str:
+    """``doc`` as the strict JSON text of file ``name``; a NaN or infinity is refused."""
     try:
-        text = json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=False)
+        return json.dumps(doc, indent=2, sort_keys=sort_keys, allow_nan=False)
     except ValueError as exc:
-        raise InputError(f"{path.name} would hold a non-finite number: {exc}") from exc
+        raise InputError(f"{name} would hold a non-finite number: {exc}") from exc
+
+
+def _write_json(path: Path, text: str) -> None:
+    """Write the JSON ``text`` of `_json_text` and its final newline."""
     # Written in two pieces: ``text + "\n"`` would copy the whole document.
     with path.open("w") as out:
         out.write(text)
@@ -121,9 +126,9 @@ def _check_inputs(recorded: dict | None, hashes: dict) -> None:
             raise InputError(f"input {name!r} does not match the SHA-256 the manifest records")
 
 
-def _write_manifest(out: Path, command: str, params: dict, input_hashes: dict, outputs: list[str]) -> None:
-    _write_json(
-        out / "manifest.json",
+def _manifest_text(command: str, params: dict, input_hashes: dict, outputs: list[str]) -> str:
+    return _json_text(
+        "manifest.json",
         {
             "tool": "relu-prism",
             "version": __version__,
@@ -173,13 +178,6 @@ def _run_experiment(command: str, params: dict, out: Path, train_set: Dataset,
         for i, c in enumerate(clusters)
     ]
     report = _verify_table(target.features, table, params["tol"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_dataset_csv(target, out / "dataset.csv")
-    save_network(net, out / "network.json")
-    (out / "history.csv").write_text(history_to_csv(history))
-    _write_json(out / "clusters.json", clusters_to_json(clusters))
-    (out / "importance.csv").write_text(render_report(clusters, reports, "csv"))
-    _write_json(out / "verify.json", {"affine": report.to_dict()}, sort_keys=True)
     summary = {
         "command": command,
         "per_seed": [
@@ -192,8 +190,22 @@ def _run_experiment(command: str, params: dict, out: Path, train_set: Dataset,
         "verify_pass": report.passed,
         **fields(net, clusters),
     }
-    _write_json(out / "summary.json", summary, sort_keys=True)
-    _write_manifest(out, command, params, hashes, _RUN_OUTPUTS)
+    # Every JSON text is built before the directory is made, so a refused
+    # non-finite number leaves no output behind.
+    texts = {
+        "clusters.json": _json_text("clusters.json", clusters_to_json(clusters)),
+        "verify.json": _json_text("verify.json", {"affine": report.to_dict()}, sort_keys=True),
+        "summary.json": _json_text("summary.json", summary, sort_keys=True),
+        "manifest.json": _manifest_text(command, params, hashes, _RUN_OUTPUTS),
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    _write_dataset_csv(target, out / "dataset.csv")
+    save_network(net, out / "network.json")
+    (out / "history.csv").write_text(history_to_csv(history))
+    _write_json(out / "clusters.json", texts.pop("clusters.json"))
+    (out / "importance.csv").write_text(render_report(clusters, reports, "csv"))
+    for name, text in texts.items():
+        _write_json(out / name, text)
     for i, c in enumerate(clusters):
         stats = c.stats
         constant = " constant" if not c.affine.omega.any() else ""
@@ -405,18 +417,13 @@ def _check_stored_clusters(net, clusters_path: Path, tol: float) -> tuple[dict, 
     return {"checked": len(patterns), "max_abs_err": worst, "pass": worst <= tol}, digest
 
 
-def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
-    net_path = Path(params["net"])
-    raw = net_path.read_bytes()
-    hashes = {"net": _sha256(raw)}
-    net = parse_network_json(raw, net_path)
-    # Parsing clusters.json is this command's peak of memory, so it runs
-    # before the rows are read.
-    doc = {}
-    if params["clusters"] is not None:
-        doc["clusters"], hashes["clusters"] = _check_stored_clusters(
-            net, Path(params["clusters"]), params["tol"]
-        )
+def _check_rows(net, params: dict, hashes: dict, recorded: dict | None) -> dict:
+    """Read, hash and parse the rows; check their logits and the Jacobian at fixed rows.
+
+    Returns the ``affine`` and ``jacobian`` entries of ``verify.json``. The
+    SHA-256 of the bytes read goes into ``hashes["data"]``, and
+    `_check_inputs` then refuses a changed input before the rows are parsed.
+    """
     data_path = Path(params["data"])
     raw = data_path.read_bytes()
     hashes["data"] = _sha256(raw)
@@ -437,28 +444,67 @@ def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
         else:
             checked += 1
             max_row_err = max(max_row_err, report.max_row_err)
-    jacobian_pass = max_row_err <= params["jacobian_tol"]
-    jacobian_doc = {
-        "samples": k,
-        "checked": checked,
-        "skipped": skipped,
-        "max_row_err": max_row_err,
-        "h": params["jacobian_step"],
-        "tol": params["jacobian_tol"],
-        "pass": jacobian_pass,
+    return {
+        "affine": affine_report.to_dict(),
+        "jacobian": {
+            "samples": k,
+            "checked": checked,
+            "skipped": skipped,
+            "max_row_err": max_row_err,
+            "h": params["jacobian_step"],
+            "tol": params["jacobian_tol"],
+            "pass": max_row_err <= params["jacobian_tol"],
+        },
     }
 
-    doc.update(affine=affine_report.to_dict(), jacobian=jacobian_doc)
+
+def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
+    net_path = Path(params["net"])
+    raw = net_path.read_bytes()
+    hashes = {"net": _sha256(raw)}
+    net = parse_network_json(raw, net_path)
+    del raw
+    doc, stored = {}, params["clusters"]
+
+    def check_stored():
+        return _check_stored_clusters(net, Path(stored), params["tol"])
+
+    with _fork(check_stored) if stored is not None else nullcontext() as join:
+        if join is None:
+            # In one process the stored clusters are checked first: parsing
+            # clusters.json is then this command's peak of memory, and it
+            # runs before the rows are read.
+            if stored is not None:
+                doc["clusters"], hashes["clusters"] = check_stored()
+            doc.update(_check_rows(net, params, hashes, recorded))
+        else:
+            # The rows are checked while a child checks the stored clusters.
+            # A refusal comes in the one-process order: the child's, the
+            # rows' read, the input hashes, then the rest of the rows' check.
+            try:
+                rows = _check_rows(net, params, hashes, None)
+            except Exception as exc:
+                rows = exc
+            doc["clusters"], hashes["clusters"] = join()
+            if "data" in hashes:
+                _check_inputs(recorded, hashes)
+            if isinstance(rows, Exception):
+                raise rows
+            doc.update(rows)
+
     ok = all(part["pass"] for part in doc.values())
+    texts = {
+        "verify.json": _json_text("verify.json", doc, sort_keys=True),
+        "manifest.json": _manifest_text("verify", params, hashes, ["verify.json", "manifest.json"]),
+    }
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "verify.json", doc, sort_keys=True)
-    _write_manifest(out, "verify", params, hashes, ["verify.json", "manifest.json"])
+    for name, text in texts.items():
+        _write_json(out / name, text)
+    affine, jacobian = doc["affine"], doc["jacobian"]
+    print(f"affine: max_abs_err={affine['max_abs_err']:.3e} pass={affine['pass']}")
     print(
-        f"affine: max_abs_err={affine_report.max_abs_err:.3e} pass={affine_report.passed}"
-    )
-    print(
-        f"jacobian: checked={checked} skipped={skipped} "
-        f"max_row_err={max_row_err:.3e} pass={jacobian_pass}"
+        f"jacobian: checked={jacobian['checked']} skipped={jacobian['skipped']} "
+        f"max_row_err={jacobian['max_row_err']:.3e} pass={jacobian['pass']}"
     )
     if "clusters" in doc:
         print(
@@ -694,7 +740,7 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (InputError, OSError) as exc:
+    except (InputError, OSError, ChildLostError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:

@@ -19,3 +19,7 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, epoch: int):
         self.epoch = epoch
         super().__init__(f"training diverged with non-finite loss at epoch {epoch}")
+
+
+class ChildLostError(RuntimeError):
+    """A forked child ended without sending its result or its exception."""

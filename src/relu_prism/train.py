@@ -17,13 +17,13 @@ import os
 import pickle
 import signal
 import threading
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import InputError, ShapeError, TrainingDivergedError
+from .errors import ChildLostError, InputError, ShapeError, TrainingDivergedError
 from .network import Layer, Network, _group_rows, _preactivations, predict_batch
 
 __all__ = [
@@ -360,26 +360,29 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _train_halves(dataset: Dataset, config: TrainConfig, seeds):
-    """`_train_lockstep` over ``seeds``, its later half in a forked child.
+@contextmanager
+def _fork(work):
+    """``work()`` in a forked child, beside the block this manager runs.
 
-    The calling process trains the first ceil(S/2) seeds and one child the
-    rest, both through `_train_lockstep`, and joins the halves along the
-    seed axis. Every seed's sums run along its own batch only, so each gets
-    the bits of one lockstep call. The child is killed, not waited for,
-    when a seed before its own diverged or the parent leaves on an error.
+    Yields None, having forked nothing, where ``os.fork`` does not exist or
+    fails, the process may run on one CPU only, or it has more than one
+    thread: the caller then does the work itself. Otherwise it yields
+    ``join``, which waits for the child and returns what ``work()`` returned
+    or raises what it raised, and raises ChildLostError if the child ended
+    without sending either. A child not joined when the block ends, on an
+    early return or an exception, is killed, not waited for, and reaped.
     """
-    if not (len(seeds) > 1 and hasattr(os, "fork") and _cpus() > 1
-            and threading.active_count() == 1):
-        return _train_lockstep(dataset, config, seeds)
-    half = (len(seeds) + 1) // 2
+    if not (hasattr(os, "fork") and _cpus() > 1 and threading.active_count() == 1):
+        yield None
+        return
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)
-        return _train_lockstep(dataset, config, seeds)
+        yield None
+        return
     if pid == 0:
         # The child leaves through os._exit on every path, so it runs no
         # atexit handler and flushes no stdout buffer it inherited. It exits
@@ -388,7 +391,7 @@ def _train_halves(dataset: Dataset, config: TrainConfig, seeds):
         try:
             os.close(read_end)
             try:
-                result = _train_lockstep(dataset, config, seeds[half:])
+                result = work()
             except BaseException as exc:
                 result = exc
             with open(write_end, "wb") as pipe:
@@ -397,14 +400,24 @@ def _train_halves(dataset: Dataset, config: TrainConfig, seeds):
         finally:
             os._exit(code)
     status = None
-    try:
-        os.close(write_end)
-        first = _train_lockstep(dataset, config, seeds[:half])
-        if first[4]:
-            return first  # a seed before the child's diverged: it is killed below
+
+    def join():
+        nonlocal status
         with open(read_end, "rb", closefd=False) as pipe:
             sent = pipe.read()
         status = os.waitpid(pid, 0)[1]
+        if status != 0:
+            raise ChildLostError(
+                f"the forked child {pid} ended without its result (wait status {status})"
+            )
+        result = pickle.loads(sent)
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    try:
+        os.close(write_end)
+        yield join
     finally:
         os.close(read_end)
         if status is None:
@@ -412,13 +425,28 @@ def _train_halves(dataset: Dataset, config: TrainConfig, seeds):
                 os.kill(pid, signal.SIGKILL)
             with suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-    if status != 0:
-        raise RuntimeError(
-            f"the training child {pid} ended without its result (wait status {status})"
-        )
-    second = pickle.loads(sent)
-    if isinstance(second, BaseException):
-        raise second
+
+
+def _train_halves(dataset: Dataset, config: TrainConfig, seeds):
+    """`_train_lockstep` over ``seeds``, its later half in a forked child.
+
+    The calling process trains the first ceil(S/2) seeds and one child the
+    rest, both through `_train_lockstep`, and joins the halves along the
+    seed axis. Every seed's sums run along its own batch only, so each gets
+    the bits of one lockstep call. The child is killed, not waited for,
+    when a seed before its own diverged or the parent leaves on an error.
+    One seed, or a process that `_fork` does not split, trains in one call.
+    """
+    if len(seeds) < 2:
+        return _train_lockstep(dataset, config, seeds)
+    half = (len(seeds) + 1) // 2
+    with _fork(lambda: _train_lockstep(dataset, config, seeds[half:])) as join:
+        if join is None:
+            return _train_lockstep(dataset, config, seeds)
+        first = _train_lockstep(dataset, config, seeds[:half])
+        if first[4]:
+            return first  # a seed before the child's diverged: the child is killed
+        second = join()
     Ws, bs, losses, accuracies, diverged = first
     return (
         [np.concatenate(pair) for pair in zip(Ws, second[0])],

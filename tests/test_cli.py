@@ -5,10 +5,15 @@ import builtins
 import csv
 import functools
 import hashlib
+import importlib
 import json
 import os
+import re
+import signal
 import subprocess
 import sys
+import time
+import types
 import warnings
 from pathlib import Path
 
@@ -20,7 +25,9 @@ from relu_prism import (
     InputError,
     Layer,
     Network,
+    SchemaError,
     TrainConfig,
+    TrainHistory,
     __version__,
     accuracy,
     forward_batch,
@@ -35,6 +42,8 @@ from relu_prism.affine import collapse_batch
 from relu_prism.cli import _PARAM_KEYS, build_parser, main, parse_hidden, parse_seeds
 from relu_prism.data import dataset_to_csv, read_dataset_csv
 from relu_prism.partition import clusters_to_json
+
+trainer = importlib.import_module("relu_prism.train")
 
 RUN_FILES = [
     "dataset.csv",
@@ -64,6 +73,52 @@ def assert_rejected(argv, out, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
     return err
+
+
+def counted_forks(monkeypatch) -> list:
+    """The pid of each child forked from now on; two CPUs to run on, whatever the machine has."""
+    monkeypatch.setattr(trainer, "_cpus", lambda: 2)
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
+
+
+@pytest.fixture(params=["forked", "no-fork"])
+def clusters_checked(request, monkeypatch):
+    """Where verify checks the stored clusters: in a forked child, or in process.
+
+    The in-process path is the one taken where ``os.fork`` does not exist.
+    ``pids`` lists each child forked, by the sweep as well as by verify.
+    """
+    if request.param == "no-fork":
+        monkeypatch.delattr(os, "fork")
+        return types.SimpleNamespace(forked=False, pids=[])
+    return types.SimpleNamespace(forked=True, pids=counted_forks(monkeypatch))
+
+
+def rejected_on(checked, argv, out, capsys) -> str:
+    """`assert_rejected` of one verify, which forks once on the forked path only."""
+    before = len(checked.pids)
+    err = assert_rejected(argv, out, capsys)
+    assert len(checked.pids) - before == checked.forked
+    return err
+
+
+def in_child(parent: int, act, function):
+    """``function``, with ``act()`` run first in a forked child only."""
+    def patched(*args, **kwargs):
+        if os.getpid() != parent:
+            act()
+        return function(*args, **kwargs)
+
+    return patched
 
 
 class TestArgParsing:
@@ -209,6 +264,36 @@ class TestSimulate:
         monkeypatch.setattr(cli, "train_seeds", out_of_memory)
         out = tmp_path / "run"
         assert assert_rejected(simulate_args(out), out, capsys) == line
+
+    def test_a_non_finite_summary_exits_two_and_writes_nothing(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """Every JSON text is built before the run directory is made."""
+        sweep = cli.train_seeds
+
+        def nan_loss(*args):
+            for net, history in sweep(*args):
+                yield net, TrainHistory((*history.losses[:-1], float("nan")), history.accuracies)
+
+        monkeypatch.setattr(cli, "train_seeds", nan_loss)
+        out = tmp_path / "run"
+        assert main(simulate_args(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: summary.json would hold a non-finite number"), err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_a_training_child_that_ends_without_its_result_exits_two(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        monkeypatch.setattr(trainer, "_cpus", lambda: 2)
+        monkeypatch.setattr(trainer, "_train_lockstep", in_child(
+            os.getpid(), lambda: os._exit(3), trainer._train_lockstep))
+        out = tmp_path / "run"
+        err = assert_rejected(simulate_args(out), out, capsys)
+        assert re.fullmatch(
+            r"error: the forked child \d+ ended without its result \(wait status 768\)\n", err
+        ), err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_epoch_loss_past_the_float_range_exits_three(self, tmp_path, capsys):
         """Each batch loss is finite, but their sum over the epoch is not: no partial run."""
@@ -638,13 +723,14 @@ class TestVerify:
         assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not (tmp_path / "v").exists()
 
-    def assert_stored_map_rejected(self, run_dir, tmp_path, capsys, key, value):
+    def assert_stored_map_rejected(self, run_dir, tmp_path, capsys, checked, key, value):
         doc = json.loads((run_dir / "clusters.json").read_text())
         doc[-1][key] = value
         (run_dir / "clusters.json").write_text(json.dumps(doc))
         capsys.readouterr()
         out = tmp_path / "v"
-        err = assert_rejected(
+        err = rejected_on(
+            checked,
             ["verify", "--net", str(run_dir / "network.json"),
              "--data", str(run_dir / "dataset.csv"), "--out", str(out)],
             out, capsys,
@@ -659,8 +745,9 @@ class TestVerify:
             ("omega", [[float("inf")] + [0.0] * 9]),
         ],
     )
-    def test_non_finite_stored_map_exits_two(self, run_dir, tmp_path, capsys, key, value):
-        self.assert_stored_map_rejected(run_dir, tmp_path, capsys, key, value)
+    def test_non_finite_stored_map_exits_two(self, run_dir, tmp_path, capsys, clusters_checked,
+                                             key, value):
+        self.assert_stored_map_rejected(run_dir, tmp_path, capsys, clusters_checked, key, value)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -672,14 +759,17 @@ class TestVerify:
             ("bias", ["0.5"]),
         ],
     )
-    def test_malformed_stored_map_exits_two(self, run_dir, tmp_path, capsys, key, value):
-        self.assert_stored_map_rejected(run_dir, tmp_path, capsys, key, value)
+    def test_malformed_stored_map_exits_two(self, run_dir, tmp_path, capsys, clusters_checked,
+                                            key, value):
+        self.assert_stored_map_rejected(run_dir, tmp_path, capsys, clusters_checked, key, value)
 
-    def test_undecodable_cluster_file_exits_two(self, run_dir, tmp_path, capsys):
+    def test_undecodable_cluster_file_exits_two(self, run_dir, tmp_path, capsys,
+                                                clusters_checked):
         (run_dir / "clusters.json").write_bytes(b'[{"pattern": "\xff"}]')
         capsys.readouterr()
         out = tmp_path / "v"
-        err = assert_rejected(
+        err = rejected_on(
+            clusters_checked,
             ["verify", "--net", str(run_dir / "network.json"),
              "--data", str(run_dir / "dataset.csv"), "--out", str(out)],
             out, capsys,
@@ -772,12 +862,13 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: verify.json would hold a non-finite number"), err
         assert err.count("\n") == 1, err
+        assert not (tmp_path / "v").exists()
 
     def test_json_writer_refuses_non_finite_numbers(self, tmp_path):
         path = tmp_path / "doc.json"
         for value in (float("nan"), float("inf")):
             with pytest.raises(InputError, match="doc.json"):
-                cli._write_json(path, {"max_abs_err": value})
+                cli._write_json(path, cli._json_text(path.name, {"max_abs_err": value}))
             assert not path.exists()
 
     def test_no_clusters_flag_skips_cross_check(self, run_dir, tmp_path):
@@ -790,10 +881,11 @@ class TestVerify:
         doc = json.loads((tmp_path / "v" / "verify.json").read_text())
         assert "clusters" not in doc
 
-    def test_missing_cluster_file_exits_two(self, run_dir, tmp_path, capsys):
+    def test_missing_cluster_file_exits_two(self, run_dir, tmp_path, capsys, clusters_checked):
         capsys.readouterr()
         out = tmp_path / "v"
-        err = assert_rejected(
+        err = rejected_on(
+            clusters_checked,
             ["verify", "--net", str(run_dir / "network.json"),
              "--data", str(run_dir / "dataset.csv"),
              "--clusters", str(tmp_path / "none.json"), "--out", str(out)],
@@ -806,6 +898,66 @@ class TestVerify:
             ["verify", "--net", str(tmp_path / "no.json"),
              "--data", str(tmp_path / "no.csv"), "--out", str(tmp_path / "v")]
         ) == 2
+
+    def verified(self, run_dir, tmp_path) -> Path:
+        """The manifest of a passing verify of ``run_dir``, its clusters named."""
+        out = tmp_path / "verified"
+        assert main(["verify", "--net", str(run_dir / "network.json"),
+                     "--data", str(run_dir / "dataset.csv"),
+                     "--clusters", str(run_dir / "clusters.json"), "--out", str(out)]) == 0
+        return out / "manifest.json"
+
+    # A refusal names the first failing step of: the clusters' check, the
+    # read of the rows, the input hashes, the parse of the rows.
+    @pytest.mark.parametrize(
+        "rerun, clusters, data, message",
+        [
+            (False, "[", "x0,target\nabc,1\n", "error: invalid cluster JSON in "),
+            (True, "[", None, "error: invalid cluster JSON in "),
+            (True, None, "x0,target\nabc,1\n",
+             "error: input 'data' does not match the SHA-256 the manifest records\n"),
+            (True, None, "missing", "error: [Errno 2] No such file or directory: "),
+        ],
+        ids=["bad-clusters-and-rows", "rerun-changed-rows-bad-clusters",
+             "rerun-unparsable-changed-rows", "rerun-missing-rows"],
+    )
+    def test_the_first_refusal_is_reported(self, run_dir, tmp_path, capsys, clusters_checked,
+                                           rerun, clusters, data, message):
+        manifest = self.verified(run_dir, tmp_path) if rerun else None
+        if clusters is not None:
+            (run_dir / "clusters.json").write_text(clusters)
+        if data == "missing":
+            (run_dir / "dataset.csv").unlink()
+        elif data is not None:
+            (run_dir / "dataset.csv").write_text(data)
+        elif rerun:
+            with open(run_dir / "dataset.csv", "a") as rows:
+                rows.write("0,0,0,0,0,0,0,0,0,0,1\n")
+        out = tmp_path / "v"
+        capsys.readouterr()
+        argv = (["rerun", str(manifest)] if rerun else
+                ["verify", "--net", str(run_dir / "network.json"),
+                 "--data", str(run_dir / "dataset.csv")])
+        err = rejected_on(clusters_checked, [*argv, "--out", str(out)], out, capsys)
+        assert err.startswith(message), err
+
+    def test_a_child_that_ends_without_its_result_exits_two(self, run_dir, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(trainer, "_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_check_stored_clusters", in_child(
+            os.getpid(), lambda: os._exit(3), cli._check_stored_clusters))
+        out = tmp_path / "v"
+        capsys.readouterr()
+        err = assert_rejected(
+            ["verify", "--net", str(run_dir / "network.json"),
+             "--data", str(run_dir / "dataset.csv"), "--out", str(out)],
+            out, capsys,
+        )
+        assert re.fullmatch(
+            r"error: the forked child \d+ ended without its result \(wait status 768\)\n", err
+        ), err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestVerifyReadsOnlyItsFiles:
@@ -879,7 +1031,8 @@ class TestStoredClustersInBulk:
         assert 500 < cli._MAP_BLOCK < 1100 < 1300 < len(clusters) < 2 * cli._MAP_BLOCK
         save_network(net, root / "network.json")
         (root / "dataset.csv").write_text(dataset_to_csv(dataset))
-        cli._write_json(root / "clusters.json", clusters_to_json(clusters))
+        cli._write_json(root / "clusters.json",
+                        cli._json_text("clusters.json", clusters_to_json(clusters)))
         return root
 
     def verify(self, many, clusters: Path, out: Path) -> list[str]:
@@ -902,12 +1055,12 @@ class TestStoredClustersInBulk:
         assert omegas.tobytes() == b"".join(np.array(e["omega"]).tobytes() for e in plain)
         assert biases.tobytes() == b"".join(np.array(e["bias"]).tobytes() for e in plain)
 
-    def refused(self, many, tmp_path, capsys, doc, text=None) -> str:
+    def refused(self, many, tmp_path, capsys, checked, doc, text=None) -> str:
         bad = tmp_path / "clusters.json"
         bad.write_text(json.dumps(doc) if text is None else text)
         out = tmp_path / "v"
         capsys.readouterr()
-        return assert_rejected(self.verify(many, bad, out), out, capsys)
+        return rejected_on(checked, self.verify(many, bad, out), out, capsys)
 
     @pytest.mark.parametrize("bad", [500, 1100])  # inside the first, full block; in the last
     @pytest.mark.parametrize(
@@ -935,7 +1088,8 @@ class TestStoredClustersInBulk:
             ("omega", [["0.5", 2**70] + [0.0] * 8], "map is not numeric: it holds a string"),
         ],
     )
-    def test_bad_entry_is_named(self, many, tmp_path, capsys, bad, key, value, problem):
+    def test_bad_entry_is_named(self, many, tmp_path, capsys, clusters_checked,
+                                bad, key, value, problem):
         doc = json.loads((many / "clusters.json").read_text())
         if value is None:
             del doc[bad][key]
@@ -945,7 +1099,7 @@ class TestStoredClustersInBulk:
             with pytest.raises(ValueError) as numpy_error:
                 np.array(value, dtype=np.float64)
             problem = f"map is not numeric: {numpy_error.value}"
-        err = self.refused(many, tmp_path, capsys, doc)
+        err = self.refused(many, tmp_path, capsys, clusters_checked, doc)
         assert err == f"error: cluster {bad} {problem}\n"
 
     NOT_NUMERIC = ("omega", "abc", "map is not numeric: could not convert string to float: 'abc'")
@@ -953,37 +1107,47 @@ class TestStoredClustersInBulk:
 
     @pytest.mark.parametrize("first, second", [(500, 1100), (1100, 1300)])
     @pytest.mark.parametrize("early, late", [(NOT_NUMERIC, SHORT), (SHORT, NOT_NUMERIC)])
-    def test_first_bad_entry_is_named(self, many, tmp_path, capsys, first, second, early, late):
+    def test_first_bad_entry_is_named(self, many, tmp_path, capsys, clusters_checked,
+                                      first, second, early, late):
         doc = json.loads((many / "clusters.json").read_text())
         doc[first][early[0]] = early[1]
         doc[second][late[0]] = late[1]
-        err = self.refused(many, tmp_path, capsys, doc)
+        err = self.refused(many, tmp_path, capsys, clusters_checked, doc)
         assert err == f"error: cluster {first} {early[2]}\n"
 
-    def test_a_refused_file_is_parsed_once(self, many, tmp_path, capsys, monkeypatch):
+    def test_a_refused_file_is_parsed_once(self, many, tmp_path, capsys, monkeypatch,
+                                           clusters_checked):
         doc = json.loads((many / "clusters.json").read_text())
         doc[500]["omega"] = "abc"
-        parses, real_loads = [], json.loads
+        # Each text parsed, by its SHA-256, kept in a file: a forked child's count too.
+        parses, real_loads = tmp_path / "parses.log", json.loads
 
         def counting_loads(text, **kwargs):
-            parses.append(text)
+            data = text.encode() if isinstance(text, str) else text
+            with open(parses, "a") as log:
+                log.write(hashlib.sha256(data).hexdigest() + "\n")
             return real_loads(text, **kwargs)
 
         monkeypatch.setattr(json, "loads", counting_loads)
-        assert "cluster 500 map is not numeric" in self.refused(many, tmp_path, capsys, doc)
-        assert parses.count(json.dumps(doc)) == 1
+        err = self.refused(many, tmp_path, capsys, clusters_checked, doc)
+        assert "cluster 500 map is not numeric" in err
+        digest = hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+        assert parses.read_text().split().count(digest) == 1
 
-    def test_syntax_error_after_a_bad_entry_is_invalid_json(self, many, tmp_path, capsys):
+    def test_syntax_error_after_a_bad_entry_is_invalid_json(self, many, tmp_path, capsys,
+                                                            clusters_checked):
         """The block holding the bad entry is converted while parsing; nothing is raised then."""
         doc = json.loads((many / "clusters.json").read_text())
         doc[500]["omega"] = "abc"
-        err = self.refused(many, tmp_path, capsys, doc, text=json.dumps(doc)[:-1])
+        err = self.refused(many, tmp_path, capsys, clusters_checked, doc,
+                           text=json.dumps(doc)[:-1])
         assert err.startswith("error: invalid cluster JSON in "), err
 
-    def test_entry_below_the_top_level_is_refused(self, many, tmp_path, capsys):
+    def test_entry_below_the_top_level_is_refused(self, many, tmp_path, capsys,
+                                                  clusters_checked):
         doc = json.loads((many / "clusters.json").read_text())
         doc[3]["note"] = dict(doc[4])
-        err = self.refused(many, tmp_path, capsys, doc)
+        err = self.refused(many, tmp_path, capsys, clusters_checked, doc)
         assert err.endswith("clusters.json holds a cluster entry below its top-level array\n"), err
 
     @pytest.mark.parametrize(
@@ -994,22 +1158,32 @@ class TestStoredClustersInBulk:
             ("[1]", "cluster 0 must carry pattern, omega and bias"),
         ],
     )
-    def test_document_of_the_wrong_shape_is_refused(self, many, tmp_path, capsys, text, message):
-        err = self.refused(many, tmp_path, capsys, None, text=text)
+    def test_document_of_the_wrong_shape_is_refused(self, many, tmp_path, capsys,
+                                                    clusters_checked, text, message):
+        err = self.refused(many, tmp_path, capsys, clusters_checked, None, text=text)
         assert message in err, err
 
     @pytest.mark.parametrize("note", [None, True, "null"])
-    def test_accepted_maps_convert_a_block_at_a_time(self, many, tmp_path, monkeypatch, note):
+    def test_accepted_maps_convert_a_block_at_a_time(self, many, tmp_path, monkeypatch,
+                                                     clusters_checked, note):
         """No entry is converted alone, also when a boolean or null sits outside the maps."""
         doc = json.loads((many / "clusters.json").read_text())
         if note is not None:
             doc[3]["note"] = note
         stored = tmp_path / "clusters.json"
         stored.write_text(json.dumps(doc))
-        alone = []
-        monkeypatch.setattr(cli, "_numeric_array", lambda values: alone.append(values))
+        # Kept in a file, so that a conversion in a forked child is seen too.
+        alone = tmp_path / "alone.log"
+
+        def convert_alone(values):
+            with open(alone, "a") as log:
+                log.write(f"{values!r}\n")
+
+        monkeypatch.setattr(cli, "_numeric_array", convert_alone)
+        before = len(clusters_checked.pids)
         assert main(self.verify(many, stored, tmp_path / "v")) == 0
-        assert alone == []
+        assert len(clusters_checked.pids) - before == clusters_checked.forked
+        assert not alone.exists()
 
     def test_empty_list_checks_nothing_and_passes(self, many, tmp_path):
         empty = tmp_path / "clusters.json"
@@ -1019,6 +1193,132 @@ class TestStoredClustersInBulk:
         assert doc["clusters"] == {"checked": 0, "max_abs_err": 0.0, "pass": True}
 
 
+class TestVerifyForksTheClusterCheck:
+    """verify checks the stored clusters in one forked child while it checks the rows."""
+
+    @pytest.fixture(autouse=True)
+    def forks(self, monkeypatch):
+        return counted_forks(monkeypatch)
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("forked") / "run"
+        assert main(simulate_args(out, n=250)) == 0
+        return out
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def params(run_dir: Path, clusters: Path) -> dict:
+        return {"net": str(run_dir / "network.json"), "data": str(run_dir / "dataset.csv"),
+                "tol": 1e-6, "clusters": str(clusters), "jacobian_step": 1e-4,
+                "jacobian_tol": 1e-4}
+
+    @pytest.mark.parametrize("case, code", [
+        ("pass", 0), ("failed-check", 1), ("bad-clusters", 2), ("bad-rows", 2),
+        ("missing-rows", 2), ("changed-rows", 2),
+    ])
+    def test_no_child_is_left(self, run_dir, tmp_path, capsys, forks, case, code):
+        copy = tmp_path / "run"
+        copy.mkdir()
+        for name in ("network.json", "dataset.csv", "clusters.json"):
+            (copy / name).write_bytes((run_dir / name).read_bytes())
+        argv = ["verify", "--net", str(copy / "network.json"), "--data", str(copy / "dataset.csv")]
+        if case == "changed-rows":
+            assert main([*argv, "--out", str(tmp_path / "first")]) == 0
+            argv = ["rerun", str(tmp_path / "first" / "manifest.json")]
+            forks.clear()
+        if case in ("failed-check", "bad-clusters"):
+            doc = json.loads((copy / "clusters.json").read_text())
+            doc[0]["bias"] = [1e9] if case == "failed-check" else "abc"
+            (copy / "clusters.json").write_text(json.dumps(doc))
+        if case in ("bad-rows", "changed-rows"):
+            with open(copy / "dataset.csv", "a") as rows:
+                rows.write("0,0,0,0,0,0,0,0,0,0,1\n" if case == "changed-rows" else "abc\n")
+        if case == "missing-rows":
+            (copy / "dataset.csv").unlink()
+        assert main([*argv, "--out", str(tmp_path / "v")]) == code
+        assert len(forks) == 1
+        self.assert_no_child_left()
+
+    def test_an_interrupt_in_the_parent_kills_the_child(self, run_dir, tmp_path, monkeypatch,
+                                                        forks):
+        parent = os.getpid()
+        monkeypatch.setattr(cli, "_check_stored_clusters", in_child(
+            parent, lambda: time.sleep(60), cli._check_stored_clusters))
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "parse_dataset_csv", interrupted)
+        statuses, waitpid = [], os.waitpid
+
+        def recorded_waitpid(*args):
+            statuses.append(waitpid(*args))
+            return statuses[-1]
+
+        monkeypatch.setattr(os, "waitpid", recorded_waitpid)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--net", str(run_dir / "network.json"),
+                  "--data", str(run_dir / "dataset.csv"), "--out", str(tmp_path / "v")])
+        assert time.monotonic() - start < 30
+        assert [pid for pid, _ in statuses] == forks and len(forks) == 1
+        status = statuses[0][1]
+        assert os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
+        assert not (tmp_path / "v").exists()
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("kind", [SchemaError, FileNotFoundError, IsADirectoryError])
+    def test_an_exception_in_the_child_is_raised_in_the_parent(self, run_dir, tmp_path,
+                                                               monkeypatch, forks, kind):
+        """Its type, message and path are those the check raises in process."""
+        clusters = tmp_path / "clusters.json"
+        if kind is SchemaError:
+            clusters.write_text("[")
+        elif kind is IsADirectoryError:
+            clusters.mkdir()
+        with pytest.raises(kind) as forked:
+            cli.run_verify(self.params(run_dir, clusters), tmp_path / "v")
+        assert len(forks) == 1
+        self.assert_no_child_left()
+        monkeypatch.delattr(os, "fork")
+        with pytest.raises(kind) as in_process:
+            cli.run_verify(self.params(run_dir, clusters), tmp_path / "v")
+        assert str(forked.value) == str(in_process.value)
+        assert str(clusters) in str(forked.value)
+        if kind is not SchemaError:
+            assert forked.value.filename == in_process.value.filename == str(clusters)
+        assert not (tmp_path / "v").exists()
+
+    def test_outputs_are_those_of_one_process(self, run_dir, tmp_path, capsys, monkeypatch,
+                                              forks):
+        """Exit code, stdout, stderr and verify.json, with the clusters passing and failing."""
+        doc = json.loads((run_dir / "clusters.json").read_text())
+        doc[0]["bias"] = [doc[0]["bias"][0] + 1.0]
+        failing = tmp_path / "failing.json"
+        failing.write_text(json.dumps(doc))
+        seen = {}
+        for way in ("forked", "no-fork"):
+            if way == "no-fork":
+                monkeypatch.delattr(os, "fork")
+            for clusters in (run_dir / "clusters.json", failing):
+                out = tmp_path / way / clusters.stem
+                capsys.readouterr()
+                code = main(["verify", "--net", str(run_dir / "network.json"),
+                             "--data", str(run_dir / "dataset.csv"),
+                             "--clusters", str(clusters), "--out", str(out)])
+                captured = capsys.readouterr()
+                seen.setdefault(way, []).append(
+                    (code, captured.out, captured.err, (out / "verify.json").read_bytes()))
+        assert len(forks) == 2
+        assert seen["forked"] == seen["no-fork"]
+        assert [code for code, *_ in seen["forked"]] == [0, 1]
+
+
 class SwappingReads:
     """Counts the opens of watched files for reading; swaps each file after its first.
 
@@ -1026,22 +1326,28 @@ class SwappingReads:
     The handle already open still reads the first bytes, so a command that
     reads a file once sees only those, and one that reads it again sees the
     others. ``open`` and ``Path.open``, which ``Path.read_bytes`` and
-    ``Path.read_text`` call, are both watched.
+    ``Path.read_text`` call, are both watched. The counts and first bytes
+    are kept in files under ``record``, so that the opens of a forked child
+    count too.
     """
 
-    def __init__(self, monkeypatch, swaps: dict):
+    def __init__(self, monkeypatch, swaps: dict, record: Path):
         self.swaps = {Path(path).absolute(): other for path, other in swaps.items()}
-        self.first, self.opens = {}, dict.fromkeys(self.swaps, 0)
+        record.mkdir()
+        self.logs = {path: record / str(i) for i, path in enumerate(self.swaps)}
         real_open, real_path_open = builtins.open, Path.open
 
         def watch(file, mode):
             path = Path(file).absolute() if isinstance(file, (str, os.PathLike)) else None
             if path not in self.swaps or set(mode) & set("wax+"):
                 return
-            self.opens[path] += 1
-            if self.opens[path] == 1:
-                with real_open(path, "rb") as first:
-                    self.first[path] = first.read()
+            log = self.logs[path]
+            with real_open(log.with_suffix(".opens"), "a") as opens:
+                opens.write("open\n")
+            if not log.with_suffix(".first").exists():
+                with real_open(path, "rb") as first, \
+                        real_open(log.with_suffix(".first"), "wb") as kept:
+                    kept.write(first.read())
                 other = path.with_name(path.name + ".other")
                 with real_open(other, "wb") as fh:
                     fh.write(self.swaps[path])
@@ -1060,11 +1366,23 @@ class SwappingReads:
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(Path, "open", counting_path_open)
 
+    @property
+    def opens(self) -> dict:
+        return {path: len(log.with_suffix(".opens").read_text().split())
+                if log.with_suffix(".opens").exists() else 0
+                for path, log in self.logs.items()}
+
+    @property
+    def first(self) -> dict:
+        return {path: log.with_suffix(".first").read_bytes() for path, log in self.logs.items()
+                if log.with_suffix(".first").exists()}
+
 
 class TestEachInputReadOnce:
     """Each input is read once, and the manifest holds the hash of the bytes parsed."""
 
-    def test_verify_reads_and_hashes_each_input_once(self, tmp_path, monkeypatch):
+    def test_verify_reads_and_hashes_each_input_once(self, tmp_path, monkeypatch,
+                                                     clusters_checked):
         run, other = tmp_path / "run", tmp_path / "other"
         assert main(simulate_args(run)) == 0
         assert main(simulate_args(other, n=300, extra=("--hidden", "3"))) == 0
@@ -1074,8 +1392,10 @@ class TestEachInputReadOnce:
         assert main([*argv, "--out", str(reference)]) == 0
         names = ("network.json", "dataset.csv", "clusters.json")
         swaps = {run / name: (other / name).read_bytes() for name in names}
-        reads = SwappingReads(monkeypatch, swaps)
+        reads = SwappingReads(monkeypatch, swaps, tmp_path / "reads")
+        before = len(clusters_checked.pids)
         assert main([*argv, "--out", str(tmp_path / "v")]) == 0
+        assert len(clusters_checked.pids) - before == clusters_checked.forked
         monkeypatch.undo()
         assert set(reads.opens.values()) == {1}, reads.opens
         hashes = json.loads((tmp_path / "v" / "manifest.json").read_text())["input_hashes"]
@@ -1092,7 +1412,8 @@ class TestEachInputReadOnce:
         csv_path.write_bytes(synthetic_titanic_csv.read_bytes())
         argv = ["titanic", "--csv", str(csv_path), "--epochs", "1"]
         assert main([*argv, "--out", str(tmp_path / "reference")]) == 0
-        reads = SwappingReads(monkeypatch, {csv_path: tiny_titanic_csv.read_bytes()})
+        reads = SwappingReads(monkeypatch, {csv_path: tiny_titanic_csv.read_bytes()},
+                              tmp_path / "reads")
         assert main([*argv, "--out", str(tmp_path / "run")]) == 0
         monkeypatch.undo()
         assert reads.opens == {csv_path.absolute(): 1}
