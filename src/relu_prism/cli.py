@@ -417,17 +417,15 @@ def _check_stored_clusters(net, clusters_path: Path, tol: float) -> tuple[dict, 
     return {"checked": len(patterns), "max_abs_err": worst, "pass": worst <= tol}, digest
 
 
-def _check_rows(net, params: dict, hashes: dict, recorded: dict | None) -> dict:
+def _check_rows(net, params: dict, hashes: dict) -> dict:
     """Read, hash and parse the rows; check their logits and the Jacobian at fixed rows.
 
     Returns the ``affine`` and ``jacobian`` entries of ``verify.json``. The
-    SHA-256 of the bytes read goes into ``hashes["data"]``, and
-    `_check_inputs` then refuses a changed input before the rows are parsed.
+    SHA-256 of the bytes read goes into ``hashes["data"]``.
     """
     data_path = Path(params["data"])
     raw = data_path.read_bytes()
     hashes["data"] = _sha256(raw)
-    _check_inputs(recorded, hashes)
     # The dataset holds the parsed table itself, compacted to its features.
     dataset = parse_dataset_csv(raw, data_path)
     del raw
@@ -471,26 +469,24 @@ def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
 
     with _fork(check_stored) if stored is not None else nullcontext() as join:
         if join is None:
-            # In one process the stored clusters are checked first: parsing
-            # clusters.json is then this command's peak of memory, and it
-            # runs before the rows are read.
-            if stored is not None:
-                doc["clusters"], hashes["clusters"] = check_stored()
-            doc.update(_check_rows(net, params, hashes, recorded))
-        else:
-            # The rows are checked while a child checks the stored clusters.
-            # A refusal comes in the one-process order: the child's, the
-            # rows' read, the input hashes, then the rest of the rows' check.
-            try:
-                rows = _check_rows(net, params, hashes, None)
-            except Exception as exc:
-                rows = exc
+            # Where nothing forks, the stored clusters are checked first:
+            # parsing clusters.json is then this command's peak of memory,
+            # and it ends before the rows are read.
+            result = check_stored() if stored is not None else None
+            join = lambda: result
+        # A refusal comes in the one-process order: the stored clusters',
+        # the rows' read, the input hashes, then the rest of the rows' check.
+        try:
+            rows = _check_rows(net, params, hashes)
+        except Exception as exc:
+            rows = exc
+        if stored is not None:
             doc["clusters"], hashes["clusters"] = join()
-            if "data" in hashes:
-                _check_inputs(recorded, hashes)
-            if isinstance(rows, Exception):
-                raise rows
-            doc.update(rows)
+        if "data" in hashes:
+            _check_inputs(recorded, hashes)
+        if isinstance(rows, Exception):
+            raise rows
+        doc.update(rows)
 
     ok = all(part["pass"] for part in doc.values())
     texts = {

@@ -20,6 +20,10 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
         super().__init__(f"training diverged with non-finite loss at epoch {epoch}")
 
+    def __reduce__(self):
+        # Rebuilt from its epoch: the default would pass the message as one.
+        return TrainingDivergedError, (self.epoch,)
+
 
 class ChildLostError(RuntimeError):
     """A forked child ended without sending its result or its exception."""

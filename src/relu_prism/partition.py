@@ -154,18 +154,6 @@ def _clusters(net: Network, table: tuple, dataset: Dataset) -> list[Cluster]:
     """The clusters of ``dataset`` from the ``_pattern_table`` of its features."""
     logits, masks, order, counts, omegas, biases = table
     starts = np.cumsum(counts) - counts
-    # Each cluster's invariants, checked once over the whole table: every
-    # group has rows, and its rows increase (the step into a group's first
-    # row is not within a group), and its map has one consistent shape.
-    steps = np.diff(order)
-    steps[starts[1:] - 1] = 1
-    if (
-        not (counts > 0).all()
-        or not (steps > 0).all()
-        or omegas.shape != (counts.shape[0], 1, net.input_dim)
-        or biases.shape != (counts.shape[0], 1)
-    ):
-        raise ShapeError("pattern groups do not form a table of clusters")
     # Predictions and targets are 0/1, so each weighted bincount is an exact
     # count and each rate the same division that a per-group mean makes.
     label = np.repeat(np.arange(counts.shape[0]), counts)

@@ -1272,6 +1272,32 @@ class TestVerifyForksTheClusterCheck:
         assert not (tmp_path / "v").exists()
         self.assert_no_child_left()
 
+    def test_in_one_process_the_clusters_are_checked_before_the_rows_are_read(
+            self, run_dir, tmp_path, monkeypatch, forks):
+        """The parse of clusters.json, the one-process peak, ends before dataset.csv is read."""
+        monkeypatch.delattr(os, "fork")
+        events, read_bytes, check = [], Path.read_bytes, cli._check_stored_clusters
+
+        def recorded_read(path):
+            events.append(f"read {path.name}")
+            return read_bytes(path)
+
+        def recorded_check(*args):
+            result = check(*args)
+            events.append("checked clusters")
+            return result
+
+        monkeypatch.setattr(Path, "read_bytes", recorded_read)
+        monkeypatch.setattr(cli, "_check_stored_clusters", recorded_check)
+        assert main(["verify", "--net", str(run_dir / "network.json"),
+                     "--data", str(run_dir / "dataset.csv"),
+                     "--clusters", str(run_dir / "clusters.json"),
+                     "--out", str(tmp_path / "v")]) == 0
+        assert events == [
+            "read network.json", "read clusters.json", "checked clusters", "read dataset.csv",
+        ]
+        assert forks == []
+
     @pytest.mark.parametrize("kind", [SchemaError, FileNotFoundError, IsADirectoryError])
     def test_an_exception_in_the_child_is_raised_in_the_parent(self, run_dir, tmp_path,
                                                                monkeypatch, forks, kind):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -314,6 +315,11 @@ class TestTrain:
         assert err.value.epoch == 1
         assert "epoch 1" in str(err.value)
 
+    def test_divergence_survives_a_pickle_round_trip(self):
+        err = pickle.loads(pickle.dumps(TrainingDivergedError(3)))
+        assert type(err) is TrainingDivergedError and err.epoch == 3
+        assert str(err) == "training diverged with non-finite loss at epoch 3"
+
     @pytest.mark.parametrize("seeds", [(0,), (0, 1, 2)], ids=["lone", "lockstep"])
     def test_epoch_loss_past_the_float_range_diverges(self, seeds):
         """Each batch loss is finite, but their weighted sum over the epoch is not."""
@@ -526,6 +532,19 @@ class TestSplitSweep:
         with pytest.raises(ChildFailure, match="the child's half failed"):
             self.outcome(gen_boolean(530, seed=3), TrainConfig(epochs=1), (1, 2, 3))
         assert len(forks) == 1
+        self.assert_no_child_left()
+
+    def test_a_divergence_raised_in_the_child_comes_back_unchanged(self, forks):
+        def work():
+            raise TrainingDivergedError(7)
+
+        with trainer._fork(work) as join:
+            assert join is not None
+            with pytest.raises(TrainingDivergedError) as err:
+                join()
+        assert len(forks) == 1
+        assert type(err.value) is TrainingDivergedError and err.value.epoch == 7
+        assert str(err.value) == "training diverged with non-finite loss at epoch 7"
         self.assert_no_child_left()
 
     def test_a_child_that_ends_without_its_result_is_an_error(self, monkeypatch, forks):
