@@ -18,12 +18,12 @@ stdout closed by its reader (the shell's status for SIGPIPE).
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
 import os
 import sys
+from collections import namedtuple
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -60,9 +60,8 @@ EXIT_PIPE = 141
 DEFAULT_DATA_SEED = 5
 
 
-def parse_seeds(text: str) -> list[int]:
-    """Accept '3', '1,2,5' or an inclusive range '1..5'."""
-    text = text.strip()
+def parse_seeds(text: str) -> list[int] | str:
+    """Read '3', '1,2,5' or an inclusive range '1..5'; other text is returned as it is."""
     try:
         if ".." in text:
             lo_text, hi_text = text.split("..", 1)
@@ -70,20 +69,17 @@ def parse_seeds(text: str) -> list[int]:
         else:
             seeds = [int(part) for part in text.split(",") if part.strip()]
     except (ValueError, OverflowError):
-        raise InputError(f"cannot parse seeds {text!r}")
-    if not seeds:
-        raise InputError(f"no seeds in {text!r}")
-    return seeds
+        return text
+    return seeds or text
 
 
-def parse_hidden(text: str) -> list[int]:
+def parse_hidden(text: str) -> list[int] | str:
+    """Read widths such as '4,2'; other text is returned as it is."""
     try:
         widths = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise InputError(f"cannot parse hidden widths {text!r}")
-    if not widths:
-        raise InputError("hidden widths must be non-empty")
-    return widths
+        return text
+    return widths or text
 
 
 def _sha256(data: bytes) -> str:
@@ -243,8 +239,6 @@ def run_titanic(params: dict, out: Path, recorded: dict | None = None) -> int:
     else:
         test_set, train_set = None, full
     target = {"train": train_set, "test": test_set, "all": full}[params["cluster_on"]]
-    if target is None:
-        raise InputError("--cluster-on test requires --test-fraction > 0")
 
     def note(net, history):
         return "" if test_set is None else f" test_accuracy={accuracy(net, test_set):.4f}"
@@ -516,9 +510,6 @@ def _runners() -> dict:
     return {"simulate": run_simulate, "titanic": run_titanic, "verify": run_verify}
 
 
-_CLUSTER_ON = ("train", "test", "all")
-
-
 def _is_int(value) -> bool:
     return type(value) is int
 
@@ -527,13 +518,12 @@ def _is_number(value) -> bool:
     return _is_int(value) or (type(value) is float and math.isfinite(value))
 
 
-def _list_of(items: str, accepts) -> tuple:
-    return (f"a non-empty list of {items}",
-            lambda v: type(v) is list and bool(v) and all(map(accepts, v)))
+# An argument kind: what its value must be, and how its flag's text is read.
+_Kind = namedtuple("_Kind", "description accepts read", defaults=(str,))
 
 
-def _one_of(choices: tuple) -> tuple:
-    return f"one of {', '.join(choices)}", lambda v: v in choices
+def _one_of(choices: tuple) -> _Kind:
+    return _Kind(f"one of {', '.join(choices)}", lambda v: v in choices)
 
 
 # The largest count of rows, epochs, batch rows or hidden units. A count
@@ -541,60 +531,78 @@ def _one_of(choices: tuple) -> tuple:
 # 2**63 entries, and one of 2**31 rows of ten features would hold 160 GiB.
 _MAX_COUNT = 2**31 - 1
 
-# An argument kind: (description, predicate). ``type(v) is int``, not
-# isinstance, so that a JSON ``true`` is not taken for 1.
-_SEED = ("a non-negative integer", lambda v: _is_int(v) and v >= 0)
-_COUNT = (f"an integer in [1, {_MAX_COUNT}]", lambda v: _is_int(v) and 0 < v <= _MAX_COUNT)
-_POSITIVE = ("a positive finite number", lambda v: _is_number(v) and v > 0)
-_NON_NEGATIVE = ("a non-negative finite number", lambda v: _is_number(v) and v >= 0)
-_FRACTION = ("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1)
-# An input file's path; ``_params`` records it absolute.
-_PATH = ("a string", lambda v: type(v) is str)
-_PATH_OR_NULL = ("a string or null", lambda v: v is None or type(v) is str)
-_COUNTS = _list_of(f"integers in [1, {_MAX_COUNT}]", _COUNT[1])
-_SEEDS = (
-    "a non-empty list of distinct non-negative integers",
-    lambda v: type(v) is list and bool(v) and all(map(_SEED[1], v)) and len(set(v)) == len(v),
-)
+# The argument kinds. ``type(v) is int``, not isinstance, so that a JSON
+# ``true`` is not taken for 1.
+_SEED = _Kind("a non-negative integer", lambda v: _is_int(v) and v >= 0, int)
+_COUNT = _Kind(f"an integer in [1, {_MAX_COUNT}]",
+               lambda v: _is_int(v) and 0 < v <= _MAX_COUNT, int)
+_POSITIVE = _Kind("a positive finite number", lambda v: _is_number(v) and v > 0, float)
+_NON_NEGATIVE = _Kind("a non-negative finite number", lambda v: _is_number(v) and v >= 0, float)
+_FRACTION = _Kind("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1, float)
+# An input file's path, recorded absolute. Its flag is required.
+_PATH = _Kind("a string", lambda v: type(v) is str, lambda text: str(Path(text).absolute()))
+_PATH_OR_NULL = _PATH._replace(description="a string or null",
+                               accepts=lambda v: v is None or type(v) is str)
+_COUNTS = _Kind(f"a non-empty list of integers in [1, {_MAX_COUNT}]",
+                lambda v: type(v) is list and bool(v) and all(map(_COUNT.accepts, v)), parse_hidden)
+_SEEDS = _Kind("a non-empty list of distinct non-negative integers",
+               lambda v: type(v) is list and bool(v) and all(map(_SEED.accepts, v))
+               and len(set(v)) == len(v), parse_seeds)
 
-# The one contract for each command's arguments, on the command line and in
-# a manifest: the keys they carry and what each value must be.
+# The one declaration of each command's arguments, on the command line and in
+# a manifest: each key's kind, its flag's default text (None where the flag
+# has no default) and its flag's help.
 _TRAIN_KEYS = {
-    "seeds": _SEEDS,
-    "epochs": _COUNT,
-    "lr": _POSITIVE,
-    "batch_size": _COUNT,
-    "reg": _NON_NEGATIVE,
-    "hidden": _COUNTS,
-    "normalization": _one_of(NORMALIZATIONS),
-    "tol": _POSITIVE,
+    "seeds": (_SEEDS, "0", "seeds, e.g. 3, 1..5 or 0,3,7; best run kept"),
+    "epochs": (_COUNT, "10", "training epochs"),
+    "lr": (_POSITIVE, "0.01", "learning rate"),
+    "batch_size": (_COUNT, "100", "rows per training batch"),
+    "reg": (_NON_NEGATIVE, "0.02", "activity regularizer coefficient"),
+    "hidden": (_COUNTS, "4,2", "hidden widths, e.g. 4,2"),
+    "normalization": (_one_of(NORMALIZATIONS), "raw", "importance weight scaling in reports"),
+    "tol": (_POSITIVE, "1e-6", "affine verification tolerance"),
 }
 _PARAM_KEYS = {
-    "simulate": {"n": _COUNT, "data_seed": _SEED, **_TRAIN_KEYS},
+    "simulate": {
+        "n": (_COUNT, "100000", "sample count"),
+        "data_seed": (_SEED, str(DEFAULT_DATA_SEED), "dataset generation seed"),
+        **_TRAIN_KEYS,
+    },
     "titanic": {
-        "csv": _PATH,
-        "test_fraction": _FRACTION,
-        "split_seed": _SEED,
-        "cluster_on": _one_of(_CLUSTER_ON),
+        "csv": (_PATH, None, "Kaggle-format train csv"),
+        "test_fraction": (_FRACTION, "0", "held-out fraction; 0 trains on all rows"),
+        "split_seed": (_SEED, "0", "seed of the held-out split"),
+        "cluster_on": (_one_of(("train", "test", "all")), "train", "the rows to cluster"),
         **_TRAIN_KEYS,
     },
     "verify": {
-        "net": _PATH,
-        "data": _PATH,
-        "tol": _POSITIVE,
-        "clusters": _PATH_OR_NULL,
-        "jacobian_step": _POSITIVE,
-        "jacobian_tol": _POSITIVE,
+        "net": (_PATH, None, "network JSON path"),
+        "data": (_PATH, None, "dataset csv path"),
+        "tol": (_POSITIVE, "1e-6", "affine verification tolerance"),
+        "clusters": (_PATH_OR_NULL, None,
+                     "cluster JSON to cross-check (default: sibling of --net)"),
+        "jacobian_step": (_POSITIVE, "1e-4", "finite-difference step of the Jacobian probe"),
+        "jacobian_tol": (_POSITIVE, "1e-4", "Jacobian probe tolerance"),
     },
 }
 
 
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _check_params(command: str, params: dict) -> None:
-    """Refuse the first value outside its kind, naming its flag and its manifest key."""
-    for key, (description, accepts) in _PARAM_KEYS[command].items():
-        if not accepts(params[key]):
-            flag = "--" + key.replace("_", "-")
-            raise InputError(f"{flag} ({key!r}) must be {description}, got {params[key]!r}")
+    """Refuse the first value outside its kind, naming its flag and its manifest key.
+
+    Then refuse clustering the held-out rows of a titanic run that holds none out.
+    """
+    for key, (kind, _, _) in _PARAM_KEYS[command].items():
+        if not kind.accepts(params[key]):
+            raise InputError(
+                f"{_flag(key)} ({key!r}) must be {kind.description}, got {params[key]!r}"
+            )
+    if command == "titanic" and params["cluster_on"] == "test" and params["test_fraction"] == 0:
+        raise InputError("--cluster-on test requires --test-fraction > 0")
 
 
 def _read_manifest(manifest_path: Path) -> tuple[str, dict, dict]:
@@ -627,98 +635,86 @@ def _read_manifest(manifest_path: Path) -> tuple[str, dict, dict]:
     return command, params, recorded
 
 
-def _add_train_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--epochs", type=int, default=10)
-    sub.add_argument("--lr", type=float, default=0.01)
-    sub.add_argument("--batch-size", type=int, default=100)
-    sub.add_argument("--reg", type=float, default=0.02, help="activity regularizer coefficient")
-    sub.add_argument("--hidden", default="4,2", help="hidden widths, e.g. 4,2")
-    sub.add_argument("--seeds", default="0", help="seeds, e.g. 3, 1..5 or 0,3,7; best run kept")
-    sub.add_argument(
-        "--normalization", choices=NORMALIZATIONS, default="raw",
-        help="importance weight scaling in reports",
-    )
-    sub.add_argument("--tol", type=float, default=1e-6, help="affine verification tolerance")
-    sub.add_argument("--out", required=True, help="artifact directory")
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage error is bad input, which ``main`` reports in one line."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
+_COMMANDS = {"simulate": "Boolean simulation experiment", "titanic": "Titanic tabular experiment",
+             "verify": "audit saved network/dataset artifacts",
+             "rerun": "re-execute a run from its manifest"}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The command line, each flag of ``_PARAM_KEYS`` made from its entry and taken as text.
+
+    ``_params`` reads each flag's text by its kind. Only ``--out``,
+    ``--no-clusters`` and rerun's manifest are declared here.
+    """
+    parser = _Parser(
         prog="relu-prism",
         description="Exact affine decomposition and cluster explanations for ReLU networks",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    # Flags are matched whole: the retired --seed is not read as --seeds.
-    add_parser = functools.partial(subs.add_parser, allow_abbrev=False)
-
-    sim = add_parser("simulate", help="Boolean simulation experiment")
-    sim.add_argument("--n", type=int, default=100_000, help="sample count")
-    sim.add_argument(
-        "--data-seed", type=int, default=DEFAULT_DATA_SEED, help="dataset generation seed"
-    )
-    _add_train_flags(sim)
-
-    tit = add_parser("titanic", help="Titanic tabular experiment")
-    tit.add_argument("--csv", required=True, help="Kaggle-format train csv")
-    tit.add_argument("--test-fraction", type=float, default=0.0,
-                     help="held-out fraction; 0 trains on all rows")
-    tit.add_argument("--split-seed", type=int, default=0)
-    tit.add_argument("--cluster-on", choices=_CLUSTER_ON, default="train")
-    _add_train_flags(tit)
-
-    ver = add_parser("verify", help="audit saved network/dataset artifacts")
-    ver.add_argument("--net", required=True, help="network JSON path")
-    ver.add_argument("--data", required=True, help="dataset csv path")
-    ver.add_argument("--tol", type=float, default=1e-6)
-    ver.add_argument("--clusters", help="cluster JSON to cross-check (default: sibling of --net)")
-    ver.add_argument("--no-clusters", action="store_true", help="skip the cluster cross-check")
-    ver.add_argument("--jacobian-step", type=float, default=1e-4)
-    ver.add_argument("--jacobian-tol", type=float, default=1e-4)
-    ver.add_argument("--out", required=True, help="artifact directory")
-
-    rer = add_parser("rerun", help="re-execute a run from its manifest")
-    rer.add_argument("manifest", help="manifest.json of a previous run")
-    rer.add_argument("--out", required=True, help="artifact directory")
+    for command, summary in _COMMANDS.items():
+        # Flags are matched whole: the retired --seed is not read as --seeds.
+        sub = subs.add_parser(command, help=summary, allow_abbrev=False)
+        for key, (kind, default, text) in _PARAM_KEYS.get(command, {}).items():
+            sub.add_argument(_flag(key), default=default, required=kind is _PATH,
+                             help=f"{text}; {kind.description}")
+        if command == "verify":
+            sub.add_argument("--no-clusters", action="store_true",
+                             help="skip the cluster cross-check; excludes --clusters")
+        if command == "rerun":
+            sub.add_argument("manifest", help="manifest.json of a previous run")
+        sub.add_argument("--out", required=True, help="artifact directory")
     return parser
 
 
 def _params(args) -> dict:
-    """The command's normalized arguments, as its manifest records them.
+    """The command's arguments as its manifest records them: each flag's text read by its kind.
 
-    Each key of ``_PARAM_KEYS[args.command]`` is read from ``args``. Input
-    paths are made absolute, so that a rerun from another directory reads the
-    same files; only ``seeds`` and ``hidden``, or ``clusters`` for verify, are
-    normalized otherwise. The values are checked by ``_check_params``, as a
-    manifest's are.
+    A path is read absolute, so that a rerun from another directory reads the
+    same files. ``_check_params`` checks the values, as a manifest's are. For
+    verify, ``--no-clusters`` makes ``clusters`` None; without either flag it
+    is the ``clusters.json`` beside ``--net``, if there is one.
     """
-    keys = _PARAM_KEYS[args.command]
-    params = {key: getattr(args, key) for key in keys}
-    for key, kind in keys.items():
-        if kind in (_PATH, _PATH_OR_NULL) and params[key] is not None:
-            params[key] = str(Path(params[key]).absolute())
+    params = {}
+    for key, (kind, _, _) in _PARAM_KEYS[args.command].items():
+        text = getattr(args, key)
+        try:
+            params[key] = None if text is None else kind.read(text)
+        except ValueError:
+            # Kept as text, for _check_params to refuse with the line that
+            # a manifest holding this text gets.
+            params[key] = text
     if args.command != "verify":
-        params["seeds"] = parse_seeds(args.seeds)
-        params["hidden"] = parse_hidden(args.hidden)
         return params
     if args.no_clusters:
-        params["clusters"] = None
-    elif args.clusters is None:
+        if params["clusters"] is not None:
+            raise InputError("--clusters and --no-clusters exclude each other")
+    elif params["clusters"] is None:
         sibling = Path(params["net"]).parent / "clusters.json"
         params["clusters"] = str(sibling) if sibling.exists() else None
     return params
 
 
 def _check_out(out: Path) -> None:
-    """Refuse an ``--out`` that cannot become a directory, before any work."""
-    existing = next(path for path in (out, *out.absolute().parents) if path.exists())
+    """Refuse an ``--out`` that cannot become a directory, before any work.
+
+    A symlink counts as existing, dangling or not: ``mkdir`` cannot replace it.
+    """
+    existing = next(path for path in (out, *out.absolute().parents) if os.path.lexists(path))
     if not existing.is_dir():
         raise InputError(f"--out {out}: {existing} is not a directory")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_out(Path(args.out))
         if args.command == "rerun":
             command, params, recorded = _read_manifest(Path(args.manifest))

@@ -128,20 +128,46 @@ class TestArgParsing:
         assert parse_seeds("0,5,9") == [0, 5, 9]
 
     def test_parse_seeds_rejects_empty_range(self):
-        with pytest.raises(InputError):
-            parse_seeds("5..1")
+        """Text that reads as no seeds is returned as it is, for the argument check."""
+        assert parse_seeds("5..1") == "5..1"
+        assert parse_seeds("x") == "x"
 
     def test_parse_hidden(self):
         assert parse_hidden("4,2") == [4, 2]
-        with pytest.raises(InputError):
-            parse_hidden("a,b")
-        with pytest.raises(InputError):
-            parse_hidden(",")
+        assert parse_hidden("a,b") == "a,b"
+        assert parse_hidden(",") == ","
 
-    def test_missing_subcommand_exits_two(self):
-        with pytest.raises(SystemExit) as err:
-            main([])
-        assert err.value.code == 2
+    def test_missing_subcommand_exits_two(self, tmp_path, capsys):
+        err = assert_rejected([], tmp_path / "run", capsys)
+        assert err == "error: the following arguments are required: command\n", err
+
+    @pytest.mark.parametrize("argv, line", [
+        (["simulate", "--n", "400", "--bogus", "--out", "{out}"],
+         "unrecognized arguments: --bogus"),
+        (["simulate", "--n", "400"], "the following arguments are required: --out"),
+        (["verify", "--data", "d.csv", "--out", "{out}"],
+         "the following arguments are required: --net"),
+        (["simulate", "--out", "{out}", "--n"], "argument --n: expected one argument"),
+        (["again", "--out", "{out}"], "argument command: invalid choice: 'again' "
+         "(choose from 'simulate', 'titanic', 'verify', 'rerun')"),
+    ], ids=["unknown-flag", "missing-out", "missing-net", "flag-without-value", "unknown-command"])
+    def test_usage_error_exits_two_with_one_line(self, tmp_path, capsys, argv, line):
+        """A usage error is bad input like any other, not a usage block and a SystemExit."""
+        out = tmp_path / "run"
+        err = assert_rejected([arg.format(out=out) for arg in argv], out, capsys)
+        assert err == f"error: {line}\n", err
+
+    def test_help_names_every_flag_and_each_choice(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "1000")  # one line per flag
+        (subs,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+        for command, keys in _PARAM_KEYS.items():
+            text = subs.choices[command].format_help()
+            for key, (kind, _, help_text) in keys.items():
+                assert f"--{key.replace('_', '-')}" in text, key
+                assert f"{help_text}; {kind.description}" in text, key
+        assert "one of raw, max_abs" in subs.choices["simulate"].format_help()
+        assert "one of train, test, all" in subs.choices["titanic"].format_help()
 
     def test_parser_flags_match_manifest_keys(self):
         """Every flag but --out, and those folded into another key, is a manifest arg."""
@@ -204,11 +230,9 @@ class TestSimulate:
         head = {"simulate": ["simulate"],
                 "titanic": ["titanic", "--csv", str(synthetic_titanic_csv)]}[command]
         out = tmp_path / "run"
-        with pytest.raises(SystemExit) as exited:
-            main([*head, "--epochs", "1", "--seed", "1", "--out", str(out)])
-        assert exited.value.code == 2
-        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
-        assert not out.exists()
+        err = assert_rejected([*head, "--epochs", "1", "--seed", "1", "--out", str(out)],
+                              out, capsys)
+        assert err == "error: unrecognized arguments: --seed 1\n", err
 
     def test_unparseable_seeds_exit_two(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -222,7 +246,8 @@ class TestSimulate:
         """A range of 2**70 seeds has no length Python can hold."""
         out = tmp_path / "run"
         err = assert_rejected(simulate_args(out, extra=("--seeds", f"0..{2**70}")), out, capsys)
-        assert err == f"error: cannot parse seeds '0..{2**70}'\n"
+        assert err == ("error: --seeds ('seeds') must be a non-empty list of distinct "
+                       f"non-negative integers, got '0..{2**70}'\n"), err
 
     def test_negative_n_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -423,8 +448,8 @@ class TestRerun:
         path = tmp_path / "manifest.json"
         for manifest in manifests:
             # every float argument: each key whose kind takes 0.5
-            keys = [k for k, (_, accepts) in _PARAM_KEYS[manifest["command"]].items()
-                    if accepts(0.5)]
+            keys = [k for k, (kind, _, _) in _PARAM_KEYS[manifest["command"]].items()
+                    if kind.accepts(0.5)]
             assert keys
             for key in keys:
                 for value in (float("nan"), float("inf")):
@@ -466,6 +491,14 @@ class TestRerun:
             ("simulate", {"hidden": [4, 2**70]}, [f"--hidden=4,{2**70}"]),
             ("titanic", {"batch_size": 2**70}, [f"--batch-size={2**70}"]),
             ("titanic", {"hidden": [cli._MAX_COUNT + 1]}, [f"--hidden={cli._MAX_COUNT + 1}"]),
+            # Text that does not read as the flag's kind.
+            ("simulate", {"n": "abc"}, ["--n=abc"]),
+            ("simulate", {"lr": "x"}, ["--lr=x"]),
+            ("simulate", {"seeds": "x"}, ["--seeds=x"]),
+            ("simulate", {"hidden": "a,b"}, ["--hidden=a,b"]),
+            ("simulate", {"normalization": "zz"}, ["--normalization=zz"]),
+            ("titanic", {"cluster_on": "nope"}, ["--cluster-on=nope"]),
+            ("verify", {"jacobian_step": "abc"}, ["--jacobian-step=abc"]),
         ],
     )
     def test_out_of_range_arg_is_refused_alike_on_both_paths(
@@ -716,12 +749,11 @@ class TestVerify:
     def test_retired_probe_flags_are_unrecognized(self, run_dir, tmp_path, capsys, flags):
         """The probe rows are fixed: no seed or sample count chooses them."""
         capsys.readouterr()
-        with pytest.raises(SystemExit) as exited:
-            main(["verify", "--net", str(run_dir / "network.json"),
-                  "--data", str(run_dir / "dataset.csv"), *flags, "--out", str(tmp_path / "v")])
-        assert exited.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
-        assert not (tmp_path / "v").exists()
+        out = tmp_path / "v"
+        err = assert_rejected(["verify", "--net", str(run_dir / "network.json"),
+                               "--data", str(run_dir / "dataset.csv"), *flags, "--out", str(out)],
+                              out, capsys)
+        assert err == f"error: unrecognized arguments: {' '.join(flags)}\n", err
 
     def assert_stored_map_rejected(self, run_dir, tmp_path, capsys, checked, key, value):
         doc = json.loads((run_dir / "clusters.json").read_text())
@@ -880,6 +912,18 @@ class TestVerify:
         assert code == 0
         doc = json.loads((tmp_path / "v" / "verify.json").read_text())
         assert "clusters" not in doc
+
+    def test_clusters_flag_with_no_clusters_exits_two(self, run_dir, tmp_path, capsys):
+        """An explicit cluster file is not skipped in silence."""
+        capsys.readouterr()
+        out = tmp_path / "v"
+        err = assert_rejected(
+            ["verify", "--net", str(run_dir / "network.json"),
+             "--data", str(run_dir / "dataset.csv"), "--clusters", str(run_dir / "clusters.json"),
+             "--no-clusters", "--out", str(out)],
+            out, capsys,
+        )
+        assert err == "error: --clusters and --no-clusters exclude each other\n", err
 
     def test_missing_cluster_file_exits_two(self, run_dir, tmp_path, capsys, clusters_checked):
         capsys.readouterr()
@@ -1504,6 +1548,25 @@ class TestTitanic:
         )
         assert code == 2
 
+    def test_cluster_on_test_without_split_is_refused_before_the_csv_is_read(
+        self, synthetic_titanic_csv, tmp_path, capsys,
+    ):
+        """On the command line and in a manifest, before the CSV is read or hashed."""
+        line = "error: --cluster-on test requires --test-fraction > 0\n"
+        out = tmp_path / "again"
+        missing = self.titanic_args(tmp_path / "none.csv", out, extra=("--cluster-on", "test"))
+        assert assert_rejected(missing, out, capsys) == line
+        csv_path, run = tmp_path / "passengers.csv", tmp_path / "run"
+        csv_path.write_bytes(synthetic_titanic_csv.read_bytes())
+        assert main(self.titanic_args(csv_path, run)) == 0
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["args"]["cluster_on"] = "test"
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        csv_path.write_bytes(synthetic_titanic_csv.read_bytes() + b"\n")  # a changed hash
+        capsys.readouterr()
+        assert assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys) == line
+
     def test_schema_error_names_column(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("Survived,Pclass,Name,Sex,Age,SibSp,Parch,Fare\n")
@@ -1606,6 +1669,15 @@ def test_out_that_is_a_file_is_refused_before_any_work(tmp_path, capsys):
     assert captured.out == "", captured.out  # no seed line: nothing was trained
     assert captured.err == f"error: --out {out}: {out} is not a directory\n", captured.err
     assert out.read_text() == "keep\n"
+
+
+def test_out_that_is_a_dangling_symlink_is_refused_before_any_work(tmp_path, capsys):
+    """``Path.exists`` follows the link, but ``mkdir`` cannot replace it."""
+    out = tmp_path / "link"
+    out.symlink_to(tmp_path / "nowhere")
+    err = assert_rejected(simulate_args(out), out, capsys)  # no seed line: nothing trained
+    assert err == f"error: --out {out}: {out} is not a directory\n", err
+    assert out.is_symlink() and not (tmp_path / "nowhere").exists()
 
 
 @pytest.mark.parametrize("unbuffered", [True, False])

@@ -15,6 +15,13 @@ Every mutant runs in process through ``main``. It passes when its exit code
 is in {0, 1, 2, 3}, no exception escapes ``main`` (the suite turns a numpy
 warning into one) and an exit of 2 or 3 comes with exactly one stderr line.
 The seed and the count were fixed before the first run.
+
+A second fuzzer mutates valid command lines of all four commands: one
+flag's value becomes a junk token, a flag is dropped or duplicated, or an
+unknown flag is inserted anywhere. It never inserts ``-h`` or ``--version``,
+which print and exit by design. A mutant passes by the same rule, a
+``SystemExit`` counting as an escape. Its seed and count were also fixed
+before its first run.
 """
 
 from __future__ import annotations
@@ -30,9 +37,16 @@ from relu_prism.cli import main
 
 SEED = 27
 COUNT = 200
+ARGV_SEED = 30
+ARGV_COUNT = 150
 INPUTS = ("network.json", "dataset.csv", "clusters.json", "manifest.json", "passengers.csv")
 # The values a structure-aware mutation puts in place of one value.
 VALUES = (None, True, False, 2**70, 1e308, [[[]]], [[1.0], [[2.0]]])
+# The tokens an argv mutation puts in place of a flag's value, and the flags
+# it inserts. None of them is a valid value that would make a mutant slow.
+JUNK = ("", "abc", "-1", "0", "nan", "1e999", "x,y", "1..", "..", "1,1", "-", "--", "\u00e9",
+        str(2**70), "--n")
+UNKNOWN = ("--bogus", "--seed", "-x", "--jacobian-samples", "--no-clusters=1", "--out-dir")
 
 
 def byte_mutant(rng, data: bytes) -> tuple[str, bytes]:
@@ -150,4 +164,65 @@ def test_no_mutant_escapes_the_input_contract(inputs, tmp_path, capsys, monkeypa
         err = capsys.readouterr().err
         if code not in (0, 1, 2, 3) or (code in (2, 3) and err.count("\n") != 1):
             escapes.append((i, name, kind, code, err))
+    assert not escapes, escapes
+
+
+def argv_mutant(rng, groups: list) -> tuple[str, list]:
+    """One mutant of a command line given as groups: the command, then each flag with its value."""
+    groups = [list(group) for group in groups]
+    flags = [i for i, group in enumerate(groups) if group[0].startswith("--")]
+    kind = rng.choice(["junk", "drop", "duplicate", "unknown"])
+    if kind == "junk":
+        valued = [i for i in flags if len(groups[i]) == 2]
+        groups[valued[int(rng.integers(len(valued)))]][1] = JUNK[int(rng.integers(len(JUNK)))]
+    elif kind == "drop":
+        del groups[flags[int(rng.integers(len(flags)))]]
+    elif kind == "duplicate":
+        copy = groups[flags[int(rng.integers(len(flags)))]]
+        groups.insert(1 + int(rng.integers(len(groups))), copy)
+    argv = [token for group in groups for token in group]
+    if kind == "unknown":
+        argv.insert(int(rng.integers(len(argv) + 1)), UNKNOWN[int(rng.integers(len(UNKNOWN)))])
+    return kind, argv
+
+
+def test_no_command_line_mutant_escapes_the_input_contract(inputs, synthetic_titanic_csv,
+                                                           tmp_path, capsys, monkeypatch):
+    run, files = inputs
+    manifest = json.loads(files["manifest.json"])
+    manifest["args"].update({key: str(run / manifest["args"][key])
+                             for key in ("net", "data", "clusters")})
+    manifest_path = tmp_path / "manifest.json"
+    manifest_path.write_text(json.dumps(manifest))
+    # A junk --out such as "abc" is made here.
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "out")
+    bases = [
+        [["simulate"], ["--n", "300"], ["--data-seed", "5"], ["--seeds", "1"], ["--epochs", "1"],
+         ["--lr", "0.01"], ["--batch-size", "100"], ["--reg", "0.02"], ["--hidden", "4,2"],
+         ["--normalization", "raw"], ["--tol", "1e-6"], ["--out", out]],
+        [["titanic"], ["--csv", str(synthetic_titanic_csv)], ["--test-fraction", "0.25"],
+         ["--split-seed", "1"], ["--cluster-on", "test"], ["--seeds", "0"], ["--epochs", "1"],
+         ["--hidden", "3"], ["--normalization", "max_abs"], ["--out", out]],
+        [["verify"], ["--net", str(run / "network.json")], ["--data", str(run / "dataset.csv")],
+         ["--clusters", str(run / "clusters.json")], ["--tol", "1e-6"],
+         ["--jacobian-step", "1e-4"], ["--jacobian-tol", "1e-4"], ["--out", out]],
+        [["verify"], ["--net", str(run / "network.json")], ["--data", str(run / "dataset.csv")],
+         ["--no-clusters"], ["--out", out]],
+        [["rerun"], [str(manifest_path)], ["--out", out]],
+    ]
+    rng = np.random.default_rng(ARGV_SEED)
+    escapes = []
+    for i in range(ARGV_COUNT):
+        kind, argv = argv_mutant(rng, bases[i % len(bases)])
+        argv = [f"{out}{i}" if token == out else token for token in argv]
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except (Exception, SystemExit) as exc:
+            escapes.append((i, kind, argv, f"{type(exc).__name__}: {exc}"))
+            continue
+        err = capsys.readouterr().err
+        if code not in (0, 1, 2, 3) or (code in (2, 3) and err.count("\n") != 1):
+            escapes.append((i, kind, argv, code, err))
     assert not escapes, escapes
