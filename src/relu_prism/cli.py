@@ -5,7 +5,8 @@ Four subcommands:
   simulate   generate the Boolean dataset, train, partition, report
   titanic    same pipeline on a Kaggle-format Titanic train csv
   verify     audit saved artifacts: affine exactness, Jacobian agreement,
-             and consistency of stored cluster maps with the network
+             and that the stored clusters are the rows' partition, each
+             with its statistics and its map
   rerun      re-execute a previous run from its manifest
 
 Every artifact-writing command stores a manifest capturing the normalized
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .affine import _pattern_table, _verify_table, collapse_batch, jacobian_check, verify_affine
+from .affine import _pattern_table, _verify_table, jacobian_check
 from .data import (
     Dataset,
     _write_dataset_csv,
@@ -42,9 +43,9 @@ from .data import (
 from .errors import ChildLostError, InputError, SchemaError, TrainingDivergedError
 from .explain import NORMALIZATIONS, feature_importance, render_report
 from .network import (
-    _leaf_types, _numeric_array, bitstrings_to_masks, parse_network_json, save_network,
+    _leaf_types, _numeric_array, masks_to_text, parse_network_json, save_network, split_bitstrings,
 )
-from .partition import _clusters, clusters_to_json
+from .partition import _clusters, _ranked_stats, clusters_to_json
 from .train import TrainConfig, _fork, accuracy, history_to_csv, train_seeds
 
 EXIT_OK = 0
@@ -60,12 +61,20 @@ EXIT_PIPE = 141
 DEFAULT_DATA_SEED = 5
 
 
+# The most seeds one sweep trains. Training holds a row order per seed: 1,024
+# seeds over 100k rows peaked at 453 MB and took 18 s an epoch on 2 vCPUs.
+_MAX_SEEDS = 1024
+
+
 def parse_seeds(text: str) -> list[int] | str:
-    """Read '3', '1,2,5' or an inclusive range '1..5'; other text is returned as it is."""
+    """Read '3', '1,2,5' or an inclusive range '1..5'; other text is returned as it is.
+
+    So is a range of more than ``_MAX_SEEDS`` seeds, told from its ends alone.
+    """
     try:
         if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            seeds = list(range(int(lo_text), int(hi_text) + 1))
+            lo, hi = map(int, text.split("..", 1))
+            seeds = list(range(lo, hi + 1)) if hi - lo < _MAX_SEEDS else []
         else:
             seeds = [int(part) for part in text.split(",") if part.strip()]
     except (ValueError, OverflowError):
@@ -268,6 +277,10 @@ def run_titanic(params: dict, out: Path, recorded: dict | None = None) -> int:
 
 # The keys that make a JSON object a cluster entry for verify.
 _ENTRY_KEYS = frozenset(("pattern", "omega", "bias"))
+# The statistics of a cluster entry, kept by ``_StoredMaps`` in this order, and
+# the type of each: a JSON true is not the size 1.
+_STAT_KEYS = ("size", "fraction", "predicted_positive_rate", "target_positive_rate")
+_STAT_TYPES = (int, float, float, float)
 # Entries whose float lists become arrays in one conversion.
 _MAP_BLOCK = 1024
 # What each cluster entry parses to under ``_StoredMaps``.
@@ -275,8 +288,8 @@ _ENTRY = object()
 
 
 class _StoredMaps:
-    """``json`` object hook: keep each cluster entry's pattern, and its map as
-    arrays converted ``_MAP_BLOCK`` entries at a time.
+    """``json`` object hook: keep each cluster entry's pattern and statistics,
+    and its map as arrays converted ``_MAP_BLOCK`` entries at a time.
 
     Each entry parses to ``_ENTRY``. Only one block's float lists are alive at
     a time. A block that does not convert to numeric maps of ``shape``, or
@@ -285,12 +298,12 @@ class _StoredMaps:
     place so that the test for finite maps refuses it. A block is searched
     for booleans only if ``booleans`` says the document may hold one. The
     hook never raises, so a syntax error later in the document is still
-    reported as one.
+    reported as one. A statistic the entry lacks is kept as None.
     """
 
     def __init__(self, shape: tuple, booleans: bool = True):
         self.shape, self.booleans = shape, booleans
-        self.patterns = []
+        self.patterns, self.stats = [], tuple([] for _ in _STAT_KEYS)
         # The converted blocks, after an empty one: no entries make (0, ...) maps.
         self.omegas, self.biases = [np.empty((0, *shape))], [np.empty((0, shape[0]))]
         self.pending_omegas, self.pending_biases = [], []
@@ -301,6 +314,8 @@ class _StoredMaps:
         if not _ENTRY_KEYS <= obj.keys():
             return obj
         self.patterns.append(obj["pattern"])
+        for column, key in zip(self.stats, _STAT_KEYS):
+            column.append(obj.get(key))
         self.pending_omegas.append(obj["omega"])
         self.pending_biases.append(obj["bias"])
         if len(self.pending_omegas) == _MAP_BLOCK:
@@ -376,19 +391,14 @@ class _StoredMaps:
         return patterns, omegas, biases
 
 
-def _check_stored_clusters(net, clusters_path: Path, tol: float) -> tuple[dict, str]:
-    """Recompute every stored cluster's map from the network and compare.
+def _check_stored_clusters(net, clusters_path: Path) -> tuple[tuple, str]:
+    """Read the stored clusters once and parse them once, through ``_StoredMaps``.
 
-    Returns the check's ``verify.json`` entry and the SHA-256 of the bytes
-    parsed, from one read of the file. The file is parsed once, through
-    ``_StoredMaps``, whether it is accepted or refused: its entries are
-    checked all at once, and only when that refuses are the same parsed
-    entries checked one at a time, to name the first bad one. The stored
-    bitstrings become one mask matrix, collapsed in one batch.
+    Returns the patterns that ``_StoredMaps.checked`` accepts, side by side in
+    one string, its maps, the statistics, and the SHA-256 of the bytes parsed.
     """
     raw = clusters_path.read_bytes()
     digest = _sha256(raw)
-    total = sum(net.hidden_widths)
     # No key that clusters_to_json writes holds a "u" or an "l", and both
     # true and false do: a file without either letter holds no boolean.
     maps = _StoredMaps((net.output_dim, net.input_dim), b"u" in raw or b"l" in raw)
@@ -401,21 +411,65 @@ def _check_stored_clusters(net, clusters_path: Path, tol: float) -> tuple[dict, 
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"invalid cluster JSON in {clusters_path}: {exc}")
     del text
-    patterns, stored_omega, stored_bias = maps.checked(doc, clusters_path, total)
-    del doc, maps
-    omegas, biases = collapse_batch(net, bitstrings_to_masks(patterns, total))
-    worst = max(
-        float(np.abs(stored_omega - omegas).max(initial=0.0)),
-        float(np.abs(stored_bias - biases).max(initial=0.0)),
-    )
-    return {"checked": len(patterns), "max_abs_err": worst, "pass": worst <= tol}, digest
+    patterns, omegas, biases = maps.checked(doc, clusters_path, sum(net.hidden_widths))
+    return ("".join(patterns), omegas, biases, maps.stats), digest
 
 
-def _check_rows(net, params: dict, hashes: dict) -> dict:
+def _compare_clusters(stored: tuple, rows: tuple, tol: float) -> dict:
+    """The ``clusters`` entry of ``verify.json``: the ``stored`` clusters held to the rows'.
+
+    Each side holds its patterns side by side in one string, its maps and its
+    statistics, the rows' as a (4, m) array ranked by ``_ranked_stats``.
+    ``max_abs_err`` is the largest gap between a stored map and the rows' map
+    of its pattern, over the patterns the rows realise. Entry i must carry
+    the rows' cluster i: its pattern, each statistic of its type and value,
+    and its map within ``tol``. Only if the entries, compared all at once,
+    differ does ``mismatch`` name the first that does.
+    """
+    (text, omegas, biases, stats), (row_text, row_omegas, row_biases, row_stats) = stored, rows
+    # The rows make at least one cluster.
+    n, m, width = len(omegas), len(row_omegas), len(row_text) // len(row_omegas)
+    same = n == m and text == row_text
+    if same:
+        at = np.arange(n)
+    else:
+        index = dict(zip(split_bitstrings(row_text, width, m), range(m)))
+        at = np.array([index.get(bits, -1) for bits in split_bitstrings(text, width, n)],
+                      dtype=np.int64)
+    gap = row_omegas[at]
+    gap -= omegas
+    gaps = np.maximum(np.abs(gap, out=gap).max(axis=(1, 2), initial=0.0),
+                      np.abs(row_biases[at] - biases).max(axis=1, initial=0.0))
+    gaps[at < 0] = 0.0
+    doc = {"checked": n, "max_abs_err": float(gaps.max(initial=0.0)), "pass": True}
+    if same and (gaps <= tol).all() and all(
+            got == want.tolist() and not set(map(type, got)) - {kind}
+            for got, want, kind in zip(stats, row_stats, _STAT_TYPES)):
+        return doc
+    columns = [("pattern", str, split_bitstrings(text, width, n),
+                split_bitstrings(row_text, width, m)),
+               *zip(_STAT_KEYS, _STAT_TYPES, stats, row_stats.tolist())]
+    for i in range(min(n, m)):
+        what = next((f"{key} is {json.dumps(got[i])}, not the rows' {json.dumps(kind(want[i]))}"
+                     for key, kind, got, want in columns
+                     if type(got[i]) is not kind or got[i] != want[i]), None)
+        if what is None and not gaps[i] <= tol:
+            what = f"map differs from the rows' by {gaps[i]:.3e}"
+        if what is not None:
+            break
+    else:
+        i, what = min(n, m), f"the rows make {m} clusters, the file holds {n}"
+    doc.update({"pass": False, "mismatch": f"cluster {i}: {what}"})
+    return doc
+
+
+def _check_rows(net, params: dict, hashes: dict, partition: bool) -> tuple[dict, object]:
     """Read, hash and parse the rows; check their logits and the Jacobian at fixed rows.
 
-    Returns the ``affine`` and ``jacobian`` entries of ``verify.json``. The
-    SHA-256 of the bytes read goes into ``hashes["data"]``.
+    Returns the ``affine`` and ``jacobian`` entries of ``verify.json`` and, if
+    ``partition``, the rows' clusters as ``_compare_clusters`` reads them (else
+    None), both from one pattern table. The SHA-256 of the bytes read goes
+    into ``hashes["data"]``.
     """
     data_path = Path(params["data"])
     raw = data_path.read_bytes()
@@ -423,7 +477,14 @@ def _check_rows(net, params: dict, hashes: dict) -> dict:
     # The dataset holds the parsed table itself, compacted to its features.
     dataset = parse_dataset_csv(raw, data_path)
     del raw
-    affine_report = verify_affine(net, dataset.features, tol=params["tol"])
+    table = _pattern_table(net, dataset.features)
+    affine_report = _verify_table(dataset.features, table, params["tol"])
+    ranked = None
+    if partition:
+        rank, stats = _ranked_stats(table, dataset)
+        _, masks, _, _, omegas, biases = table
+        ranked = (masks_to_text(masks[rank]), omegas[rank], biases[rank], stats)
+    del table
 
     # At most 100 fixed probe rows, i * n // k, spread evenly from the first.
     n = dataset.n_rows
@@ -447,7 +508,7 @@ def _check_rows(net, params: dict, hashes: dict) -> dict:
             "tol": params["jacobian_tol"],
             "pass": max_row_err <= params["jacobian_tol"],
         },
-    }
+    }, ranked
 
 
 def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
@@ -456,31 +517,33 @@ def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
     hashes = {"net": _sha256(raw)}
     net = parse_network_json(raw, net_path)
     del raw
-    doc, stored = {}, params["clusters"]
+    stored = params["clusters"]
 
     def check_stored():
-        return _check_stored_clusters(net, Path(stored), params["tol"])
+        return _check_stored_clusters(net, Path(stored))
 
     with _fork(check_stored) if stored is not None else nullcontext() as join:
         if join is None:
-            # Where nothing forks, the stored clusters are checked first:
+            # Where nothing forks, the stored clusters are read first:
             # parsing clusters.json is then this command's peak of memory,
-            # and it ends before the rows are read.
+            # and only its compact result is held while the rows are read.
             result = check_stored() if stored is not None else None
             join = lambda: result
         # A refusal comes in the one-process order: the stored clusters',
         # the rows' read, the input hashes, then the rest of the rows' check.
         try:
-            rows = _check_rows(net, params, hashes)
+            rows = _check_rows(net, params, hashes, stored is not None)
         except Exception as exc:
             rows = exc
         if stored is not None:
-            doc["clusters"], hashes["clusters"] = join()
+            entries, hashes["clusters"] = join()
         if "data" in hashes:
             _check_inputs(recorded, hashes)
         if isinstance(rows, Exception):
             raise rows
-        doc.update(rows)
+        doc, ranked = rows
+        if stored is not None:
+            doc["clusters"] = _compare_clusters(entries, ranked, params["tol"])
 
     ok = all(part["pass"] for part in doc.values())
     texts = {
@@ -501,6 +564,8 @@ def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
             f"clusters: checked={doc['clusters']['checked']} "
             f"max_abs_err={doc['clusters']['max_abs_err']:.3e} pass={doc['clusters']['pass']}"
         )
+        if "mismatch" in doc["clusters"]:
+            print(f"clusters: {doc['clusters']['mismatch']}")
     print(f"verify: {'pass' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY
 
@@ -539,21 +604,23 @@ _COUNT = _Kind(f"an integer in [1, {_MAX_COUNT}]",
 _POSITIVE = _Kind("a positive finite number", lambda v: _is_number(v) and v > 0, float)
 _NON_NEGATIVE = _Kind("a non-negative finite number", lambda v: _is_number(v) and v >= 0, float)
 _FRACTION = _Kind("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1, float)
-# An input file's path, recorded absolute. Its flag is required.
-_PATH = _Kind("a string", lambda v: type(v) is str, lambda text: str(Path(text).absolute()))
-_PATH_OR_NULL = _PATH._replace(description="a string or null",
-                               accepts=lambda v: v is None or type(v) is str)
+# An input file's path, recorded absolute. Its flag is required. No file
+# system takes a path holding a NUL character.
+_PATH = _Kind("a string without a NUL character", lambda v: type(v) is str and "\0" not in v,
+              lambda text: str(Path(text).absolute()))
+_PATH_OR_NULL = _PATH._replace(description=f"{_PATH.description}, or null",
+                               accepts=lambda v: v is None or _PATH.accepts(v))
 _COUNTS = _Kind(f"a non-empty list of integers in [1, {_MAX_COUNT}]",
                 lambda v: type(v) is list and bool(v) and all(map(_COUNT.accepts, v)), parse_hidden)
 _SEEDS = _Kind("a non-empty list of distinct non-negative integers",
-               lambda v: type(v) is list and bool(v) and all(map(_SEED.accepts, v))
-               and len(set(v)) == len(v), parse_seeds)
+               lambda v: type(v) is list and 0 < len(v) <= _MAX_SEEDS
+               and all(map(_SEED.accepts, v)) and len(set(v)) == len(v), parse_seeds)
 
 # The one declaration of each command's arguments, on the command line and in
 # a manifest: each key's kind, its flag's default text (None where the flag
 # has no default) and its flag's help.
 _TRAIN_KEYS = {
-    "seeds": (_SEEDS, "0", "seeds, e.g. 3, 1..5 or 0,3,7; best run kept"),
+    "seeds": (_SEEDS, "0", f"seeds, e.g. 3, 1..5 or 0,3,7; at most {_MAX_SEEDS}; best run kept"),
     "epochs": (_COUNT, "10", "training epochs"),
     "lr": (_POSITIVE, "0.01", "learning rate"),
     "batch_size": (_COUNT, "100", "rows per training batch"),
@@ -607,6 +674,8 @@ def _check_params(command: str, params: dict) -> None:
 
 def _read_manifest(manifest_path: Path) -> tuple[str, dict, dict]:
     """A manifest's command, arguments and input hashes; ``_check_params`` checks the values."""
+    if "\0" in str(manifest_path):
+        raise InputError(f"manifest {str(manifest_path)!r} holds a NUL character")
     try:
         doc = json.loads(manifest_path.read_text())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -707,6 +776,8 @@ def _check_out(out: Path) -> None:
 
     A symlink counts as existing, dangling or not: ``mkdir`` cannot replace it.
     """
+    if "\0" in str(out):
+        raise InputError(f"--out {str(out)!r} holds a NUL character")
     existing = next(path for path in (out, *out.absolute().parents) if os.path.lexists(path))
     if not existing.is_dir():
         raise InputError(f"--out {out}: {existing} is not a directory")

@@ -186,20 +186,14 @@ class ActivationPattern:
         return self.widths == net.hidden_widths
 
 
-def masks_to_bitstrings(masks: np.ndarray) -> list[str]:
-    """The ``bitstring`` of each row of a (k, total_bits) 0/1 matrix."""
-    k, width = masks.shape
-    text = np.where(masks, ord("1"), ord("0")).astype(np.uint8).tobytes().decode("ascii")
+def masks_to_text(masks: np.ndarray) -> str:
+    """The ``bitstring`` of each row of a (k, total_bits) 0/1 matrix, side by side."""
+    return np.where(masks, ord("1"), ord("0")).astype(np.uint8).tobytes().decode("ascii")
+
+
+def split_bitstrings(text: str, width: int, k: int) -> list[str]:
+    """The k bitstrings of ``width`` characters each that ``text`` holds side by side."""
     return [text[g * width : (g + 1) * width] for g in range(k)]
-
-
-def bitstrings_to_masks(bitstrings: Sequence[str], width: int) -> np.ndarray:
-    """The (len(bitstrings), width) bool matrix of 0/1 strings of ``width`` chars.
-
-    The row count is not inferred, so empty patterns (no hidden layer) still make rows.
-    """
-    text = "".join(bitstrings).encode("ascii")
-    return (np.frombuffer(text, dtype=np.uint8) == ord("1")).reshape(len(bitstrings), width)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ import numpy as np
 from .affine import AffineMap, _pattern_table
 from .data import Dataset
 from .errors import ShapeError
-from .network import ActivationPattern, Network, masks_to_bitstrings
+from .network import ActivationPattern, Network, masks_to_text, split_bitstrings
 
 __all__ = ["ClusterStats", "Cluster", "partition", "clusters_to_json"]
 
@@ -152,30 +152,21 @@ def partition(net: Network, dataset: Dataset) -> list[Cluster]:
 
 def _clusters(net: Network, table: tuple, dataset: Dataset) -> list[Cluster]:
     """The clusters of ``dataset`` from the ``_pattern_table`` of its features."""
-    logits, masks, order, counts, omegas, biases = table
+    _, masks, order, counts, omegas, biases = table
+    rank, stats = _ranked_stats(table, dataset)
     starts = np.cumsum(counts) - counts
-    # Predictions and targets are 0/1, so each weighted bincount is an exact
-    # count and each rate the same division that a per-group mean makes.
-    label = np.repeat(np.arange(counts.shape[0]), counts)
-    predicted_rates = np.bincount(label, weights=logits[order, 0] > 0.0) / counts
-    target_rates = np.bincount(label, weights=dataset.targets[order]) / counts
-    # Groups come in bitstring order, so a stable sort on size descending
-    # gives the canonical order. The tables are ranked once, and each
-    # cluster is one row of them.
-    rank = np.argsort(-counts, kind="stable")
     sizes = counts[rank]
+    # The tables are ranked once, and each cluster is one row of them.
     table = _Table(
         net.hidden_widths,
-        tuple(masks_to_bitstrings(masks[rank])),
+        tuple(split_bitstrings(masks_to_text(masks[rank]), masks.shape[1], len(rank))),
         order,
         starts[rank],
         starts[rank] + sizes,
         omegas[rank],
         biases[rank],
         tuple(sizes.tolist()),
-        tuple((sizes / dataset.n_rows).tolist()),
-        tuple(predicted_rates[rank].tolist()),
-        tuple(target_rates[rank].tolist()),
+        *(tuple(column.tolist()) for column in stats[1:]),
     )
     clusters = []
     for row in range(len(sizes)):
@@ -184,6 +175,28 @@ def _clusters(net: Network, table: tuple, dataset: Dataset) -> list[Cluster]:
         object.__setattr__(cluster, "_row", row)
         clusters.append(cluster)
     return clusters
+
+
+def _ranked_stats(table: tuple, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical order of the patterns of ``dataset``'s ``_pattern_table``, and their stats.
+
+    Returns ``rank``, the pattern indices by size descending, ties by
+    bitstring, and the (4, k) float array of the ranked sizes, fractions,
+    predicted rates (of the first output) and target rates.
+    """
+    logits, _, order, counts, _, _ = table
+    # Predictions and targets are 0/1, so each weighted bincount is an exact
+    # count and each rate the same division that a per-group mean makes.
+    label = np.repeat(np.arange(counts.shape[0]), counts)
+    predicted_rates = np.bincount(label, weights=logits[order, 0] > 0.0) / counts
+    target_rates = np.bincount(label, weights=dataset.targets[order]) / counts
+    # Groups come in bitstring order, so a stable sort on size descending
+    # gives the canonical order.
+    rank = np.argsort(-counts, kind="stable")
+    sizes = counts[rank]
+    return rank, np.array(
+        [sizes, sizes / dataset.n_rows, predicted_rates[rank], target_rates[rank]]
+    )
 
 
 def clusters_to_json(clusters: list[Cluster]) -> list[dict]:

@@ -132,6 +132,15 @@ class TestArgParsing:
         assert parse_seeds("5..1") == "5..1"
         assert parse_seeds("x") == "x"
 
+    def test_seed_count_is_bounded_and_a_range_is_told_by_its_ends(self):
+        """No list is built for a range of more than ``_MAX_SEEDS`` seeds, however long."""
+        bound = cli._MAX_SEEDS
+        assert parse_seeds(f"5..{bound + 4}") == list(range(5, bound + 5))
+        for text in (f"5..{bound + 5}", f"0..{10**18}"):
+            assert parse_seeds(text) == text
+        assert cli._SEEDS.accepts(list(range(bound)))
+        assert not cli._SEEDS.accepts(list(range(bound + 1)))
+
     def test_parse_hidden(self):
         assert parse_hidden("4,2") == [4, 2]
         assert parse_hidden("a,b") == "a,b"
@@ -248,6 +257,17 @@ class TestSimulate:
         err = assert_rejected(simulate_args(out, extra=("--seeds", f"0..{2**70}")), out, capsys)
         assert err == ("error: --seeds ('seeds') must be a non-empty list of distinct "
                        f"non-negative integers, got '0..{2**70}'\n"), err
+
+    def test_seed_range_past_the_bound_is_refused_before_training(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def trained(*args):
+            raise AssertionError("train_seeds was called")
+
+        monkeypatch.setattr(cli, "train_seeds", trained)
+        out = tmp_path / "run"
+        err = assert_rejected(simulate_args(out, extra=("--seeds", "0..200000")), out, capsys)
+        assert err == ("error: --seeds ('seeds') must be a non-empty list of distinct "
+                       "non-negative integers, got '0..200000'\n"), err
 
     def test_negative_n_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -521,6 +541,32 @@ class TestRerun:
         key = [*args][-1]
         assert f"--{key.replace('_', '-')} ({key!r}) must be " in from_manifest, from_manifest
         assert from_flags == from_manifest
+
+    @pytest.mark.parametrize("command, key", [
+        ("verify", "net"), ("verify", "data"), ("verify", "clusters"), ("titanic", "csv"),
+    ])
+    def test_path_holding_a_nul_character_is_refused_alike_on_both_paths(
+        self, manifests, tmp_path, capsys, command, key,
+    ):
+        """No file system takes such a path: the argument check refuses it by its key."""
+        (manifest,) = [m for m in manifests if m["command"] == command]
+        args = {**manifest["args"], key: manifest["args"][key] + "\0"}
+        given = ("csv",) if command == "titanic" else ("net", "data", "clusters")
+        flags = [arg for name in given for arg in (cli._flag(name), args[name])]
+        out = tmp_path / "again"
+        capsys.readouterr()
+        from_flags = assert_rejected([command, *flags, "--out", str(out)], out, capsys)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**manifest, "args": args}))
+        from_manifest = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+        kind = "a string without a NUL character" + (", or null" if key == "clusters" else "")
+        assert from_flags == from_manifest == (
+            f"error: {cli._flag(key)} ({key!r}) must be {kind}, got {args[key]!r}\n"), from_flags
+
+    def test_manifest_path_holding_a_nul_character_exits_two(self, tmp_path, capsys):
+        manifest, out = str(tmp_path / "manifest.json") + "\0", tmp_path / "again"
+        err = assert_rejected(["rerun", manifest, "--out", str(out)], out, capsys)
+        assert err == f"error: manifest {manifest!r} holds a NUL character\n", err
 
     def test_bad_tol_in_manifest_is_refused_before_training(self, manifests, tmp_path, capsys):
         out = tmp_path / "again"
@@ -1229,12 +1275,84 @@ class TestStoredClustersInBulk:
         assert len(clusters_checked.pids) - before == clusters_checked.forked
         assert not alone.exists()
 
-    def test_empty_list_checks_nothing_and_passes(self, many, tmp_path):
+    def test_empty_list_drops_every_cluster_and_fails(self, many, tmp_path):
         empty = tmp_path / "clusters.json"
         empty.write_text("[]\n")
-        assert main(self.verify(many, empty, tmp_path / "v")) == 0
+        assert main(self.verify(many, empty, tmp_path / "v")) == 1
         doc = json.loads((tmp_path / "v" / "verify.json").read_text())
-        assert doc["clusters"] == {"checked": 0, "max_abs_err": 0.0, "pass": True}
+        assert doc["clusters"] == {
+            "checked": 0, "max_abs_err": 0.0, "pass": False,
+            "mismatch": "cluster 0: the rows make 1361 clusters, the file holds 0",
+        }
+
+
+class TestTamperedClusters:
+    """A copy of a run's clusters.json with one thing changed fails verify.
+
+    The stored clusters must be the rows' partition, entry for entry: each
+    pattern, statistic and map. Each case draws the entries it changes from
+    its own seeded stream, and the mismatch names the first entry changed.
+    """
+
+    SEED = 31
+    CASES = ("size", "size-as-float", "fraction", "predicted-rate", "target-rate", "omega",
+             "bias", "pattern-bit", "drop", "duplicate", "swap")
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        """A small run of 26 clusters, most of a few rows."""
+        out = tmp_path_factory.mktemp("tampered") / "run"
+        assert main(["simulate", "--n", "600", "--epochs", "2", "--seeds", "1",
+                     "--out", str(out)]) == 0
+        assert len(json.loads((out / "clusters.json").read_text())) == 26
+        return out
+
+    @staticmethod
+    def tamper(doc: list, case: str, rng) -> int:
+        """Change ``doc`` in place as ``case`` says; return the first entry changed."""
+        i, j = sorted(rng.choice(len(doc), size=2, replace=False).tolist())
+        entry = doc[i]
+        if case == "size":
+            entry["size"] += 1
+        elif case == "size-as-float":
+            entry["size"] = float(entry["size"])
+        elif case in ("fraction", "predicted-rate", "target-rate"):
+            key = {"fraction": "fraction", "predicted-rate": "predicted_positive_rate",
+                   "target-rate": "target_positive_rate"}[case]
+            entry[key] = float(np.nextafter(entry[key], 2.0))  # the next float up
+        elif case == "omega":
+            entry["omega"][0][int(rng.integers(len(entry["omega"][0])))] += 1e-3
+        elif case == "bias":
+            entry["bias"][0] -= 1e-3
+        elif case == "pattern-bit":
+            k = int(rng.integers(len(entry["pattern"])))
+            entry["pattern"] = (entry["pattern"][:k] + "10"[int(entry["pattern"][k])]
+                                + entry["pattern"][k + 1:])
+        elif case == "drop":
+            del doc[i]
+        elif case == "duplicate":
+            doc.insert(i + 1, dict(entry))
+            return i + 1
+        else:
+            doc[i], doc[j] = doc[j], doc[i]
+        return i
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_changed_copy_fails(self, run_dir, tmp_path, capsys, case):
+        doc = json.loads((run_dir / "clusters.json").read_text())
+        first = self.tamper(doc, case, np.random.default_rng([self.SEED, self.CASES.index(case)]))
+        tampered = tmp_path / "clusters.json"
+        tampered.write_text(json.dumps(doc, indent=2) + "\n")
+        out = tmp_path / "v"
+        capsys.readouterr()
+        assert main(["verify", "--net", str(run_dir / "network.json"),
+                     "--data", str(run_dir / "dataset.csv"), "--clusters", str(tampered),
+                     "--out", str(out)]) == 1
+        clusters = json.loads((out / "verify.json").read_text())["clusters"]
+        assert not clusters["pass"] and clusters["checked"] == len(doc)
+        assert clusters["mismatch"].startswith(f"cluster {first}: "), clusters
+        stdout = capsys.readouterr().out
+        assert f"clusters: {clusters['mismatch']}\nverify: FAIL\n" in stdout, stdout
 
 
 class TestVerifyForksTheClusterCheck:
@@ -1671,6 +1789,16 @@ def test_out_that_is_a_file_is_refused_before_any_work(tmp_path, capsys):
     assert out.read_text() == "keep\n"
 
 
+def test_out_holding_a_nul_character_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    def trained(*args):
+        raise AssertionError("train_seeds was called")
+
+    monkeypatch.setattr(cli, "train_seeds", trained)
+    out = tmp_path / "run\0"
+    err = assert_rejected(simulate_args(out), out, capsys)
+    assert err == f"error: --out {str(out)!r} holds a NUL character\n", err
+
+
 def test_out_that_is_a_dangling_symlink_is_refused_before_any_work(tmp_path, capsys):
     """``Path.exists`` follows the link, but ``mkdir`` cannot replace it."""
     out = tmp_path / "link"
@@ -1796,20 +1924,22 @@ def test_simulate_and_verify_do_not_import_numpy_ma(tmp_path):
 
 
 
-def count_calls(monkeypatch, *functions) -> dict:
+def count_calls(monkeypatch, log: Path, *functions):
     """Counts the calls of each function, by name, at every relu_prism module binding.
 
     The package imports with ``from .x import f``, so one function can be
     bound in several modules; every binding that is the original is wrapped.
+    Each call is a line of the file ``log``, so that a forked child's calls
+    count too. Returns a function that reads the counts.
     """
-    calls = dict.fromkeys((fn.__name__ for fn in functions), 0)
     modules = [module for name, module in list(sys.modules.items())
                if name == "relu_prism" or name.startswith("relu_prism.")]
 
     def counted(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            calls[fn.__name__] += 1
+            with open(log, "a") as calls:
+                calls.write(fn.__name__ + "\n")
             return fn(*args, **kwargs)
         return wrapper
 
@@ -1819,22 +1949,41 @@ def count_calls(monkeypatch, *functions) -> dict:
             for attr, value in list(vars(module).items()):
                 if value is fn:
                     monkeypatch.setattr(module, attr, wrapper)
+
+    def calls() -> dict:
+        names = log.read_text().split() if log.exists() else []
+        return {fn.__name__: names.count(fn.__name__) for fn in functions}
+
     return calls
 
 
-@pytest.mark.parametrize("command", ["simulate", "titanic"])
+@pytest.mark.parametrize("command", ["simulate", "titanic", "verify"])
 def test_one_forward_pass_and_one_collapse_over_the_target_rows(
     command, synthetic_titanic_csv, tmp_path, monkeypatch
 ):
-    """The clusters and the exactness check read one pattern table of the rows."""
-    out = tmp_path / "run"
-    argv = simulate_args(out) if command == "simulate" else [
-        "titanic", "--csv", str(synthetic_titanic_csv), "--epochs", "1",
-        "--test-fraction", "0", "--out", str(out),
-    ]
-    calls = count_calls(monkeypatch, forward_batch, collapse_batch)
+    """The clusters and the exactness check read one pattern table of the rows.
+
+    verify holds the stored clusters, read in a forked child, to that table
+    too. Its other forward passes are the Jacobian probes, one per row checked.
+    """
+    out, probes, forks = tmp_path / "run", 0, []
+    if command == "verify":
+        run = tmp_path / "sim"
+        assert main(simulate_args(run)) == 0
+        forks = counted_forks(monkeypatch)
+        argv = ["verify", "--net", str(run / "network.json"), "--data", str(run / "dataset.csv"),
+                "--clusters", str(run / "clusters.json"), "--out", str(out)]
+    else:
+        argv = simulate_args(out) if command == "simulate" else [
+            "titanic", "--csv", str(synthetic_titanic_csv), "--epochs", "1",
+            "--test-fraction", "0", "--out", str(out),
+        ]
+    calls = count_calls(monkeypatch, tmp_path / "calls.log", forward_batch, collapse_batch)
     assert main(argv) == 0
-    assert calls == {"forward_batch": 1, "collapse_batch": 1}
+    if command == "verify":
+        assert len(forks) == 1
+        probes = json.loads((out / "verify.json").read_text())["jacobian"]["checked"]
+    assert calls() == {"forward_batch": 1 + probes, "collapse_batch": 1}
 
 # SHA-256 of stdout and of each artifact of two small runs, as recorded on
 # x86-64 Linux, numpy 2.x with OpenBLAS 0.3.31 (Haswell kernels). They hold

@@ -3,7 +3,9 @@
 Each mutant is a byte mutation (a flipped bit, a deleted or inserted run of
 bytes, a truncation or a spliced chunk) or a structure-aware one: in a JSON
 document one value becomes null, a bool, 2**70, 1e308 or nested lists, a key
-is dropped or a list entry duplicated; in a CSV one cell becomes such a
+is dropped, a list entry duplicated or a NUL character put into one string
+(one of a manifest's paths among them) or, where there is none, into one
+key; in a CSV one cell becomes such a
 value, a column is dropped or a row duplicated. The inputs are the
 ``network.json``, ``dataset.csv`` and ``clusters.json`` that ``verify``
 reads, a ``verify`` manifest that ``rerun`` replays, and the synthetic
@@ -45,7 +47,7 @@ VALUES = (None, True, False, 2**70, 1e308, [[[]]], [[1.0], [[2.0]]])
 # The tokens an argv mutation puts in place of a flag's value, and the flags
 # it inserts. None of them is a valid value that would make a mutant slow.
 JUNK = ("", "abc", "-1", "0", "nan", "1e999", "x,y", "1..", "..", "1,1", "-", "--", "\u00e9",
-        str(2**70), "--n")
+        str(2**70), "--n", "0..1000000000")
 UNKNOWN = ("--bogus", "--seed", "-x", "--jacobian-samples", "--no-clusters=1", "--out-dir")
 
 
@@ -82,11 +84,20 @@ def at_path(doc, path):
 def json_mutant(rng, data: bytes) -> tuple[str, bytes]:
     doc = json.loads(data)
     paths = list(json_paths(doc))
-    kind = rng.choice(["replace", "drop", "duplicate"])
-    if kind == "drop":
+    kind = rng.choice(["replace", "drop", "duplicate", "nul"])
+    strings = [path for path, value in paths if isinstance(value, str)]
+    if kind == "nul" and strings:
+        path = strings[int(rng.integers(len(strings)))]
+        text = at_path(doc, path)
+        at = int(rng.integers(len(text) + 1))
+        at_path(doc, path[:-1])[path[-1]] = text[:at] + "\0" + text[at:]
+    elif kind in ("drop", "nul"):
         objects = [value for _, value in paths if isinstance(value, dict) and value]
         obj = objects[int(rng.integers(len(objects)))]
-        del obj[list(obj)[int(rng.integers(len(obj)))]]
+        key = list(obj)[int(rng.integers(len(obj)))]
+        value = obj.pop(key)
+        if kind == "nul":
+            obj[key + "\0"] = value
     elif kind == "duplicate":
         lists = [value for _, value in paths if isinstance(value, list) and value]
         items = lists[int(rng.integers(len(lists)))]
