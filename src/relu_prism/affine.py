@@ -14,7 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ShapeError
-from .network import ActivationPattern, Network, _group_rows, forward_batch, forward_trace
+from .network import (
+    ActivationPattern, Network, _group_rows, _input_vector, _preactivations, forward_batch,
+)
 
 __all__ = [
     "AffineMap",
@@ -289,28 +291,41 @@ def jacobian_check(net: Network, u, h: float = 1e-4) -> JacobianReport:
     square overflows. A row of g with a non-finite entry, or whose norm is
     beyond the float range, gives its unit r = 0. Finite weights can still
     overflow in the products; the check runs without a warning. Omega is the
-    last layer times the sweep's final masked partial collapse.
+    last layer times the sweep's final masked partial collapse. This is the
+    one-row case of ``_jacobian_probe``.
     """
     if not 0.0 < h < np.inf:
         raise InputError(f"step h must be positive and finite, got {h}")
+    err, skipped = _jacobian_probe(net, _input_vector(net, u)[None, :], h)
+    return JacobianReport(None if skipped[0] else float(err[0]), bool(skipped[0]))
+
+
+def _jacobian_probe(net: Network, U: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """``jacobian_check`` at each row of the finite (k, input_dim) matrix U, in one pass.
+
+    Returns each row's error, NaN where the row is skipped, and the skipped
+    mask. Each stacked product makes a row's one-row product.
+    """
+    k, d = U.shape
     with np.errstate(over="ignore", invalid="ignore"):
-        trace = forward_trace(net, u)
-        partial, radius = np.eye(net.input_dim), np.inf
-        for layer, z in zip(net.layers[:-1], trace.preactivations):
+        pres = _preactivations(((layer.weight, layer.bias) for layer in net.layers), U)
+        partial, radius = np.broadcast_to(np.eye(d), (k, d, d)), np.full(k, np.inf)
+        # Each z is read before the loop resumes, which rectifies it in place.
+        for layer, z in zip(net.layers[:-1], pres):
             g = layer.weight @ partial
-            scale = np.abs(g).max(axis=1, initial=0.0)
+            scale = np.abs(g).max(axis=2, initial=0.0)
             live = scale != 0.0  # a NaN entry makes a NaN scale, and its row live
-            norms = np.linalg.norm(g[live] / scale[live, None], axis=1) * scale[live]
-            radii = np.where(np.isfinite(norms), np.abs(z[live]) / norms, 0.0)
-            radius = min(radius, radii.min(initial=np.inf))
-            partial = g * (z > 0.0)[:, None]
-        if h >= radius:
-            return JacobianReport(max_row_err=None, skipped=True)
-        omega = net.layers[-1].weight @ partial
-        u = np.asarray(u, dtype=np.float64)
-        d = net.input_dim
+            norms = np.linalg.norm(g / np.where(live, scale, 1.0)[..., None], axis=2) * scale
+            radii = np.divide(np.abs(z), norms, out=np.where(live, 0.0, np.inf),
+                              where=live & np.isfinite(norms))
+            # fmin passes over NaN: a layer whose least radius is NaN bounds nothing.
+            radius = np.fmin(radius, radii.min(axis=1, initial=np.inf))
+            partial = g * (z > 0.0)[..., None]
+        skipped = h >= radius
         steps = np.vstack([np.eye(d) * h, -np.eye(d) * h])
-        logits, _ = forward_batch(net, u[None, :] + steps)
-        fd = (logits[:d] - logits[d:]) / (2.0 * h)  # (d, q)
-        err = float(np.abs(fd.T - omega).max())
-    return JacobianReport(max_row_err=err, skipped=False)
+        logits, _ = forward_batch(net, (U[~skipped, None, :] + steps).reshape(-1, d))
+        logits = logits.reshape(-1, 2 * d, net.output_dim)
+        fd = (logits[:, :d] - logits[:, d:]) / (2.0 * h)  # (checked, d, q)
+        err = np.full(k, np.nan)
+        err[~skipped] = np.abs(fd.mT - net.layers[-1].weight @ partial[~skipped]).max(axis=(1, 2))
+    return err, skipped

@@ -229,17 +229,23 @@ def _preactivations(layers, X: np.ndarray):
         a = z
 
 
+def _input_vector(net: Network, u) -> np.ndarray:
+    """``u`` as one float64 input; the wrong shape or a non-finite entry is refused."""
+    x = np.asarray(u, dtype=np.float64)
+    if x.shape != (net.input_dim,):
+        raise ShapeError(f"input shape {x.shape} does not match input_dim={net.input_dim}")
+    if not np.all(np.isfinite(x)):
+        raise InputError("input vector must be finite")
+    return x
+
+
 def forward_trace(net: Network, u) -> ForwardTrace:
     """Run one input through the network, recording preactivations and pattern.
 
     This is the one-row case of ``forward_batch``: the same layer loop on a
     1-row matrix.
     """
-    x = np.asarray(u, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise ShapeError(f"input shape {x.shape} does not match input_dim={net.input_dim}")
-    if not np.all(np.isfinite(x)):
-        raise InputError("input vector must be finite")
+    x = _input_vector(net, u)
     layers = ((layer.weight, layer.bias) for layer in net.layers)
     pres = tuple(_frozen_array(z[0]) for z in _preactivations(layers, x[None, :]))
     return ForwardTrace(

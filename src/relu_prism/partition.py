@@ -152,19 +152,19 @@ def partition(net: Network, dataset: Dataset) -> list[Cluster]:
 
 def _clusters(net: Network, table: tuple, dataset: Dataset) -> list[Cluster]:
     """The clusters of ``dataset`` from the ``_pattern_table`` of its features."""
-    _, masks, order, counts, omegas, biases = table
-    rank, stats = _ranked_stats(table, dataset)
-    starts = np.cumsum(counts) - counts
+    _, masks, order, counts, _, _ = table
+    rank, (text, omegas, biases, stats) = _ranked_stats(table, dataset)
+    starts = (np.cumsum(counts) - counts)[rank]
     sizes = counts[rank]
     # The tables are ranked once, and each cluster is one row of them.
     table = _Table(
         net.hidden_widths,
-        tuple(split_bitstrings(masks_to_text(masks[rank]), masks.shape[1], len(rank))),
+        tuple(split_bitstrings(text, masks.shape[1], len(rank))),
         order,
-        starts[rank],
-        starts[rank] + sizes,
-        omegas[rank],
-        biases[rank],
+        starts,
+        starts + sizes,
+        omegas,
+        biases,
         tuple(sizes.tolist()),
         *(tuple(column.tolist()) for column in stats[1:]),
     )
@@ -177,14 +177,15 @@ def _clusters(net: Network, table: tuple, dataset: Dataset) -> list[Cluster]:
     return clusters
 
 
-def _ranked_stats(table: tuple, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The canonical order of the patterns of ``dataset``'s ``_pattern_table``, and their stats.
+def _ranked_stats(table: tuple, dataset: Dataset) -> tuple[np.ndarray, tuple]:
+    """The canonical order of ``dataset``'s ``_pattern_table``, and its rows in that order.
 
     Returns ``rank``, the pattern indices by size descending, ties by
-    bitstring, and the (4, k) float array of the ranked sizes, fractions,
+    bitstring, and the ranked patterns side by side in one string, their
+    omegas and biases, and the (4, k) float array of their sizes, fractions,
     predicted rates (of the first output) and target rates.
     """
-    logits, _, order, counts, _, _ = table
+    logits, masks, order, counts, omegas, biases = table
     # Predictions and targets are 0/1, so each weighted bincount is an exact
     # count and each rate the same division that a per-group mean makes.
     label = np.repeat(np.arange(counts.shape[0]), counts)
@@ -194,9 +195,8 @@ def _ranked_stats(table: tuple, dataset: Dataset) -> tuple[np.ndarray, np.ndarra
     # gives the canonical order.
     rank = np.argsort(-counts, kind="stable")
     sizes = counts[rank]
-    return rank, np.array(
-        [sizes, sizes / dataset.n_rows, predicted_rates[rank], target_rates[rank]]
-    )
+    stats = np.array([sizes, sizes / dataset.n_rows, predicted_rates[rank], target_rates[rank]])
+    return rank, (masks_to_text(masks[rank]), omegas[rank], biases[rank], stats)
 
 
 def clusters_to_json(clusters: list[Cluster]) -> list[dict]:

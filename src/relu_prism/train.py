@@ -290,7 +290,9 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
     # Only the distinct rows and their counts are kept through training.
     del order, starts
     lr, batch = config.learning_rate, config.batch_size
-    perms = np.empty((S, n), dtype=np.intp)
+    # One row order per seed, held as int32 where n fits: half the memory of
+    # a sweep's orders, and the same rows gathered.
+    perms = np.empty((S, n), dtype=np.int32 if n <= np.iinfo(np.int32).max else np.intp)
     reg = _reg_terms(config, Ws)
     beta1, beta2, eps = _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON
     step = 0

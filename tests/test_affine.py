@@ -16,14 +16,20 @@ from relu_prism import (
     effective_affine,
     forward_batch,
     forward_trace,
+    gen_boolean,
+    init_network,
     jacobian_check,
     save_network,
+    train,
     verify_affine,
 )
 from relu_prism import affine
-from relu_prism.affine import _COLLAPSE_CHUNK, _pattern_table, _row_errors, collapse_batch
+from relu_prism.affine import (
+    _COLLAPSE_CHUNK, _jacobian_probe, _pattern_table, _row_errors, collapse_batch,
+)
 from relu_prism.cli import main
 from relu_prism.data import dataset_to_csv
+from relu_prism.train import TrainConfig
 from conftest import make_random_network
 
 
@@ -421,3 +427,86 @@ class TestJacobianCheck:
             checked += 1
         assert checked >= 20
 
+
+def one_row_reference(net: Network, u, h: float) -> tuple[bool, float | None]:
+    """The one-row probe as a loop over ``forward_trace``'s preactivations: (skipped, error)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial, radius = np.eye(net.input_dim), np.inf
+        for layer, z in zip(net.layers[:-1], forward_trace(net, u).preactivations):
+            g = layer.weight @ partial
+            scale = np.abs(g).max(axis=1, initial=0.0)
+            live = scale != 0.0
+            norms = np.linalg.norm(g[live] / scale[live, None], axis=1) * scale[live]
+            radii = np.where(np.isfinite(norms), np.abs(z[live]) / norms, 0.0)
+            radius = min(radius, radii.min(initial=np.inf))
+            partial = g * (z > 0.0)[:, None]
+        if h >= radius:
+            return True, None
+        d = net.input_dim
+        steps = np.vstack([np.eye(d) * h, -np.eye(d) * h])
+        logits, _ = forward_batch(net, np.asarray(u)[None, :] + steps)
+        fd = (logits[:d] - logits[d:]) / (2.0 * h)
+        return False, float(np.abs(fd.T - net.layers[-1].weight @ partial).max())
+
+
+class TestJacobianProbe:
+    """The batched probe that ``verify`` makes is the loop of one-row checks, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def nets(self):
+        """A trained 4,2 Boolean net and the random 16,8 net (seed 5), each with its probe rows.
+
+        Row 0 of each lies on a kink: the Boolean row within rounding of one
+        (one feature set to -b / w of a first-layer unit), the Gaussian row
+        exactly, as the 16,8 net's biases are zero.
+        """
+        boolean = gen_boolean(2000, 5)
+        trained, _ = train(boolean, TrainConfig(hidden_widths=(4, 2), epochs=3, seed=1))
+        first = trained.layers[0]
+        unit, feature = np.unravel_index(np.argmax(np.abs(first.weight)), first.weight.shape)
+        kink = np.zeros(first.d_in)
+        kink[feature] = -first.bias[unit] / first.weight[unit, feature]
+        gaussian = np.random.default_rng(0).standard_normal((200, 10))
+        gaussian[0] = 0.0
+        return {
+            "boolean-4-2": (trained, np.vstack([kink, boolean.features[:199]])),
+            "gaussian-16-8": (init_network(10, TrainConfig(hidden_widths=(16, 8), seed=5)),
+                              gaussian),
+        }
+
+    @pytest.mark.parametrize("h", [1e-4, 1e-2])
+    @pytest.mark.parametrize("case", ["boolean-4-2", "gaussian-16-8"])
+    def test_equals_a_loop_of_one_row_checks(self, nets, case, h):
+        net, U = nets[case]
+        err, skipped = _jacobian_probe(net, U, h)
+        reports = [jacobian_check(net, u, h=h) for u in U]
+        assert [(r.skipped, r.max_row_err) for r in reports] == [
+            one_row_reference(net, u, h) for u in U]
+        assert skipped.tolist() == [report.skipped for report in reports]
+        assert skipped[0] and not skipped.all()
+        checked = [report.max_row_err for report in reports if not report.skipped]
+        np.testing.assert_array_equal(err[~skipped], checked)
+        assert np.isnan(err[skipped]).all()
+        # verify's max_row_err: the most of the errors, 0 when none is checked
+        assert float(np.fmax.reduce(err, initial=0.0)) == max(checked)
+
+    def test_a_non_finite_error_is_kept_as_the_one_row_check_keeps_it(self):
+        """At u = 1 both units sit at 1.7976e308; one step up overflows them, and the logit
+        inf - inf is NaN. The row is checked (r = 1), and its error is NaN on both paths."""
+        w = 1.7976e308
+        net = Network((Layer([[w], [w]], [0.0, 0.0]), Layer([[1.0, -1.0]], [0.0])))
+        report = jacobian_check(net, [1.0])
+        assert not report.skipped and np.isnan(report.max_row_err)
+        err, skipped = _jacobian_probe(net, np.ones((3, 1)), 1e-4)
+        assert not skipped.any() and np.isnan(err).all()
+
+    def test_rows_all_skipped_make_an_empty_stencil(self):
+        net = init_network(10, TrainConfig(hidden_widths=(16, 8), seed=5))
+        err, skipped = _jacobian_probe(net, np.zeros((4, 10)), 1e-4)
+        assert skipped.all() and np.isnan(err).all()
+
+    def test_one_row_errors_are_those_of_the_forward_pass(self):
+        with pytest.raises(ShapeError, match=r"input shape \(3,\) does not match input_dim=2"):
+            jacobian_check(hand_net(), [1.0, 2.0, 3.0])
+        with pytest.raises(InputError, match="input vector must be finite"):
+            jacobian_check(hand_net(), [1.0, np.nan])

@@ -255,8 +255,8 @@ class TestSimulate:
         """A range of 2**70 seeds has no length Python can hold."""
         out = tmp_path / "run"
         err = assert_rejected(simulate_args(out, extra=("--seeds", f"0..{2**70}")), out, capsys)
-        assert err == ("error: --seeds ('seeds') must be a non-empty list of distinct "
-                       f"non-negative integers, got '0..{2**70}'\n"), err
+        assert err == ("error: --seeds ('seeds') must be a non-empty list of at most 1024 "
+                       f"distinct non-negative integers, got '0..{2**70}'\n"), err
 
     def test_seed_range_past_the_bound_is_refused_before_training(self, tmp_path, capsys,
                                                                   monkeypatch):
@@ -266,8 +266,8 @@ class TestSimulate:
         monkeypatch.setattr(cli, "train_seeds", trained)
         out = tmp_path / "run"
         err = assert_rejected(simulate_args(out, extra=("--seeds", "0..200000")), out, capsys)
-        assert err == ("error: --seeds ('seeds') must be a non-empty list of distinct "
-                       "non-negative integers, got '0..200000'\n"), err
+        assert err == ("error: --seeds ('seeds') must be a non-empty list of at most 1024 "
+                       "distinct non-negative integers, got '0..200000'\n"), err
 
     def test_negative_n_exits_two(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -449,8 +449,7 @@ class TestRerun:
             "simulate": {"n": "abc", "epochs": 1.5, "lr": "0.01", "data_seed": None,
                          "batch_size": True, "hidden": [4, "2"], "normalization": "none",
                          "tol": [1e-6]},
-            "verify": {"net": None, "data": 7, "clusters": 3, "jacobian_step": "1e-4",
-                       "jacobian_tol": True},
+            "verify": {"net": None, "data": 7, "clusters": 3, "jacobian_tol": True},
             "titanic": {"csv": 1, "test_fraction": "0", "cluster_on": "everyone",
                         "split_seed": 0.5, "hidden": []},
         }
@@ -490,10 +489,8 @@ class TestRerun:
             ("titanic", {"test_fraction": 0.25, "split_seed": -1},
              ["--test-fraction=0.25", "--split-seed=-1"]),
             ("titanic", {"seeds": [-1]}, ["--seeds=-1"]),
-            ("verify", {"jacobian_step": -1e-4}, ["--jacobian-step=-1e-4"]),
             ("verify", {"tol": 0.0}, ["--tol=0"]),
             ("verify", {"jacobian_tol": 0.0}, ["--jacobian-tol=0"]),
-            ("verify", {"jacobian_step": 0.0}, ["--jacobian-step=0"]),
             ("verify", {"tol": -1.0}, ["--tol=-1"]),
             ("verify", {"jacobian_tol": -1.0}, ["--jacobian-tol=-1"]),
             ("simulate", {"n": 0}, ["--n=0"]),
@@ -518,7 +515,6 @@ class TestRerun:
             ("simulate", {"hidden": "a,b"}, ["--hidden=a,b"]),
             ("simulate", {"normalization": "zz"}, ["--normalization=zz"]),
             ("titanic", {"cluster_on": "nope"}, ["--cluster-on=nope"]),
-            ("verify", {"jacobian_step": "abc"}, ["--jacobian-step=abc"]),
         ],
     )
     def test_out_of_range_arg_is_refused_alike_on_both_paths(
@@ -604,6 +600,31 @@ class TestRerun:
             capsys.readouterr()
             err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
             assert "'learning_rate'" in err, (manifest["command"], err)
+
+    @pytest.mark.parametrize("step", [1e-4, 1e-12])
+    def test_verify_manifest_holding_the_retired_step_exits_two(self, manifests, tmp_path,
+                                                                capsys, step):
+        """The probe's step is fixed: a manifest that still records one is refused for it."""
+        (manifest,) = [m for m in manifests if m["command"] == "verify"]
+        assert "jacobian_step" not in manifest["args"]
+        path, out = tmp_path / "manifest.json", tmp_path / "again"
+        path.write_text(json.dumps({**manifest, "args": {**manifest["args"],
+                                                         "jacobian_step": step}}))
+        capsys.readouterr()
+        err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+        assert err == "error: manifest args hold unknown 'jacobian_step'\n", err
+
+    def test_refusal_line_quotes_a_long_value_in_part(self, manifests, tmp_path, capsys):
+        """A manifest holding 2,000 seeds is refused in one short line that names the bound."""
+        (manifest,) = [m for m in manifests if m["command"] == "simulate"]
+        path, out = tmp_path / "manifest.json", tmp_path / "again"
+        path.write_text(json.dumps({**manifest, "args": {**manifest["args"],
+                                                         "seeds": list(range(2000))}}))
+        capsys.readouterr()
+        err = assert_rejected(["rerun", str(path), "--out", str(out)], out, capsys)
+        assert err == ("error: --seeds ('seeds') must be a non-empty list of at most 1024 "
+                       "distinct non-negative integers, got [0, 1, 2, 3, 4, 5, ...]\n"), err
+        assert len(err) < 200
 
     def test_missing_manifest_exits_two(self, tmp_path):
         assert main(["rerun", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
@@ -778,22 +799,10 @@ class TestVerify:
             assert code == 2, (flag, value)
             assert not (tmp_path / "v").exists()
 
-    def test_bad_jacobian_step_exits_two(self, run_dir, tmp_path, capsys):
-        (run_dir / "clusters.json").write_text("[")  # would be a schema error if parsed
-        out = tmp_path / "v"
-        for value in ("nan", "inf", "0", "-1e-4"):
-            capsys.readouterr()
-            err = assert_rejected(
-                ["verify", "--net", str(run_dir / "network.json"),
-                 "--data", str(run_dir / "dataset.csv"),
-                 f"--jacobian-step={value}", "--out", str(out)],
-                out, capsys,
-            )
-            assert "--jacobian-step" in err, err
-
-    @pytest.mark.parametrize("flags", [["--seed", "1"], ["--jacobian-samples", "5"]])
+    @pytest.mark.parametrize(
+        "flags", [["--seed", "1"], ["--jacobian-samples", "5"], ["--jacobian-step", "1e-12"]])
     def test_retired_probe_flags_are_unrecognized(self, run_dir, tmp_path, capsys, flags):
-        """The probe rows are fixed: no seed or sample count chooses them."""
+        """The probe's rows and step are fixed: no seed, sample count or step chooses them."""
         capsys.readouterr()
         out = tmp_path / "v"
         err = assert_rejected(["verify", "--net", str(run_dir / "network.json"),
@@ -1076,19 +1085,22 @@ class TestVerifyReadsOnlyItsFiles:
             tmp_path / "7" / "verify.json").read_bytes()
 
     def test_probes_rows_spread_evenly_from_the_first(self, run_dir, tmp_path, monkeypatch):
-        probed, real_check = [], cli.jacobian_check
+        """One probe call receives every probe row, at the fixed step."""
+        probed, real_probe = [], cli._jacobian_probe
 
-        def recording_check(net, u, h):
-            probed.append(np.array(u))
-            return real_check(net, u, h=h)
+        def recording_probe(net, U, h):
+            probed.append((U.copy(), h))
+            return real_probe(net, U, h)
 
-        monkeypatch.setattr(cli, "jacobian_check", recording_check)
+        monkeypatch.setattr(cli, "_jacobian_probe", recording_probe)
         assert main(self.verify_args(run_dir, tmp_path / "v")) == 0
         X = read_dataset_csv(run_dir / "dataset.csv").features
         n, k = 250, 100
         rows = [i * n // k for i in range(k)]
         assert rows[:5] == [0, 2, 5, 7, 10] and rows == sorted(set(rows))
-        np.testing.assert_array_equal(np.array(probed), X[rows])
+        ((U, h),) = probed
+        np.testing.assert_array_equal(U, X[rows])
+        assert h == 1e-4
         jacobian = json.loads((tmp_path / "v" / "verify.json").read_text())["jacobian"]
         assert jacobian["samples"] == k == jacobian["checked"] + jacobian["skipped"]
 
@@ -1376,8 +1388,7 @@ class TestVerifyForksTheClusterCheck:
     @staticmethod
     def params(run_dir: Path, clusters: Path) -> dict:
         return {"net": str(run_dir / "network.json"), "data": str(run_dir / "dataset.csv"),
-                "tol": 1e-6, "clusters": str(clusters), "jacobian_step": 1e-4,
-                "jacobian_tol": 1e-4}
+                "tol": 1e-6, "clusters": str(clusters), "jacobian_tol": 1e-4}
 
     @pytest.mark.parametrize("case, code", [
         ("pass", 0), ("failed-check", 1), ("bad-clusters", 2), ("bad-rows", 2),
@@ -1964,9 +1975,9 @@ def test_one_forward_pass_and_one_collapse_over_the_target_rows(
     """The clusters and the exactness check read one pattern table of the rows.
 
     verify holds the stored clusters, read in a forked child, to that table
-    too. Its other forward passes are the Jacobian probes, one per row checked.
+    too. Its other forward pass is the Jacobian probe's, over every checked row's stencil.
     """
-    out, probes, forks = tmp_path / "run", 0, []
+    out, forks = tmp_path / "run", []
     if command == "verify":
         run = tmp_path / "sim"
         assert main(simulate_args(run)) == 0
@@ -1982,8 +1993,7 @@ def test_one_forward_pass_and_one_collapse_over_the_target_rows(
     assert main(argv) == 0
     if command == "verify":
         assert len(forks) == 1
-        probes = json.loads((out / "verify.json").read_text())["jacobian"]["checked"]
-    assert calls() == {"forward_batch": 1 + probes, "collapse_batch": 1}
+    assert calls() == {"forward_batch": 2 if command == "verify" else 1, "collapse_batch": 1}
 
 # SHA-256 of stdout and of each artifact of two small runs, as recorded on
 # x86-64 Linux, numpy 2.x with OpenBLAS 0.3.31 (Haswell kernels). They hold
@@ -2018,16 +2028,16 @@ GOLDEN_SHA256 = {
 
 # SHA-256 of verify.json and of stdout for verify on two runs, recorded on
 # the platform of GOLDEN_SHA256: a small simulate run, and a random 16,8 net
-# over Gaussian rows, with its clusters, whose probes are both checked and
-# skipped.
+# over Gaussian rows and one zero row, with its clusters, whose probes are
+# both checked and skipped.
 VERIFY_SHA256 = {
     "simulate": {
         "verify.json": "a1b498fc671dd48e29b9830e7955e1470ac655bbb87e4fdc7f65bd2d602807d3",
         "stdout": "c09d8c3287a0fbbb6f687741e4b7712aabd24f246a437fd984200dc2b98e0b53",
     },
     "regions": {
-        "verify.json": "9a9b14cf05038eb70b518adff69d93ae9879dcd65725a6ee1666c040af562c94",
-        "stdout": "272e3166ca4aae1ea40e36fada263e625d124f4cebada75ff30a25fd811cb54a",
+        "verify.json": "4fe7654c1f74669b8a6554dd8a5042ae5c2fb274da923d16e27a5e11f8d7e459",
+        "stdout": "00d4a763e066ef06880d5321276d5a75ba5629dfbdf396c7ce18689e245ccc86",
     },
 }
 
@@ -2037,22 +2047,23 @@ def test_verify_bytes_are_pinned(source, tmp_path, capsys):
     run = tmp_path / "run"
     if source == "simulate":
         assert main(simulate_args(run)) == 0
-        flags = []
     else:
         rng = np.random.default_rng(0)
-        rows = Dataset(rng.standard_normal((300, 10)), rng.integers(0, 2, 300),
-                       [f"x{i}" for i in range(10)])
+        X = rng.standard_normal((300, 10))
+        # The net's biases are zero, so every first-layer unit sits on its kink
+        # at the zero row: r = 0, and its probe is skipped.
+        X[0] = 0.0
+        rows = Dataset(X, rng.integers(0, 2, 300), [f"x{i}" for i in range(10)])
         net = init_network(10, TrainConfig(hidden_widths=(16, 8), seed=5))
         run.mkdir()
         save_network(net, run / "network.json")
         (run / "dataset.csv").write_text(dataset_to_csv(rows))
         (run / "clusters.json").write_text(
             json.dumps(clusters_to_json(partition(net, rows)), indent=2) + "\n")
-        flags = ["--jacobian-step", "1e-2"]
     out = tmp_path / "v"
     capsys.readouterr()
     assert main(["verify", "--net", str(run / "network.json"), "--data", str(run / "dataset.csv"),
-                 *flags, "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     if source == "regions":
         jacobian = json.loads((out / "verify.json").read_text())["jacobian"]

@@ -48,7 +48,8 @@ VALUES = (None, True, False, 2**70, 1e308, [[[]]], [[1.0], [[2.0]]])
 # it inserts. None of them is a valid value that would make a mutant slow.
 JUNK = ("", "abc", "-1", "0", "nan", "1e999", "x,y", "1..", "..", "1,1", "-", "--", "\u00e9",
         str(2**70), "--n", "0..1000000000")
-UNKNOWN = ("--bogus", "--seed", "-x", "--jacobian-samples", "--no-clusters=1", "--out-dir")
+UNKNOWN = ("--bogus", "--seed", "-x", "--jacobian-samples", "--jacobian-step", "--no-clusters=1",
+           "--out-dir")
 
 
 def byte_mutant(rng, data: bytes) -> tuple[str, bytes]:
@@ -217,7 +218,7 @@ def test_no_command_line_mutant_escapes_the_input_contract(inputs, synthetic_tit
          ["--hidden", "3"], ["--normalization", "max_abs"], ["--out", out]],
         [["verify"], ["--net", str(run / "network.json")], ["--data", str(run / "dataset.csv")],
          ["--clusters", str(run / "clusters.json")], ["--tol", "1e-6"],
-         ["--jacobian-step", "1e-4"], ["--jacobian-tol", "1e-4"], ["--out", out]],
+         ["--jacobian-tol", "1e-4"], ["--out", out]],
         [["verify"], ["--net", str(run / "network.json")], ["--data", str(run / "dataset.csv")],
          ["--no-clusters"], ["--out", out]],
         [["rerun"], [str(manifest_path)], ["--out", out]],
