@@ -410,7 +410,7 @@ def _check_stored_clusters(net, clusters_path: Path) -> tuple[tuple, str]:
         # dropped before parsing and the text as soon as it is parsed.
         del raw
         doc = json.loads(text, object_hook=maps)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON or an integer past Python's digit limit
         raise SchemaError(f"invalid cluster JSON in {clusters_path}: {exc}")
     del text
     patterns, omegas, biases = maps.checked(doc, clusters_path, sum(net.hidden_widths))
@@ -488,20 +488,23 @@ def _check_rows(net, params: dict, hashes: dict, partition: bool) -> tuple[dict,
     # fixed step: a step far below it lets rounding fail a correct network.
     n, k, h = dataset.n_rows, min(100, dataset.n_rows), 1e-4
     err, skipped = _jacobian_probe(net, dataset.features[np.arange(k) * n // k], h)
-    # fmax passes over NaN: a skipped row's error, or a checked row's NaN error.
-    max_row_err = float(np.fmax.reduce(err, initial=0.0))
-    return {
-        "affine": affine_report.to_dict(),
-        "jacobian": {
-            "samples": k,
-            "checked": int(k - skipped.sum()),
-            "skipped": int(skipped.sum()),
-            "max_row_err": max_row_err,
-            "h": h,
-            "tol": params["jacobian_tol"],
-            "pass": max_row_err <= params["jacobian_tol"],
-        },
-    }, ranked
+    # A skipped row's error is NaN. A checked row whose error is not finite
+    # fails the check, and is counted apart from the largest finite error.
+    finite = np.isfinite(err)
+    non_finite = int((~finite & ~skipped).sum())
+    max_row_err = float(err[finite].max(initial=0.0))
+    jacobian = {
+        "samples": k,
+        "checked": int(k - skipped.sum()),
+        "skipped": int(skipped.sum()),
+        "max_row_err": max_row_err,
+        "h": h,
+        "tol": params["jacobian_tol"],
+        "pass": max_row_err <= params["jacobian_tol"] and not non_finite,
+    }
+    if non_finite:
+        jacobian["non_finite"] = non_finite
+    return {"affine": affine_report.to_dict(), "jacobian": jacobian}, ranked
 
 
 def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
@@ -551,6 +554,7 @@ def run_verify(params: dict, out: Path, recorded: dict | None = None) -> int:
     print(
         f"jacobian: checked={jacobian['checked']} skipped={jacobian['skipped']} "
         f"max_row_err={jacobian['max_row_err']:.3e} pass={jacobian['pass']}"
+        + (f" non_finite={jacobian['non_finite']}" if "non_finite" in jacobian else "")
     )
     if "clusters" in doc:
         print(
@@ -675,7 +679,7 @@ def _read_manifest(manifest_path: Path) -> tuple[str, dict, dict]:
         raise InputError(f"manifest {str(manifest_path)!r} holds a NUL character")
     try:
         doc = json.loads(manifest_path.read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON or an integer past Python's digit limit
         raise SchemaError(f"invalid manifest JSON in {manifest_path}: {exc}")
     if not isinstance(doc, dict) or "command" not in doc or "args" not in doc:
         raise SchemaError("manifest must carry command and args")

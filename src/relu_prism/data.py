@@ -360,22 +360,29 @@ def _csv_blocks(dataset: Dataset):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([*dataset.feature_names, "target"])
     yield buf.getvalue()
-    # Each block of rows is one % format of one flat tuple: the features and
-    # the 0/1 target side by side as floats, which "%d" writes as 0 or 1.
-    # No Python list is made per row. A block of one-digit features, as both
+    # A block of rows is each row's feature reprs and its 0/1 target joined
+    # by commas: zip takes d reprs off one iterator, then the row's end, so
+    # no Python list is made per row. A block of one-digit features, as both
     # experiments' tables are, is written as a digit table instead, with the
     # same bytes.
     n, d = dataset.features.shape
-    row = "%r," * d + "%d\n"
     block = np.empty((_CSV_BLOCK_ROWS, d + 1))
     for start in range(0, n, _CSV_BLOCK_ROWS):
         rows = min(_CSV_BLOCK_ROWS, n - start)
-        block[:rows, :d] = dataset.features[start : start + rows]
-        block[:rows, d] = dataset.targets[start : start + rows]
-        if _all_digits(block[:rows, :d]):
+        features = dataset.features[start : start + rows]
+        targets = dataset.targets[start : start + rows]
+        if _all_digits(features):
+            block[:rows, :d] = features
+            block[:rows, d] = targets
             yield _digit_rows(block[:rows])
         else:
-            yield row * rows % tuple(block[:rows].ravel().tolist())
+            cells = map(repr, features.ravel().tolist())
+            ends = map(_ROW_ENDS.__getitem__, targets.tolist())
+            yield "".join(map(",".join, zip(*[cells] * d, ends)))
+
+
+# A csv row's last field and line end, by its 0/1 target.
+_ROW_ENDS = ("0\n", "1\n")
 
 
 def _all_digits(values: np.ndarray) -> bool:

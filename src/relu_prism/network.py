@@ -287,20 +287,32 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the row order and the start of each group in it: group g owns
     ``order[starts[g] : starts[g + 1]]``, the last group running to n. Each
-    row is viewed as one ``np.void`` scalar. Voids compare as unsigned bytes,
-    so one stable sort orders the groups by their bytes, as
-    ``np.unique(..., axis=0)`` orders a uint8 matrix, and keeps each group's
-    rows in increasing order. Neighbouring keys in that order are compared
-    a block of rows at a time, so no sorted copy of the keys is made.
+    key, zero-padded to a whole number of 8-byte words (at least one), is
+    read as big-endian unsigned words. Words compare as their bytes do, so
+    one stable sort of the words, first word first, orders the groups by
+    their bytes, as ``np.unique(..., axis=0)`` orders a uint8 matrix, and
+    keeps each group's rows in increasing order. Neighbouring keys in that
+    order are compared a block of rows at a time, so no sorted copy of the
+    keys is made.
     """
     n, width = keys.shape
-    voids = np.ndarray(n, np.dtype((np.void, width)), keys)  # 0 bytes wide too
-    order = np.argsort(voids, kind="stable")
+    wide = 8 * max(1, -(-width // 8))
+    if wide != width:
+        # Every key gets the same zero bytes, so the order is kept.
+        padded = np.zeros((n, wide), dtype=np.uint8)
+        padded[:, :width] = keys
+        keys = padded
+    words = keys.view(">u8")
+    if words.shape[1] == 1:
+        order = np.argsort(words[:, 0], kind="stable")
+    else:
+        # lexsort is stable, and its last key is the first word.
+        order = np.lexsort(words.T[::-1])
     first = np.ones(n, dtype=bool)
     for start in range(1, n, _GROUP_BLOCK):
         stop = min(start + _GROUP_BLOCK, n)
-        ordered = voids[order[start - 1 : stop]]
-        first[start:stop] = ordered[1:] != ordered[:-1]
+        ordered = words[order[start - 1 : stop]]
+        first[start:stop] = (ordered[1:] != ordered[:-1]).any(axis=1)
     return order, np.flatnonzero(first)
 
 
@@ -362,6 +374,6 @@ def parse_network_json(raw: bytes, path) -> Network:
     """The network in the JSON bytes ``raw``; ``path`` names them in messages."""
     try:
         doc = json.loads(raw.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON or an integer past Python's digit limit
         raise SchemaError(f"invalid network JSON in {path}: {exc}") from exc
     return network_from_json(doc)

@@ -951,6 +951,34 @@ class TestVerify:
         assert err.count("\n") == 1, err
         assert not (tmp_path / "v").exists()
 
+    def test_a_checked_probe_row_whose_error_is_not_finite_fails(self, tmp_path, capsys):
+        """1 -> 2 -> 1 with hidden weights 1.7976e308 and output weights 1, -1 at the row 1.0.
+
+        The logit is 0 and the affine check passes, but one step up overflows
+        both units, so the row's differences are inf - inf: the row is
+        checked, its error is NaN, and the check fails with the row counted.
+        """
+        w = 1.7976e308
+        net = Network((Layer([[w], [w]], [0.0, 0.0]), Layer([[1.0, -1.0]], [0.0])))
+        save_network(net, tmp_path / "network.json")
+        (tmp_path / "dataset.csv").write_text("x0,target\n1.0,1\n")
+        out = tmp_path / "v"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["verify", "--net", str(tmp_path / "network.json"),
+                         "--data", str(tmp_path / "dataset.csv"), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        doc = json.loads((out / "verify.json").read_text())
+        assert doc["affine"]["pass"]
+        assert doc["jacobian"] == {"samples": 1, "checked": 1, "skipped": 0, "max_row_err": 0.0,
+                                   "h": 0.0001, "tol": 0.0001, "pass": False, "non_finite": 1}
+        assert captured.out.splitlines()[1:] == [
+            "jacobian: checked=1 skipped=0 max_row_err=0.000e+00 pass=False non_finite=1",
+            "verify: FAIL",
+        ]
+
     def test_json_writer_refuses_non_finite_numbers(self, tmp_path):
         path = tmp_path / "doc.json"
         for value in (float("nan"), float("inf")):

@@ -361,6 +361,25 @@ class TestReportEdgeCases:
         assert render_report(clusters, reports) == reference_report_csv(clusters, reports)
 
 
+    def test_repeated_fractions_and_a_percent_sign_in_a_name(self):
+        """Fractions equal by value but not by repr: -0.0 and 0.0, 1 and 1.0, a numpy float."""
+        names = ("w%", "%d%%", "x")
+        fractions = (0.25, 0.25, 0.5, 0.25, 0.0, -0.0, 0.0, 1, 1.0, np.float64(0.25),
+                     float("nan"), 0.5, 1e-300, 1e-300)
+        clusters = [
+            Cluster(ActivationPattern(((True,),)), np.arange(2),
+                    AffineMap([[float(i), -0.5, 1e16]], [0.25 * i]),
+                    ClusterStats(2, fraction, 0.5, 0.5))
+            for i, fraction in enumerate(fractions)
+        ]
+        reports = [feature_importance(c, names, cluster_id=i) for i, c in enumerate(clusters)]
+        text = render_report(clusters, reports)
+        assert text == reference_report_csv(clusters, reports)
+        rows = list(csv.reader(io.StringIO(text)))[1:]
+        assert [row[1] for row in rows[:3]] == list(names)
+        assert [row[5] for row in rows[::3]] == [repr(f) for f in fractions]
+
+
 @pytest.mark.parametrize("normalization", ["raw", "max_abs"])
 def test_reports_build_no_map_and_no_stats_per_cluster(monkeypatch, rng, normalization):
     """feature_importance and render_report read each cluster's table row."""

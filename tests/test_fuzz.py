@@ -16,7 +16,11 @@ size.
 Every mutant runs in process through ``main``. It passes when its exit code
 is in {0, 1, 2, 3}, no exception escapes ``main`` (the suite turns a numpy
 warning into one) and an exit of 2 or 3 comes with exactly one stderr line.
-The seed and the count were fixed before the first run.
+The seed and the count were fixed before the first run. Six raw-text
+mutants more put an integer literal of 5,001 digits, past Python's limit
+for converting a string to an int, in place of one value of
+``network.json``, ``clusters.json`` or the manifest; each must exit 2 with
+one line.
 
 A second fuzzer mutates valid command lines of all four commands: one
 flag's value becomes a junk token, a flag is dropped or duplicated, or an
@@ -31,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +150,17 @@ def inputs(tmp_path_factory, synthetic_titanic_csv) -> tuple:
     return run, files
 
 
+def mutant_argv(name: str, path) -> list:
+    """The command line that reads the mutant at ``path`` in place of input ``name``."""
+    if name == "manifest.json":
+        return ["rerun", str(path)]
+    if name == "passengers.csv":
+        return ["titanic", "--csv", str(path), "--epochs", "1", "--seeds", "0"]
+    given = {"network.json": "--net", "dataset.csv": "--data", "clusters.json": "--clusters"}
+    return ["verify", *[arg for other, flag in given.items()
+                        for arg in (flag, str(path) if other == name else other)]]
+
+
 def test_no_mutant_escapes_the_input_contract(inputs, tmp_path, capsys, monkeypatch):
     run, files = inputs
     monkeypatch.chdir(run)
@@ -159,14 +175,7 @@ def test_no_mutant_escapes_the_input_contract(inputs, tmp_path, capsys, monkeypa
             kind, mutant = (json_mutant if name.endswith(".json") else csv_mutant)(rng, data)
         path, out = tmp_path / f"{i}-{name}", tmp_path / f"out{i}"
         path.write_bytes(mutant)
-        if name == "manifest.json":
-            argv = ["rerun", str(path)]
-        elif name == "passengers.csv":
-            argv = ["titanic", "--csv", str(path), "--epochs", "1", "--seeds", "0"]
-        else:
-            given = {"network.json": "--net", "dataset.csv": "--data", "clusters.json": "--clusters"}
-            argv = ["verify", *[arg for other, flag in given.items()
-                                for arg in (flag, str(path) if other == name else other)]]
+        argv = mutant_argv(name, path)
         capsys.readouterr()
         try:
             code = main([*argv, "--out", str(out)])
@@ -177,6 +186,35 @@ def test_no_mutant_escapes_the_input_contract(inputs, tmp_path, capsys, monkeypa
         if code not in (0, 1, 2, 3) or (code in (2, 3) and err.count("\n") != 1):
             escapes.append((i, name, kind, code, err))
     assert not escapes, escapes
+
+
+# An integer literal of more digits than Python converts (4,300 by default):
+# json.loads raises a plain ValueError for it, not a JSONDecodeError. Such
+# an int cannot pass through json.dumps, so it is put into the raw text.
+HUGE_INTEGER = b"1" + b"0" * 5000
+# How each JSON input is named in the refusal of its parse.
+NOUNS = {"network.json": "network", "clusters.json": "cluster", "manifest.json": "manifest"}
+
+
+@pytest.mark.parametrize("name, key", [
+    ("network.json", b'"w"'), ("network.json", b'"b"'), ("clusters.json", b'"omega"'),
+    ("clusters.json", b'"size"'), ("manifest.json", b'"tol"'), ("manifest.json", b'"data"'),
+])
+def test_an_integer_past_the_digit_limit_exits_two(inputs, tmp_path, capsys, monkeypatch,
+                                                   name, key):
+    """The first value after ``key`` becomes the integer, in the raw text of the input."""
+    run, files = inputs
+    monkeypatch.chdir(run)
+    mutant, count = re.subn(re.escape(key) + rb'(:[\s\[]*)(-?[0-9][0-9.eE+-]*|"[^"]*")',
+                            key + rb"\g<1>" + HUGE_INTEGER, files[name], count=1)
+    assert count == 1
+    path, out = tmp_path / name, tmp_path / "out"
+    path.write_bytes(mutant)
+    capsys.readouterr()
+    assert main([*mutant_argv(name, path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid {NOUNS[name]} JSON in ") and err.count("\n") == 1, err
+    assert "4300" in err and not out.exists()
 
 
 def argv_mutant(rng, groups: list) -> tuple[str, list]:

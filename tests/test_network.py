@@ -26,7 +26,7 @@ from relu_prism import (
     verify_affine,
 )
 from relu_prism.affine import _pattern_table
-from relu_prism.network import parse_network_json
+from relu_prism.network import _group_rows, parse_network_json
 from conftest import make_random_network
 
 
@@ -328,3 +328,46 @@ class TestGroupByPattern:
             np.testing.assert_array_equal(a, b)
         assert got[1].shape[1] == sum(widths)
         assert got[3].sum() == 600
+
+
+def void_grouping(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grouping of one stable sort of each key as an ``np.void`` scalar: the reference."""
+    n, width = keys.shape
+    voids = np.ndarray(n, np.dtype((np.void, width)), keys)
+    order = np.argsort(voids, kind="stable")
+    ordered = voids[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return order, np.flatnonzero(first)
+
+
+class TestGroupRows:
+    """``_group_rows`` orders and cuts the keys as a stable sort of their bytes does."""
+
+    @pytest.mark.parametrize("width", range(82))
+    def test_matches_the_void_sort_at_every_width(self, width):
+        rng = np.random.default_rng(1000 + width)
+        for n in (0, 1, 2, 3, 50, 5000):
+            # Few distinct keys, so most repeat, and bytes drawn from a small
+            # set that holds 0 and 255, so neighbours share leading words.
+            distinct = rng.choice(np.array([0, 1, 127, 128, 254, 255], dtype=np.uint8),
+                                  size=(max(1, n // 4), width))
+            keys = np.ascontiguousarray(distinct[rng.integers(0, len(distinct), size=n)])
+            for case in (keys, np.zeros_like(keys), np.full_like(keys, 255)):
+                order, starts = _group_rows(case)
+                expected_order, expected_starts = void_grouping(case)
+                np.testing.assert_array_equal(order, expected_order)
+                np.testing.assert_array_equal(starts, expected_starts)
+                assert order.dtype == expected_order.dtype and starts.dtype == expected_starts.dtype
+
+    @pytest.mark.parametrize("width", [1, 4, 8, 9, 16, 80, 81])
+    def test_keys_differing_in_one_byte_past_the_first_word(self, width):
+        """Keys equal but for one byte, and a group split across a block of rows."""
+        rng = np.random.default_rng(width)
+        n = 9000
+        keys = np.zeros((n, width), dtype=np.uint8)
+        keys[:, -1] = rng.integers(0, 3, size=n)
+        order, starts = _group_rows(keys)
+        expected_order, expected_starts = void_grouping(keys)
+        np.testing.assert_array_equal(order, expected_order)
+        np.testing.assert_array_equal(starts, expected_starts)
