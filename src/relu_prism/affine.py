@@ -155,22 +155,21 @@ def _pattern_table(net: Network, X: np.ndarray) -> tuple[np.ndarray, ...]:
     ``order[s : s + counts[g]]`` with ``s = counts[:g].sum()``, a strictly
     increasing run of row indices.
 
-    Each row's key is its packed bits plus one zero byte, which gives a net
-    without hidden layers a key too; ``_group_rows`` orders the patterns by
-    bitstring. Finite weights can still overflow, in the forward pass or in
-    the collapse; the values are kept without a warning, and
-    ``_verify_table`` refuses a non-finite logit by its row.
+    Each row's key is its packed bits. ``_group_rows`` pads every key to at
+    least one word, which groups the empty keys of a net without hidden
+    layers too, and orders the patterns by bitstring. Finite weights can
+    still overflow, in the forward pass or in the collapse; the values are
+    kept without a warning, and ``_verify_table`` refuses a non-finite logit
+    by its row.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         logits, bits = forward_batch(net, X)
         n = logits.shape[0]
         width = sum(b.shape[1] for b in bits)
-        keys = np.zeros((n, (width + 7) // 8 + 1), dtype=np.uint8)
-        if bits:
-            keys[:, :-1] = np.packbits(np.hstack(bits), axis=1)
+        keys = np.packbits(np.hstack(bits), axis=1) if bits else np.zeros((n, 0), dtype=np.uint8)
         order, starts = _group_rows(keys)
         counts = np.diff(starts, append=n)
-        packed = np.take(keys, order[starts], axis=0)[:, :-1]
+        packed = np.take(keys, order[starts], axis=0)
         masks = np.unpackbits(packed, axis=1, count=width).view(bool)
         return logits, masks, order, counts, *collapse_batch(net, masks)
 

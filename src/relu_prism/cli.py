@@ -297,14 +297,13 @@ class _StoredMaps:
     a time. A block that does not convert to numeric maps of ``shape``, or
     that holds a boolean, is converted one entry at a time: an entry whose
     map is not numeric, or not of ``shape``, is recorded, with NaN in its
-    place so that the test for finite maps refuses it. A block is searched
-    for booleans only if ``booleans`` says the document may hold one. The
-    hook never raises, so a syntax error later in the document is still
-    reported as one. A statistic the entry lacks is kept as None.
+    place so that the test for finite maps refuses it. The hook never
+    raises, so a syntax error later in the document is still reported as
+    one. A statistic the entry lacks is kept as None.
     """
 
-    def __init__(self, shape: tuple, booleans: bool = True):
-        self.shape, self.booleans = shape, booleans
+    def __init__(self, shape: tuple):
+        self.shape = shape
         self.patterns, self.stats = [], tuple([] for _ in _STAT_KEYS)
         # The converted blocks, after an empty one: no entries make (0, ...) maps.
         self.omegas, self.biases = [np.empty((0, *shape))], [np.empty((0, shape[0]))]
@@ -336,7 +335,7 @@ class _StoredMaps:
         if not (omega.shape == (n, *shape) and bias.shape == (n, shape[0])
                 and omega.dtype.kind in "iuf" and bias.dtype.kind in "iuf"
                 # true beside numbers infers as a number.
-                and not (self.booleans and bool in _leaf_types([omegas, biases]))):
+                and bool not in _leaf_types([omegas, biases])):
             omega, bias = np.full((n, *shape), np.nan), np.full((n, shape[0]), np.nan)
             first = len(self.patterns) - n
             for j in range(n):
@@ -401,9 +400,7 @@ def _check_stored_clusters(net, clusters_path: Path) -> tuple[tuple, str]:
     """
     raw = clusters_path.read_bytes()
     digest = _sha256(raw)
-    # No key that clusters_to_json writes holds a "u" or an "l", and both
-    # true and false do: a file without either letter holds no boolean.
-    maps = _StoredMaps((net.output_dim, net.input_dim), b"u" in raw or b"l" in raw)
+    maps = _StoredMaps((net.output_dim, net.input_dim))
     try:
         text = raw.decode()
         # One copy of the file at a time, as with read_text: the bytes are

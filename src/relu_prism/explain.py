@@ -56,19 +56,7 @@ class ImportanceReport:
 def _read_only_report(cluster_id, feature_names, weights, bias, normalization) -> ImportanceReport:
     """A report whose ``weights`` are made read-only: an unpickled array is writeable."""
     weights.setflags(write=False)
-    return _report(cluster_id, feature_names, weights, bias, normalization)
-
-
-def _report(cluster_id, feature_names, weights, bias, normalization) -> ImportanceReport:
-    """A report of these fields, set as a ``Cluster``'s are, without the dataclass ``__init__``."""
-    report = object.__new__(ImportanceReport)
-    set_field = object.__setattr__
-    set_field(report, "cluster_id", cluster_id)
-    set_field(report, "feature_names", feature_names)
-    set_field(report, "weights", weights)
-    set_field(report, "bias", bias)
-    set_field(report, "normalization", normalization)
-    return report
+    return ImportanceReport(cluster_id, feature_names, weights, bias, normalization)
 
 
 def feature_importance(
@@ -112,7 +100,7 @@ def feature_importance(
         if peak > 0.0:
             row = row / peak
             row.setflags(write=False)
-    return _report(cluster_id, names, row, bias.item(0), normalization)
+    return ImportanceReport(cluster_id, names, row, bias.item(0), normalization)
 
 
 class _CsvFields(dict):
@@ -126,14 +114,6 @@ class _CsvFields(dict):
         return field
 
 
-class _Reprs(dict):
-    """The ``repr`` of each key, made once per key: for keys equal only where their reprs are."""
-
-    def __missing__(self, value) -> str:
-        text = self[value] = repr(value)
-        return text
-
-
 def render_report(clusters, reports, format: str = "csv") -> str:
     """Serialize aligned clusters and reports into one document.
 
@@ -142,9 +122,8 @@ def render_report(clusters, reports, format: str = "csv") -> str:
     weight, bias, size, fraction: the bytes ``csv.writer`` writes for the
     ``repr`` of each weight, bias and fraction. Each cluster's size and
     fraction are read from its table row, so no ``ClusterStats`` is built.
-    Each tuple of feature names is quoted once into one ``%`` template of a
-    cluster's rows, which each cluster fills once; its closing fields are
-    formatted once, and each distinct fraction once.
+    Each cluster's closing fields are formatted once, and each feature name
+    is quoted once.
     """
     clusters = list(clusters)
     reports = list(reports)
@@ -154,35 +133,16 @@ def render_report(clusters, reports, format: str = "csv") -> str:
         )
     if format != "csv":
         raise InputError(f"format must be 'csv', got {format!r}")
-    fields, fractions = _CsvFields(), _Reprs()
-    # id(names) -> (names, weights, pairs, template). An entry holds its
-    # names alive, so no other names take their id during the call.
-    templates = {}
+    names = _CsvFields()
     lines = ["cluster_id,feature,weight,bias,size,fraction\n"]
     for cluster, report in zip(clusters, reports):
-        names, weights = report.feature_names, report.weights.tolist()
-        entry = templates.get(id(names))
-        if entry is None or entry[1] != len(weights):
-            # Names pair with weights as zip pairs them. The rows are the
-            # cluster_id, then for each pair its quoted name and weight
-            # followed by the closing fields and the next row's cluster_id,
-            # the last by the closing fields alone. A % in a name is doubled.
-            paired = [fields[name].replace("%", "%%") for name, _ in zip(names, weights)]
-            template = "%s" + "%s".join(f"{name},%r" for name in paired) + "%s"
-            entry = templates[id(names)] = (names, len(weights), len(paired), template)
-        _, _, pairs, template = entry
-        if not pairs:
-            continue
         size, fraction = cluster._size_fraction()
-        # Positive floats are equal only where their reprs are.
-        fraction = (fractions[fraction] if type(fraction) is float and fraction > 0.0
-                    else repr(fraction))
         head = f"{report.cluster_id},"
-        tail = f",{report.bias!r},{size},{fraction}\n"
-        args = [tail + head] * (2 * pairs + 1)
-        args[1::2] = weights[:pairs]
-        args[0], args[-1] = head, tail
+        tail = f",{report.bias!r},{size},{fraction!r}\n"
         # One string per cluster: a string per row would hold a Python
         # object for every row of the document until the final join.
-        lines.append(template % tuple(args))
+        lines.append("".join([
+            f"{head}{names[name]},{weight!r}{tail}"
+            for name, weight in zip(report.feature_names, report.weights.tolist())
+        ]))
     return "".join(lines)

@@ -45,16 +45,16 @@ def _leaf_types(values) -> set:
 
 
 def _numeric_array(values) -> np.ndarray:
-    """``values`` as float64; a string or a boolean among them is refused.
+    """The JSON ``values`` as float64; a string or a boolean among them is refused.
 
     numpy would parse a string such as "0.25" and take true as 1, even beside
     numbers. A null still becomes NaN, which the test for finite values refuses.
     """
     arr = np.array(values, dtype=np.float64)
-    kind, types = np.array(values).dtype.kind, _leaf_types(values)
-    if kind == "U" or str in types:
+    types = _leaf_types(values)
+    if str in types:
         raise ValueError("it holds a string")
-    if kind == "b" or bool in types:
+    if bool in types:
         raise ValueError("it holds true or false")
     return arr
 
@@ -303,11 +303,8 @@ def _group_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         padded[:, :width] = keys
         keys = padded
     words = keys.view(">u8")
-    if words.shape[1] == 1:
-        order = np.argsort(words[:, 0], kind="stable")
-    else:
-        # lexsort is stable, and its last key is the first word.
-        order = np.lexsort(words.T[::-1])
+    # lexsort is stable, and its last key is the first word.
+    order = np.lexsort(words.T[::-1])
     first = np.ones(n, dtype=bool)
     for start in range(1, n, _GROUP_BLOCK):
         stop = min(start + _GROUP_BLOCK, n)

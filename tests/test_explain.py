@@ -297,6 +297,21 @@ class TestReportMatchesCsvWriter:
             ]
             assert render_report(clusters, reports) == reference_report_csv(clusters, reports)
 
+    @pytest.mark.parametrize("normalization", ["raw", "max_abs"])
+    def test_regions_style_partition(self, normalization):
+        """The regions chain at reduced size: over a thousand clusters share one name tuple."""
+        net = init_network(10, TrainConfig(hidden_widths=(16, 8), seed=5))
+        X = np.random.default_rng(5).standard_normal((5000, 10))
+        ds = Dataset(X, (X.sum(axis=1) > 0.0).astype(np.int64), tuple(f"x{i}" for i in range(10)))
+        clusters = partition(net, ds)
+        assert len(clusters) > 1000
+        reports = [
+            feature_importance(c, ds.feature_names, normalization, cluster_id=i)
+            for i, c in enumerate(clusters)
+        ]
+        assert {id(r.feature_names) for r in reports} == {id(ds.feature_names)}
+        assert render_report(clusters, reports) == reference_report_csv(clusters, reports)
+
     def test_zero_clusters(self):
         assert render_report([], []) == reference_report_csv([], [])
 
