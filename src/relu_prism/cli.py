@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._forking import _fork
 from .affine import _jacobian_probe, _pattern_table, _verify_table
 from .data import (
     Dataset,
@@ -48,7 +49,7 @@ from .network import (
     _leaf_types, _numeric_array, parse_network_json, save_network, split_bitstrings,
 )
 from .partition import _clusters, _ranked_stats, clusters_to_json
-from .train import TrainConfig, _fork, accuracy, history_to_csv, train_seeds
+from .train import TrainConfig, accuracy, history_to_csv, train_seeds
 
 EXIT_OK = 0
 EXIT_VERIFY = 1

@@ -16,10 +16,12 @@ import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from ._forking import _joined_text
 from .errors import InputError, SchemaError
 
 __all__ = [
@@ -344,33 +346,47 @@ def dataset_to_csv(dataset: Dataset) -> str:
 
     The bytes are those of ``csv.writer``: the header through it, and each
     row as the ``repr`` of its floats and its 0/1 target, which never need
-    quoting. The text is the join of ``_csv_blocks``.
+    quoting. The text is the header and the blocks of ``_csv_rows``, joined
+    once. A table of more than ``_SPLIT_FLOATS`` features has its later
+    blocks made in a forked child, beside this process (`_joined_text`).
     """
-    return "".join(_csv_blocks(dataset))
+    n, d = dataset.features.shape
+    blocks = -(-n // _CSV_BLOCK_ROWS)
+    cut = (blocks + 1) // 2 * _CSV_BLOCK_ROWS
+    return _joined_text(_csv_header(dataset), partial(_csv_rows, dataset), n, cut, n * d)
 
 
 def _write_dataset_csv(dataset: Dataset, path) -> None:
     """Write ``dataset_to_csv(dataset)`` to ``path`` a block at a time, as ``write_text`` would."""
     with Path(path).open("w") as out:
-        out.writelines(_csv_blocks(dataset))
+        out.write(_csv_header(dataset))
+        out.writelines(_csv_rows(dataset, 0, dataset.n_rows))
 
 
-def _csv_blocks(dataset: Dataset):
-    """The text of ``dataset_to_csv`` in pieces: the header, then each block of rows."""
+def _csv_header(dataset: Dataset) -> str:
+    """The header line of ``dataset_to_csv``, as ``csv.writer`` writes it."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([*dataset.feature_names, "target"])
-    yield buf.getvalue()
+    return buf.getvalue()
+
+
+def _csv_rows(dataset: Dataset, start: int, stop: int):
+    """The rows ``start`` to ``stop - 1`` of ``dataset_to_csv``, a block at a time.
+
+    ``start`` is a multiple of ``_CSV_BLOCK_ROWS``, so a block is the same
+    rows whichever row the text starts from.
+    """
     # A block of rows is each row's feature reprs and its 0/1 target joined
     # by commas: zip takes d reprs off one iterator, then the row's end, so
     # no Python list is made per row. A block of one-digit features, as both
     # experiments' tables are, is written as a digit table instead, with the
     # same bytes.
-    n, d = dataset.features.shape
+    d = dataset.n_features
     block = np.empty((_CSV_BLOCK_ROWS, d + 1))
-    for start in range(0, n, _CSV_BLOCK_ROWS):
-        rows = min(_CSV_BLOCK_ROWS, n - start)
-        features = dataset.features[start : start + rows]
-        targets = dataset.targets[start : start + rows]
+    for first in range(start, stop, _CSV_BLOCK_ROWS):
+        rows = min(_CSV_BLOCK_ROWS, stop - first)
+        features = dataset.features[first : first + rows]
+        targets = dataset.targets[first : first + rows]
         if _all_digits(features):
             block[:rows, :d] = features
             block[:rows, d] = targets

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._forking import _joined_text
 from .errors import InputError, ShapeError
 from .partition import Cluster
 
@@ -123,7 +124,9 @@ def render_report(clusters, reports, format: str = "csv") -> str:
     ``repr`` of each weight, bias and fraction. Each cluster's size and
     fraction are read from its table row, so no ``ClusterStats`` is built.
     Each cluster's closing fields are formatted once, and each feature name
-    is quoted once.
+    is quoted once. A report of more than ``_SPLIT_FLOATS`` floats has its
+    later clusters' rows made in a forked child, beside this process
+    (`_joined_text`); the bytes are the same either way.
     """
     clusters = list(clusters)
     reports = list(reports)
@@ -134,15 +137,22 @@ def render_report(clusters, reports, format: str = "csv") -> str:
     if format != "csv":
         raise InputError(f"format must be 'csv', got {format!r}")
     names = _CsvFields()
-    lines = ["cluster_id,feature,weight,bias,size,fraction\n"]
-    for cluster, report in zip(clusters, reports):
-        size, fraction = cluster._size_fraction()
-        head = f"{report.cluster_id},"
-        tail = f",{report.bias!r},{size},{fraction!r}\n"
+
+    def rows(start: int, stop: int):
         # One string per cluster: a string per row would hold a Python
         # object for every row of the document until the final join.
-        lines.append("".join([
-            f"{head}{names[name]},{weight!r}{tail}"
-            for name, weight in zip(report.feature_names, report.weights.tolist())
-        ]))
-    return "".join(lines)
+        for cluster, report in zip(clusters[start:stop], reports[start:stop]):
+            size, fraction = cluster._size_fraction()
+            head = f"{report.cluster_id},"
+            tail = f",{report.bias!r},{size},{fraction!r}\n"
+            yield "".join([
+                f"{head}{names[name]},{weight!r}{tail}"
+                for name, weight in zip(report.feature_names, report.weights.tolist())
+            ])
+
+    # Each cluster's weights, its bias and its fraction.
+    floats = sum(len(report.feature_names) + 2 for report in reports)
+    return _joined_text(
+        "cluster_id,feature,weight,bias,size,fraction\n",
+        rows, len(clusters), (len(clusters) + 1) // 2, floats,
+    )

@@ -13,17 +13,13 @@ import csv
 import io
 import math
 import numbers
-import os
-import pickle
-import signal
-import threading
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._forking import _fork
 from .data import Dataset
-from .errors import ChildLostError, InputError, ShapeError, TrainingDivergedError
+from .errors import InputError, ShapeError, TrainingDivergedError
 from .network import Layer, Network, _group_rows, _preactivations, predict_batch
 
 __all__ = [
@@ -353,80 +349,6 @@ def _train_lockstep(dataset: Dataset, config: TrainConfig, seeds):
                     pass  # to the last matrix, holding two layers' matrices at a time
                 accuracies[epoch - 1, s] = np.where(logits[:, 0] > 0.0, ones, zeros).sum() / n
     return seed_Ws, seed_bs, losses, accuracies, diverged
-
-
-def _cpus() -> int:
-    """How many CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-@contextmanager
-def _fork(work):
-    """``work()`` in a forked child, beside the block this manager runs.
-
-    Yields None, having forked nothing, where ``os.fork`` does not exist or
-    fails, the process may run on one CPU only, or it has more than one
-    thread: the caller then does the work itself. Otherwise it yields
-    ``join``, which waits for the child and returns what ``work()`` returned
-    or raises what it raised, and raises ChildLostError if the child ended
-    without sending either. A child not joined when the block ends, on an
-    early return or an exception, is killed, not waited for, and reaped.
-    """
-    if not (hasattr(os, "fork") and _cpus() > 1 and threading.active_count() == 1):
-        yield None
-        return
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        yield None
-        return
-    if pid == 0:
-        # The child leaves through os._exit on every path, so it runs no
-        # atexit handler and flushes no stdout buffer it inherited. It exits
-        # 0 only once its whole result, or its exception, is sent.
-        code = 1
-        try:
-            os.close(read_end)
-            try:
-                result = work()
-            except BaseException as exc:
-                result = exc
-            with open(write_end, "wb") as pipe:
-                pickle.dump(result, pipe)
-            code = 0
-        finally:
-            os._exit(code)
-    status = None
-
-    def join():
-        nonlocal status
-        with open(read_end, "rb", closefd=False) as pipe:
-            sent = pipe.read()
-        status = os.waitpid(pid, 0)[1]
-        if status != 0:
-            raise ChildLostError(
-                f"the forked child {pid} ended without its result (wait status {status})"
-            )
-        result = pickle.loads(sent)
-        if isinstance(result, BaseException):
-            raise result
-        return result
-
-    try:
-        os.close(write_end)
-        yield join
-    finally:
-        os.close(read_end)
-        if status is None:
-            with suppress(ProcessLookupError):
-                os.kill(pid, signal.SIGKILL)
-            with suppress(ChildProcessError):
-                os.waitpid(pid, 0)
 
 
 def _train_halves(dataset: Dataset, config: TrainConfig, seeds):

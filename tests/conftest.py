@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,23 @@ import pytest
 from relu_prism import Layer, Network, network_to_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+forking = importlib.import_module("relu_prism._forking")
+
+
+def counted_forks(monkeypatch) -> list:
+    """The pid of each child forked from now on; two CPUs to run on, whatever the machine has."""
+    monkeypatch.setattr(forking, "_cpus", lambda: 2)
+    pids, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return pids
 
 
 def make_random_network(rng, d, widths, q=1, scale=1.0) -> Network:

@@ -42,8 +42,10 @@ from relu_prism.affine import collapse_batch
 from relu_prism.cli import _PARAM_KEYS, build_parser, main, parse_hidden, parse_seeds
 from relu_prism.data import dataset_to_csv, read_dataset_csv
 from relu_prism.partition import clusters_to_json
+from conftest import counted_forks
 
 trainer = importlib.import_module("relu_prism.train")
+forking = importlib.import_module("relu_prism._forking")
 
 RUN_FILES = [
     "dataset.csv",
@@ -73,21 +75,6 @@ def assert_rejected(argv, out, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
     return err
-
-
-def counted_forks(monkeypatch) -> list:
-    """The pid of each child forked from now on; two CPUs to run on, whatever the machine has."""
-    monkeypatch.setattr(trainer, "_cpus", lambda: 2)
-    pids, fork = [], os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return pids
 
 
 @pytest.fixture(params=["forked", "no-fork"])
@@ -329,7 +316,7 @@ class TestSimulate:
 
     def test_a_training_child_that_ends_without_its_result_exits_two(self, tmp_path, capsys,
                                                                      monkeypatch):
-        monkeypatch.setattr(trainer, "_cpus", lambda: 2)
+        monkeypatch.setattr(forking, "_cpus", lambda: 2)
         monkeypatch.setattr(trainer, "_train_lockstep", in_child(
             os.getpid(), lambda: os._exit(3), trainer._train_lockstep))
         out = tmp_path / "run"
@@ -1070,7 +1057,7 @@ class TestVerify:
 
     def test_a_child_that_ends_without_its_result_exits_two(self, run_dir, tmp_path, capsys,
                                                            monkeypatch):
-        monkeypatch.setattr(trainer, "_cpus", lambda: 2)
+        monkeypatch.setattr(forking, "_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_check_stored_clusters", in_child(
             os.getpid(), lambda: os._exit(3), cli._check_stored_clusters))
         out = tmp_path / "v"

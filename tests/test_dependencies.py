@@ -1,5 +1,5 @@
-"""The package runs on numpy and the standard library alone, and reads no
-environment variable.
+"""The package runs on numpy and the standard library alone, reads no
+environment variable, and each of its modules imports on its own.
 
 Every import in ``src/relu_prism`` is read with ``ast``, so an import behind
 a branch or inside a function is caught too, and the declared runtime
@@ -9,6 +9,7 @@ dependencies in ``pyproject.toml`` are checked to be numpy alone.
 from __future__ import annotations
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -65,3 +66,30 @@ def test_package_reads_no_environment_variable():
         if name in ENVIRONMENT_READERS
     ]
     assert not reads, reads
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__"))
+def test_each_module_imports_alone(module):
+    """Each module, imported first in a fresh interpreter, without the package's ``__init__``.
+
+    ``__init__`` imports the modules in one fixed order, which can hide an
+    import cycle such as ``data`` → ``train`` → ``data`` that a module
+    imported first would meet. The stand-in package carries the one name
+    a module imports from ``__init__``, ``__version__``.
+    """
+    version = next(
+        node.value.value
+        for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__version__"
+    )
+    script = (
+        "import importlib, sys, types\n"
+        "package = types.ModuleType('relu_prism')\n"
+        f"package.__path__ = [{str(PACKAGE)!r}]\n"
+        f"package.__version__ = {version!r}\n"
+        "sys.modules['relu_prism'] = package\n"
+        f"importlib.import_module('relu_prism.{module}')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

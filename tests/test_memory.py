@@ -1,18 +1,22 @@
 """Memory guards: each stage of simulate and verify holds one copy of the rows,
 a partition holds its clusters as rows of shared tables, and the importance
-report holds its text and one copy more.
+report and the dataset text hold their text and one copy more, whether or
+not a forked child makes their later half.
 
 Each stage test measures, under ``tracemalloc``, how far a stage's peak rises
 above what was allocated when it began, in multiples of the ``nbytes`` of the
 features it works on (50k rows of 10 features, 4 MB). The partition test
 measures what its result holds, in bytes per cluster, and the report test
-the peak of rendering in multiples of the text's length. numpy reports its
+the text tests the peak of writing in multiples of the text's length; a
+forked child's memory is its own, and only what the parent holds counts.
+numpy reports its
 array buffers to ``tracemalloc``, so the measure is exact and does not
 depend on the host.
 """
 
 from __future__ import annotations
 
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -32,6 +36,9 @@ from relu_prism import (
     verify_affine,
 )
 from relu_prism.network import _group_rows
+from conftest import counted_forks
+
+forking = importlib.import_module("relu_prism._forking")
 
 N = 50_000
 
@@ -69,6 +76,32 @@ def test_writing_dataset_csv_holds_a_block_of_text(tmp_path, gaussian_rows):
     peak = peak_above_start(lambda: data._write_dataset_csv(ds, tmp_path / "dataset.csv"))
     # 4.98 when the whole text was built, then encoded by write_text; 0.19 a block at a time.
     assert peak / ds.features.nbytes < 0.5
+
+
+@pytest.fixture(params=["forked", "in-process"])
+def writer_path(request, monkeypatch):
+    """A writer's path: one forked child for its later half, or none, on one CPU."""
+    if request.param == "in-process":
+        monkeypatch.setattr(forking, "_cpus", lambda: 1)
+        yield
+        return
+    pids = counted_forks(monkeypatch)
+    yield
+    assert len(pids) == 1
+
+
+def test_the_dataset_text_holds_its_text_twice(gaussian_rows, writer_path):
+    """The 9.9 MB text of 50k Gaussian rows, 500,000 floats, as dataset_to_csv makes it."""
+    text = None
+
+    def stage():
+        nonlocal text
+        text = data.dataset_to_csv(gaussian_rows)
+
+    peak = peak_above_start(stage)
+    # 2.00 on either path: the blocks of text, then their join. The forked
+    # path holds the parent's blocks and the child's, unpickled as they come.
+    assert peak / len(text) < 2.5
 
 
 def test_gen_boolean_builds_one_feature_matrix():
@@ -172,4 +205,22 @@ def test_rendering_the_report_holds_its_text_twice():
     peak = peak_above_start(stage)
     # 2.18: one string per cluster, all joined at the end. One % fill over
     # every cluster's values in a single argument tuple reads 3.49.
+    assert peak / len(text) < 2.5
+
+
+def test_rendering_a_report_above_the_bound_holds_its_text_twice(writer_path):
+    """The regions net over 8,000 of its rows: 5,986 clusters, 71,832 floats, above the bound."""
+    net = init_network(10, TrainConfig(hidden_widths=(16, 8), seed=5))
+    ds = gaussian(8000)
+    clusters = partition(net, ds)
+    assert len(clusters) * 12 > forking._SPLIT_FLOATS
+    reports = [feature_importance(c, ds.feature_names, cluster_id=i) for i, c in enumerate(clusters)]
+    text = None
+
+    def stage():
+        nonlocal text
+        text = render_report(clusters, reports)
+
+    peak = peak_above_start(stage)
+    # 2.17 on either path: the parent's strings, the child's, and their join.
     assert peak / len(text) < 2.5

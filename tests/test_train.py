@@ -32,7 +32,7 @@ from relu_prism import (
     train_seeds,
 )
 from relu_prism.train import _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPSILON
-from conftest import make_random_network, network_text
+from conftest import counted_forks, make_random_network, network_text
 
 
 def perturbed(net: Network, layer_i: int, which: str, idx, eps: float) -> Network:
@@ -409,6 +409,7 @@ class TestPinnedWeights:
 
 
 trainer = importlib.import_module("relu_prism.train")
+forking = importlib.import_module("relu_prism._forking")
 
 
 class ChildFailure(Exception):
@@ -434,18 +435,7 @@ class TestSplitSweep:
 
     @pytest.fixture(autouse=True)
     def forks(self, monkeypatch):
-        """The pid of each child forked; two CPUs to run on, whatever the machine has."""
-        monkeypatch.setattr(trainer, "_cpus", lambda: 2)
-        pids, fork = [], os.fork
-
-        def counted_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        return pids
+        return counted_forks(monkeypatch)
 
     @staticmethod
     def outcome(ds, config, seeds):
@@ -538,7 +528,7 @@ class TestSplitSweep:
         def work():
             raise TrainingDivergedError(7)
 
-        with trainer._fork(work) as join:
+        with forking._fork(work) as join:
             assert join is not None
             with pytest.raises(TrainingDivergedError) as err:
                 join()
@@ -596,7 +586,7 @@ class TestSplitSweep:
         ds, config = gen_boolean(530, seed=3), TrainConfig(epochs=1)
         seeds = (1,) if case == "one-seed" else (1, 2)
         if case == "one-cpu":
-            monkeypatch.setattr(trainer, "_cpus", lambda: 1)
+            monkeypatch.setattr(forking, "_cpus", lambda: 1)
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         if case == "two-threads":
